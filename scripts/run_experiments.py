@@ -2,7 +2,13 @@
 """Reproduce the headline numbers: tightness, randomized averages, revenue ratios.
 
 Writes three CSV files plus a JSON summary under --outdir (default results/).
-Everything is seeded; reruns are byte-identical.
+Everything is seeded; reruns are byte-identical.  The tracked results/ are
+the output of
+
+  python scripts/run_experiments.py --instances-per-family 20
+
+and tests/test_experiments.py regenerates them and compares byte for byte
+(the default of 50 instances per family writes 150 random_bounds rows).
 
   tightness.csv      worst ratio of the identity-order grid mechanism on the
                      tight family against its (n-1)c ceiling, and the exact

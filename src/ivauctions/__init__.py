@@ -39,6 +39,7 @@ from .mechanisms import (
     hypergrid_coloring,
     identity_permutation,
     lazy_winner,
+    lazy_winners,
     outcome,
     random_hypergrid_outcome,
     random_permutation,

@@ -228,7 +228,8 @@ def cmd_run(args) -> dict:
             result["pi"] = [b + 1 for b in pi]
         elif name == "hypergrid":
             pi = _parse_pi(args.pi, v.n)
-            rule = lambda p: lazy_winner(v, pi, p)
+            c = compute_c(v)
+            rule = lambda p: lazy_winner(v, pi, p, c=c)
             out = outcome(rule, v, profile)
             result = out.to_json()
             result["pi"] = [b + 1 for b in pi]
@@ -272,15 +273,15 @@ def cmd_evaluate(args) -> dict:
     per_profile = []
     try:
         if name == "random-hypergrid":
+            c = compute_c(v)
             worst = 1.0
             for p in v.space.profiles():
                 opt = oracle.optimal_welfare(v, p)
                 if v.n <= 8:
-                    mean, _ = oracle.exact_random_hypergrid_stats(v, p)
-                    se = 0.0
+                    mean, _ = oracle.exact_random_hypergrid_stats(v, p, c=c)
                 else:
-                    mean, se = oracle.monte_carlo_random_hypergrid(
-                        v, p, samples=args.samples, seed=args.seed
+                    mean, _ = oracle.monte_carlo_random_hypergrid(
+                        v, p, samples=args.samples, seed=args.seed, c=c
                     )
                 ratio = 1.0 if opt == 0 else (INFINITE if mean == 0 else opt / mean)
                 worst = max(worst, ratio)

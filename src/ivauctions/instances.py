@@ -234,8 +234,8 @@ def gen_random_mech_lb(n: int, c: float) -> ValuationInstance:
     """n grouped bidders plus one outlier whose value counts completed groups.
 
     A grouped bidder is worth 1 iff every member of its group is high; the
-    outlier (last index) is worth c per fully-high group.  Backed by a fast
-    vectorized evaluator since the grid has 2^(n+1) profiles.
+    outlier (last index) is worth c per fully-high group.  Backed by fast
+    per-profile and batched evaluators since the grid has 2^(n+1) profiles.
     """
     root = math.isqrt(n)
     if root * root != n:
@@ -256,8 +256,21 @@ def gen_random_mech_lb(n: int, c: float) -> ValuationInstance:
         vals[n] = c * done
         return vals
 
+    def batch_evaluate(profiles: np.ndarray) -> np.ndarray:
+        vals = np.zeros(profiles.shape, dtype=np.float64)
+        done = np.zeros(len(profiles), dtype=np.int64)
+        for lo, hi in bounds:
+            full = profiles[:, lo:hi].all(axis=1)
+            vals[:, lo:hi] = full[:, None]
+            done += full
+        vals[:, n] = c * done
+        return vals
+
     return ValuationInstance(
-        space=space, vector_evaluate=vector_evaluate, name="random_mech_lb"
+        space=space,
+        vector_evaluate=vector_evaluate,
+        batch_evaluate=batch_evaluate,
+        name="random_mech_lb",
     )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -103,8 +103,9 @@ class ValuationInstance:
 
     Either tabulated (``values`` is a dense (n, *grid) array) or backed by a
     deterministic evaluator ``evaluate(bidder, profile)``.  ``vector_evaluate``
-    is an optional fast path returning all n values at one profile.  Instances
-    are immutable; all operations are pure and thread-safe.
+    is an optional fast path returning all n values at one profile, and
+    ``batch_evaluate`` one mapping a (B, n) array of profiles to their (B, n)
+    values.  Instances are immutable; all operations are pure and thread-safe.
     """
 
     space: SignalSpace
@@ -112,6 +113,7 @@ class ValuationInstance:
     evaluate: Optional[Callable[[int, tuple[int, ...]], float]] = None
     vector_evaluate: Optional[Callable[[tuple[int, ...]], np.ndarray]] = None
     name: str = ""
+    batch_evaluate: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.values is None and self.evaluate is None and self.vector_evaluate is None:
@@ -156,6 +158,21 @@ class ValuationInstance:
             return np.asarray(self.vector_evaluate(p), dtype=np.float64)
         return np.array([self.evaluate(i, p) for i in range(self.n)], dtype=np.float64)
 
+    def values_at_batch(self, profiles: np.ndarray) -> np.ndarray:
+        """All n values at each row of a (B, n) integer array of profiles, as (B, n).
+
+        Profiles are not validated; callers pass rows already on the grid.
+        """
+        P = np.asarray(profiles)
+        if self.values is not None:
+            return self.values[(slice(None),) + tuple(P.T)].T
+        if self.batch_evaluate is not None:
+            return np.asarray(self.batch_evaluate(P), dtype=np.float64)
+        out = np.empty(P.shape, dtype=np.float64)
+        for r, row in enumerate(P.tolist()):
+            out[r] = self.values_at(row)
+        return out
+
     def tabulated(self, cap: Optional[int] = None) -> "ValuationInstance":
         """Dense copy.  Refuses above the cap rather than sampling.
 
@@ -183,6 +200,28 @@ class ValuationInstance:
 
     def _dense(self) -> np.ndarray:
         return self.tabulated().values
+
+
+def mean_and_stderr(draws: Iterable[float]) -> tuple[float, float]:
+    """Sample mean of i.i.d. draws with its standard error (0.0 for a single draw).
+
+    Accumulates the sum and the sum of squares in draw order, so a replayed
+    seed gives the same two floats bit for bit.
+    """
+    total = 0.0
+    total_sq = 0.0
+    count = 0
+    for x in draws:
+        total += x
+        total_sq += x * x
+        count += 1
+    if count == 0:
+        raise ValidationError("need at least one sample")
+    mean = total / count
+    if count == 1:
+        return mean, 0.0
+    var = max(0.0, (total_sq - count * mean * mean) / (count - 1))
+    return mean, math.sqrt(var / count)
 
 
 def discrete_derivative(

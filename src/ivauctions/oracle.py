@@ -18,15 +18,22 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .mechanisms import NO_WINNER, AllocationTable, lazy_winner
+# lazy_winner stays importable from here: callers and the benchmark's tracer
+# reach the scalar chain through this module's namespace.
+from .mechanisms import NO_WINNER, AllocationTable, lazy_winner, lazy_winners  # noqa: F401
 from .model import (
     INFINITE,
     CapExceeded,
     ValidationError,
     ValuationInstance,
+    compute_c,
+    mean_and_stderr,
 )
 
 DEFAULT_TABLE_CAP = 10_000_000
+
+#: Orderings evaluated per batch by the Monte Carlo path; bounds its memory.
+MC_CHUNK = 4096
 
 
 def optimal_welfare(v: ValuationInstance, s: Sequence[int]) -> float:
@@ -184,14 +191,18 @@ def best_monotone_ratio(v: ValuationInstance, cap: int = DEFAULT_TABLE_CAP) -> S
 def exact_random_hypergrid_stats(
     v: ValuationInstance, s: Sequence[int], c: Optional[float] = None
 ) -> tuple[float, dict[tuple[int, ...], float]]:
-    """Average winner value at s over all n! orderings of the grid mechanism."""
+    """Average winner value at s over all n! orderings of the grid mechanism.
+
+    All orderings run as one batch of the lazy chain, with c measured once.
+    """
     if v.n > 8:
         raise CapExceeded("n! enumeration limited to n <= 8; use the Monte Carlo path")
     p = v.space.validate_profile(s)
-    per_pi: dict[tuple[int, ...], float] = {}
-    for pi in permutations(range(v.n)):
-        w = lazy_winner(v, pi, p, c=c)
-        per_pi[pi] = v.value(w, p)
+    orders = list(permutations(range(v.n)))
+    c = compute_c(v) if c is None else c
+    winners = lazy_winners(v, orders, p, c=c).tolist()
+    worth = {w: v.value(w, p) for w in set(winners)}
+    per_pi = {pi: worth[w] for pi, w in zip(orders, winners)}
     mean = sum(per_pi.values()) / len(per_pi)
     return mean, per_pi
 
@@ -203,25 +214,34 @@ def monte_carlo_random_hypergrid(
     seed: int,
     c: Optional[float] = None,
 ) -> tuple[float, float]:
-    """Seeded i.i.d. ordering draws; mean winner value at s with its standard error."""
+    """Seeded i.i.d. ordering draws; mean winner value at s with its standard error.
+
+    Orderings come from one ``random.Random(seed).shuffle`` stream and are
+    evaluated in batches of at most ``MC_CHUNK`` through the lazy chain, with
+    c measured once; values are accumulated in draw order.
+    """
     if samples < 1:
         raise ValidationError("need at least one sample")
     p = v.space.validate_profile(s)
+    c = compute_c(v) if c is None else c
     rng = random.Random(seed)
     order = list(range(v.n))
-    total = 0.0
-    total_sq = 0.0
-    for _ in range(samples):
-        rng.shuffle(order)
-        w = lazy_winner(v, tuple(order), p, c=c)
-        val = v.value(w, p)
-        total += val
-        total_sq += val * val
-    mean = total / samples
-    if samples == 1:
-        return mean, 0.0
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-    return mean, math.sqrt(var / samples)
+    worth: dict[int, float] = {}
+
+    def draws():
+        left = samples
+        while left:
+            batch = []
+            for _ in range(min(left, MC_CHUNK)):
+                rng.shuffle(order)
+                batch.append(tuple(order))
+            left -= len(batch)
+            for w in lazy_winners(v, batch, p, c=c).tolist():
+                if w not in worth:
+                    worth[w] = v.value(w, p)
+                yield worth[w]
+
+    return mean_and_stderr(draws())
 
 
 def closed_form_rand_impossibility(n: int, epsilon: float) -> tuple[float, float, float]:

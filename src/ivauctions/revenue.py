@@ -36,6 +36,7 @@ from .model import (
     ValidationError,
     ValuationInstance,
     compute_c,
+    mean_and_stderr,
     restrict_bidders,
     validate_permutation,
 )
@@ -571,16 +572,13 @@ def expected_revenue(
     rng = random.Random(seed)
     support = list(prior.support())
     cum = list(np.cumsum([p for _, p in support]))
-    total = 0.0
-    total_sq = 0.0
-    for _ in range(samples):
-        idx = min(bisect.bisect_left(cum, rng.random() * cum[-1]), len(support) - 1)
-        rev = mechanism.sample_revenue(support[idx][0], rng)
-        total += rev
-        total_sq += rev * rev
-    mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1)) if samples > 1 else 0.0
-    return mean, math.sqrt(var / samples) if samples > 1 else 0.0
+
+    def draws():
+        for _ in range(samples):
+            idx = min(bisect.bisect_left(cum, rng.random() * cum[-1]), len(support) - 1)
+            yield mechanism.sample_revenue(support[idx][0], rng)
+
+    return mean_and_stderr(draws())
 
 
 def lookahead_benchmark(

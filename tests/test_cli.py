@@ -200,6 +200,18 @@ def test_revenue_subcommand(tmp_path, prior_file):
     assert result["ratio"] <= bound
 
 
+def test_revenue_zero_samples_is_a_typed_error(tmp_path, prior_file):
+    """A sampled revenue estimate with no samples is refused, not a traceback."""
+    path = tmp_path / "t22.json"
+    run_cli("generate", "two_by_two_tight", "--params", "c=2", "--out", str(path))
+    code, out, err = run_cli(
+        "revenue", "--instance", str(path), "--mechanism", "random-hypergrid",
+        "--prior", prior_file, "--cap", "1", "--samples", "0",
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == {"type": "revenue", "message": "need at least one sample"}
+
+
 def test_generate_unknown_params_error():
     code, _, err = run_cli("generate", "oil_sc", "--params", "bogus=3")
     assert code == 1

@@ -12,6 +12,7 @@ from ivauctions import (
     AllocationTable,
     IncompatibleMechanism,
     SignalSpace,
+    ValidationError,
     ValuationInstance,
     check_allocation_monotone,
     check_expost_truthful,
@@ -22,6 +23,7 @@ from ivauctions import (
     hypergrid_coloring,
     identity_permutation,
     lazy_winner,
+    lazy_winners,
     outcome,
     random_hypergrid_outcome,
     two_bidder_coloring,
@@ -259,6 +261,92 @@ def test_lazy_trace_ends_at_winner():
     w, trace = lazy_winner_trace(v, pi, (1, 1, 1, 1))
     assert trace[-1][0] == w and len(trace) == 4
     assert trace[-1][1] == (1, 1, 1, 1)
+
+
+def test_lazy_winners_match_scalar_chain(finite_c_corpus):
+    """The batched chain gives the scalar chain's winner on every row.
+
+    Every ordering on instances with n <= 4, 40 seeded orderings otherwise;
+    eight seeded profiles per instance plus the top corner.
+    """
+    import random as _random
+
+    rng = _random.Random(41)
+    for name, v, c, _ in finite_c_corpus:
+        if v.n <= 4:
+            orders = list(permutations(range(v.n)))
+        else:
+            orders = [tuple(rng.sample(range(v.n), v.n)) for _ in range(40)]
+        profiles = [tuple(rng.randint(0, k) for k in v.space.sizes) for _ in range(8)]
+        profiles.append(v.space.sizes)
+        for s in profiles:
+            batch = lazy_winners(v, orders, s, c=c)
+            assert batch.tolist() == [lazy_winner(v, pi, s, c=c) for pi in orders], (name, s)
+
+
+def _counting(v):
+    """Evaluator-backed view of v that counts per-profile calls and batched rows."""
+    counts = {"calls": 0, "rows": 0}
+
+    def vector_evaluate(p):
+        counts["calls"] += 1
+        return v.values_at(p)
+
+    def batch_evaluate(P):
+        counts["rows"] += len(P)
+        return v.values_at_batch(P)
+
+    counted = ValuationInstance(
+        space=v.space, vector_evaluate=vector_evaluate, batch_evaluate=batch_evaluate
+    )
+    return counted, counts
+
+
+def test_lazy_chains_counted_evaluations(finite_c_corpus):
+    """Scalar: <= (n-1)(k+1) profiles, so <= n^2 (k+1) values; batch: <= B (n-1)(k+1) rows."""
+    import random as _random
+
+    rng = _random.Random(43)
+    for name, v, c, _ in finite_c_corpus:
+        counted, counts = _counting(v)
+        n, k = v.n, max(v.space.sizes)
+        orders = [tuple(rng.sample(range(n), n)) for _ in range(12)]
+        for _ in range(4):
+            s = tuple(rng.randint(0, kb) for kb in v.space.sizes)
+            for pi in orders:
+                counts["calls"] = 0
+                w = lazy_winner(counted, pi, s, c=c)
+                assert counts["calls"] <= (n - 1) * (k + 1), (name, pi, s)
+                assert counts["calls"] * n <= n * n * (k + 1)
+                assert w == lazy_winner(v, pi, s, c=c)
+            counts["calls"] = counts["rows"] = 0
+            batch = lazy_winners(counted, orders, s, c=c)
+            assert counts["rows"] <= len(orders) * (n - 1) * (k + 1), (name, s)
+            assert counts["calls"] == 0  # the batch never falls back to per-profile calls
+            assert batch.tolist() == lazy_winners(v, orders, s, c=c).tolist()
+
+
+def test_values_at_batch_fallback_and_tabulated_agree():
+    v, _, _ = gen.gen_random_tabulated(3, 4, seed=5)
+    rows_only = ValuationInstance(space=v.space, vector_evaluate=v.values_at)
+    per_bidder = ValuationInstance(space=v.space, evaluate=v.value)
+    P = np.array(list(v.space.profiles()))
+    expected = np.array([v.values_at(p) for p in P.tolist()])
+    for inst in (v, rows_only, per_bidder):
+        assert np.array_equal(inst.values_at_batch(P), expected)
+
+
+def test_lazy_winners_validation():
+    v = gen.gen_tight_hypergrid(3, 2.0)
+    with pytest.raises(ValidationError):
+        lazy_winners(v, [(0, 1, 1)], (1, 1, 1))
+    with pytest.raises(ValidationError):
+        lazy_winners(v, [(0, 1)], (1, 1, 1))
+    with pytest.raises(ValidationError):
+        lazy_winners(v, [(0, 1, 2)], (1, 2, 1))
+    with pytest.raises(IncompatibleMechanism):
+        lazy_winners(gen.gen_rand_impossibility(3), [(0, 1, 2)], (1, 1, 1))
+    assert lazy_winners(v, np.empty((0, 3), dtype=int), (1, 1, 1)).tolist() == []
 
 
 def test_internal_chain_checks_hold(finite_c_corpus):

@@ -1,6 +1,8 @@
 """Oracles: exhaustive monotone search, ordering averages, closed forms."""
 
-from itertools import product
+import math
+import random
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -15,12 +17,15 @@ from ivauctions import (
     compute_c,
     exact_random_hypergrid_stats,
     hypergrid_coloring,
+    lazy_winner,
     monte_carlo_random_hypergrid,
     optimal_welfare,
     two_bidder_coloring,
     welfare_ratio,
 )
 from ivauctions import instances as gen
+from ivauctions import oracle
+from ivauctions.model import ValidationError, mean_and_stderr
 from ivauctions.oracle import enumerate_monotone_tables
 
 REL = 1e-9
@@ -164,6 +169,70 @@ def test_monte_carlo_seed_reproducibility():
     a = monte_carlo_random_hypergrid(v, (1, 1, 1, 1), samples=200, seed=5)
     b = monte_carlo_random_hypergrid(v, (1, 1, 1, 1), samples=200, seed=5)
     assert a == b
+
+
+def scalar_monte_carlo(v, s, samples, seed, c):
+    """Per-draw twin of the Monte Carlo oracle: one scalar chain per ordering."""
+    rng = random.Random(seed)
+    order = list(range(v.n))
+    total = total_sq = 0.0
+    for _ in range(samples):
+        rng.shuffle(order)
+        val = v.value(lazy_winner(v, tuple(order), s, c=c), s)
+        total += val
+        total_sq += val * val
+    mean = total / samples
+    if samples == 1:
+        return mean, 0.0
+    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+    return mean, math.sqrt(var / samples)
+
+
+def test_monte_carlo_matches_scalar_draws_across_chunks(monkeypatch):
+    """Batched draws are bit-identical to per-draw scalar chains, whatever the chunk size."""
+    lb = gen.gen_random_mech_lb(16, 2.0)
+    ones = (1,) * 17
+    expected = scalar_monte_carlo(lb, ones, 300, seed=8, c=2.0)
+    assert monte_carlo_random_hypergrid(lb, ones, 300, seed=8, c=2.0) == expected
+    monkeypatch.setattr(oracle, "MC_CHUNK", 7)
+    assert monte_carlo_random_hypergrid(lb, ones, 300, seed=8, c=2.0) == expected
+    v, c, _ = gen.gen_random_tabulated(4, 2, seed=9)
+    s = (2, 1, 0, 2)
+    assert monte_carlo_random_hypergrid(v, s, 50, seed=1) == scalar_monte_carlo(v, s, 50, 1, c)
+    assert monte_carlo_random_hypergrid(v, s, 1, seed=1) == scalar_monte_carlo(v, s, 1, 1, c)
+
+
+def test_exact_stats_match_scalar_chain():
+    v, c, _ = gen.gen_random_tabulated(5, 1, seed=31)
+    for s in [(1, 1, 1, 1, 1), (0, 1, 0, 1, 1)]:
+        mean, per_pi = exact_random_hypergrid_stats(v, s)
+        expected = {pi: v.value(lazy_winner(v, pi, s, c=c), s) for pi in permutations(range(5))}
+        assert per_pi == expected and list(per_pi) == list(expected)
+        assert mean == sum(expected.values()) / len(expected)
+
+
+def test_random_mech_lb_batch_evaluate_matches_vector_evaluate():
+    for n in (4, 64, 256, 1024):  # 1, 1, 2 and 3 groups
+        v = gen.gen_random_mech_lb(n, 2.0)
+        rng = np.random.default_rng(n)
+        P = np.ones((120, n + 1), dtype=np.intp)
+        for r, row in enumerate(P):
+            row[rng.choice(n + 1, size=r % 4, replace=False)] = 0
+        batch = v.batch_evaluate(P)
+        assert batch.shape == P.shape
+        for row, vals in zip(P, batch):
+            assert np.array_equal(vals, v.vector_evaluate(tuple(row.tolist())))
+        assert np.array_equal(v.values_at_batch(P), batch)
+
+
+def test_mean_and_stderr_formula():
+    draws = [1.0, 2.0, 2.0, 5.0]
+    mean, se = mean_and_stderr(draws)
+    assert mean == 2.5
+    assert se == math.sqrt((sum(x * x for x in draws) - 4 * 2.5 * 2.5) / 3 / 4)
+    assert mean_and_stderr(iter([3.0])) == (3.0, 0.0)
+    with pytest.raises(ValidationError):
+        mean_and_stderr([])
 
 
 # ---------------------------------------------------------------------------
