@@ -280,8 +280,13 @@ def lazy_winner(
     those levels in ascending order and stopping at the first trigger matches
     the table exactly, because once the entrant wins a cell it keeps every
     higher cell on that line.  Runs in O(n^2 k) valuation evaluations.
+
+    ``pi`` may order any non-empty subset of the bidders: the rule is then the
+    grid coloring of that sub-market, the others held at their reports.
     """
-    order = validate_permutation(pi, v.n)
+    order = tuple(int(x) for x in pi)
+    if not order or len(set(order)) != len(order) or not all(0 <= b < v.n for b in order):
+        raise ValidationError(f"{order} is not an ordering of distinct bidders in 0..{v.n - 1}")
     p = v.space.validate_profile(s)
     c = _required_c(v, c)
     return _lazy_chain(v, order, p, c, trace=None)
@@ -335,16 +340,16 @@ def _validate_orders(orders, n: int) -> np.ndarray:
 
 
 def _lazy_chain(v, order, p, c, trace):
-    n = v.n
     w = order[0]
-    base = [0] * n
-    base[order[0]] = p[order[0]]
+    base = list(p)  # bidders outside the ordering stay at their reports
+    for b in order[1:]:
+        base[b] = 0
     if trace is not None:
         trace.append((w, tuple(base)))
     first = np.fromiter(order, dtype=np.intp)
     last_profile = None  # one-deep cache: consecutive scans share a profile
     last_vals = None
-    for it in range(1, n):
+    for it in range(1, len(order)):
         j = order[it]
         thresh = it * c
         fa = first[: it + 1]

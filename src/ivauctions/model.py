@@ -497,19 +497,13 @@ def restrict_bidders(
     sizes = tuple(v.space.sizes[b] for b in keep)
     space = SignalSpace(sizes, profile_cap=v.space.profile_cap)
 
-    def embed(sub_profile: tuple[int, ...]) -> tuple[int, ...]:
+    def vector_evaluate(sub_profile: tuple[int, ...]) -> np.ndarray:
         full = list(base)
         for b, s in zip(keep, sub_profile):
             full[b] = s
-        return tuple(full)
+        return v.values_at(tuple(full))[list(keep)]
 
-    def vector_evaluate(sub_profile: tuple[int, ...]) -> np.ndarray:
-        return v.values_at(embed(sub_profile))[list(keep)]
-
-    sub = ValuationInstance(space=space, vector_evaluate=vector_evaluate, name=v.name)
-    if space.profile_count <= 4096 and v.is_tabulated:
-        sub = sub.tabulated()
-    return sub
+    return ValuationInstance(space=space, vector_evaluate=vector_evaluate, name=v.name)
 
 
 # ---------------------------------------------------------------------------

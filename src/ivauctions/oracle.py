@@ -4,8 +4,9 @@ Exhaustive search over all monotone deterministic allocations certifies the
 impossibility instances (no monotone table can beat the claimed ratio), exact
 averages over all n! bidder orderings certify the randomized bounds, and the
 closed forms for the no-crossing construction are checked against direct
-enumeration.  Everything here is independent of the mechanism implementations
-it is used to judge.
+enumeration.  The search and the closed forms share no code with the
+mechanisms they judge; the ordering averages run the grid mechanism's own lazy
+chain, which tests tie to the materialized ``hypergrid_coloring`` tables.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -145,18 +145,28 @@ class JointPrior:
 
     @staticmethod
     def from_json(obj: dict, space: Optional[SignalSpace] = None) -> "JointPrior":
-        kind = obj.get("kind")
-        if kind == "product":
-            marginals = [np.asarray(m, dtype=np.float64) for m in obj["marginals"]]
-            sp = space or SignalSpace(tuple(len(m) - 1 for m in marginals))
-            return JointPrior(space=sp, marginals=tuple(marginals))
-        if kind == "sparse":
-            atoms = {tuple(a["profile"]): float(a["p"]) for a in obj["atoms"]}
-            if space is None:
-                n = len(next(iter(atoms)))
-                sizes = tuple(max(1, max(p[i] for p in atoms)) for i in range(n))
-                space = SignalSpace(sizes)
-            return JointPrior(space=space, atoms=atoms)
+        """Parse the wire form; missing or ill-typed keys raise ``ValidationError``."""
+        try:
+            kind = obj.get("kind")
+            if kind == "product":
+                marginals = [np.asarray(m, dtype=np.float64) for m in obj["marginals"]]
+                sp = space or SignalSpace(tuple(len(m) - 1 for m in marginals))
+                return JointPrior(space=sp, marginals=tuple(marginals))
+            if kind == "sparse":
+                atoms = {tuple(a["profile"]): float(a["p"]) for a in obj["atoms"]}
+                if space is None:
+                    if not atoms:
+                        raise ValidationError("a sparse prior without a signal space needs an atom")
+                    n = len(next(iter(atoms)))
+                    sizes = tuple(max(1, max(p[i] for p in atoms)) for i in range(n))
+                    space = SignalSpace(sizes)
+                return JointPrior(space=space, atoms=atoms)
+        except KeyError as e:
+            raise ValidationError(f"prior is missing key {e}") from e
+        except ValidationError:
+            raise
+        except (AttributeError, TypeError, ValueError) as e:
+            raise ValidationError(f"malformed prior: {e}") from e
         raise ValidationError(f"unknown prior kind {kind!r}")
 
 
@@ -269,51 +279,25 @@ class RuleFamily:
     """A monotone allocation rule defined for every sub-market of an instance.
 
     ``realizations(Z)`` yields (probability, rule) pairs covering the family's
-    internal randomness; each rule maps a full reported profile to a winner in
-    Z (or None).  Restricted rules rerun the same algorithm over the bidders
-    in Z, with the other bidders' reported signals held fixed inside every
-    valuation evaluation and excluded from winning.
+    internal randomness for a non-empty bidder subset Z; each rule maps a full
+    reported profile to a winner in Z.  Restricted rules rerun the same
+    algorithm over the bidders in Z, with the other bidders' reported signals
+    held fixed inside every valuation evaluation and excluded from winning.
     """
 
     def __init__(self, v: ValuationInstance):
         self.v = v
 
-    @property
-    def n(self) -> int:
-        return self.v.n
-
     def realizations(self, bidders: Sequence[int]) -> list[tuple[float, Rule]]:
         raise NotImplementedError
 
     def sample_rule(self, bidders: Sequence[int], rng: random.Random) -> Rule:
-        """One internal-randomness draw; deterministic families ignore the generator."""
-        rules = self.realizations(bidders)
-        if len(rules) == 1:
-            return rules[0][1]
-        return rules[rng.randrange(len(rules))][1]
+        """One internal-randomness draw; randomized families override this."""
+        [(_, rule)] = self.realizations(bidders)
+        return rule
 
     def realization_count(self, market_size: int) -> int:
         return 1
-
-    @property
-    def is_deterministic(self) -> bool:
-        return self.realization_count(self.n) == 1
-
-
-def _sub_rule(
-    v: ValuationInstance,
-    keep: tuple[int, ...],
-    run: Callable[[ValuationInstance, tuple[int, ...]], Optional[int]],
-) -> Rule:
-    """Lift a sub-market algorithm to a rule over full profiles."""
-
-    def rule(profile: tuple[int, ...]) -> Optional[int]:
-        sub = restrict_bidders(v, keep, profile)
-        sub_profile = tuple(profile[b] for b in keep)
-        w = run(sub, sub_profile)
-        return None if w is None else keep[w]
-
-    return rule
 
 
 class HypergridFamily(RuleFamily):
@@ -321,7 +305,8 @@ class HypergridFamily(RuleFamily):
 
     With a fixed ordering the family is deterministic and restrictions use the
     induced order on the subset; without one, every restriction is uniformly
-    random over the subset's orderings.
+    random over the subset's orderings.  A restricted rule is the lazy chain on
+    the full instance, ordering only the subset.
     """
 
     def __init__(
@@ -333,31 +318,22 @@ class HypergridFamily(RuleFamily):
         if not math.isfinite(self.c):
             raise ValidationError("grid family needs a finite crossing constant")
 
-    def _rule_for_order(self, keep: tuple[int, ...], order: tuple[int, ...]) -> Rule:
-        sub_order = tuple(keep.index(b) for b in order)
-        return _sub_rule(
-            self.v, keep, lambda sub, sp: lazy_winner(sub, sub_order, sp, c=self.c)
-        )
+    def _rule(self, order: tuple[int, ...]) -> Rule:
+        return lambda profile: lazy_winner(self.v, order, profile, c=self.c)
 
     def realizations(self, bidders):
-        keep = tuple(bidders)
-        if not keep:
-            return [(1.0, lambda profile: None)]
-        if self.pi is not None:
-            return [(1.0, self._rule_for_order(keep, tuple(b for b in self.pi if b in keep)))]
-        orders = list(permutations(keep))
-        prob = 1.0 / len(orders)
-        return [(prob, self._rule_for_order(keep, order)) for order in orders]
+        if self.pi is None:
+            orders = list(permutations(bidders))
+        else:
+            orders = [tuple(b for b in self.pi if b in bidders)]
+        return [(1.0 / len(orders), self._rule(order)) for order in orders]
 
     def sample_rule(self, bidders, rng):
-        keep = tuple(bidders)
-        if not keep:
-            return lambda profile: None
         if self.pi is not None:
-            return self._rule_for_order(keep, tuple(b for b in self.pi if b in keep))
-        order = list(keep)
+            return super().sample_rule(bidders, rng)
+        order = list(bidders)
         rng.shuffle(order)
-        return self._rule_for_order(keep, tuple(order))
+        return self._rule(tuple(order))
 
     def realization_count(self, market_size: int) -> int:
         return 1 if self.pi is not None else math.factorial(max(1, market_size))
@@ -376,13 +352,13 @@ class HighIfPossibleFamily(RuleFamily):
 
     def realizations(self, bidders):
         keep = tuple(bidders)
-        if not keep:
-            return [(1.0, lambda profile: None)]
 
-        def run(sub: ValuationInstance, sp: tuple[int, ...]) -> Optional[int]:
-            return high_if_possible(sub, c=self.c).winner_at(sp)
+        def rule(profile: tuple[int, ...]) -> Optional[int]:
+            table = high_if_possible(restrict_bidders(self.v, keep, profile), c=self.c)
+            w = table.winner_at(tuple(profile[b] for b in keep))
+            return None if w is None else keep[w]
 
-        return [(1.0, _sub_rule(self.v, keep, run))]
+        return [(1.0, rule)]
 
 
 def family_worst_ratio(family: RuleFamily, v: ValuationInstance) -> float:
@@ -392,7 +368,7 @@ def family_worst_ratio(family: RuleFamily, v: ValuationInstance) -> float:
     every restriction of the rule must cover the best bidder of its own
     sub-market at every profile.
     """
-    if not family.is_deterministic:
+    if family.realization_count(v.n) != 1:
         raise ValidationError("worst ratio over realizations needs a deterministic family")
     n = v.n
     worst = 1.0
@@ -488,11 +464,9 @@ class ReserveBackedMechanism:
         for pr, rule in self.family.realizations(tuple(range(n))):
             events.append(self._posted(rule, s, "full", qa * pr))
         qb = (1.0 - qa) / 2**n
-        for mask in range(2**n):
+        events.append(RevenueEvent(qb, 0.0, None, None, None, "subset"))  # the empty subset
+        for mask in range(1, 2**n):
             keep = tuple(b for b in range(n) if mask >> b & 1)
-            if not keep:
-                events.append(RevenueEvent(qb, 0.0, None, None, None, "subset"))
-                continue
             for pr, rule in self.family.realizations(keep):
                 events.append(self._posted(rule, s, "subset", qb * pr))
         return events
@@ -521,24 +495,6 @@ class ReserveBackedMechanism:
         rule = self.family.sample_rule(keep, rng)
         return self._posted(rule, s, "subset", 1.0)
 
-    def sample_revenue(self, s: Sequence[int], rng: random.Random) -> float:
-        return self.sample_event(s, rng).revenue
-
-
-def mechanism_m_outcome(
-    v: ValuationInstance,
-    prior: JointPrior,
-    family: RuleFamily,
-    alpha: float,
-    d: float,
-    p: float,
-    s: Sequence[int],
-    rng_seed: int,
-) -> RevenueEvent:
-    """One seeded run of the reserve-backed mechanism at one reported profile."""
-    mech = ReserveBackedMechanism(v=v, prior=prior, family=family, alpha=alpha, d=d, p=p)
-    return mech.sample_event(s, random.Random(rng_seed))
-
 
 def expected_revenue(
     mechanism,
@@ -553,7 +509,7 @@ def expected_revenue(
     ``profile_outcomes`` (and its prior, unless one is passed explicitly).
     When profiles times branches stays under the cap the expectation is an
     exact sum; otherwise profiles are drawn from the prior with a seeded
-    generator and internal branches are sampled.
+    generator and internal branches are sampled through ``sample_event``.
     """
     prior = prior if prior is not None else mechanism.prior
     sizer = getattr(mechanism, "enumeration_size", None)
@@ -576,7 +532,7 @@ def expected_revenue(
     def draws():
         for _ in range(samples):
             idx = min(bisect.bisect_left(cum, rng.random() * cum[-1]), len(support) - 1)
-            yield mechanism.sample_revenue(support[idx][0], rng)
+            yield mechanism.sample_event(support[idx][0], rng).revenue
 
     return mean_and_stderr(draws())
 

@@ -212,6 +212,27 @@ def test_revenue_zero_samples_is_a_typed_error(tmp_path, prior_file):
     assert json.loads(err)["error"] == {"type": "revenue", "message": "need at least one sample"}
 
 
+@pytest.mark.parametrize(
+    "prior",
+    [
+        {"kind": "product"},
+        {"kind": "sparse", "atoms": [{"profile": [0, 0]}]},
+        {"kind": "sparse", "atoms": [{"p": 1.0}]},
+    ],
+)
+def test_revenue_malformed_prior_is_a_typed_error(tmp_path, prior):
+    """A prior file with a missing key yields a JSON error, not a traceback."""
+    path = tmp_path / "t22.json"
+    run_cli("generate", "two_by_two_tight", "--params", "c=2", "--out", str(path))
+    prior_path = tmp_path / "bad_prior.json"
+    prior_path.write_text(json.dumps(prior))
+    code, out, err = run_cli(
+        "revenue", "--instance", str(path), "--prior", str(prior_path),
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "prior"
+
+
 def test_generate_unknown_params_error():
     code, _, err = run_cli("generate", "oil_sc", "--params", "bogus=3")
     assert code == 1

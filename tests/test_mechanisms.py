@@ -38,6 +38,7 @@ from ivauctions.mechanisms import (
     critical_signal_scan,
     lazy_winner_trace,
 )
+from ivauctions.model import restrict_bidders
 from ivauctions.oracle import exact_random_hypergrid_stats, optimal_welfare
 
 REL = 1e-9
@@ -334,6 +335,49 @@ def test_values_at_batch_fallback_and_tabulated_agree():
     expected = np.array([v.values_at(p) for p in P.tolist()])
     for inst in (v, rows_only, per_bidder):
         assert np.array_equal(inst.values_at_batch(P), expected)
+
+
+def test_lazy_sub_ordering_matches_restricted_table():
+    """A sub-ordering on the full instance is the grid table of the restricted instance.
+
+    The reference restricts the instance to the ordered bidders (the others
+    fixed at their reports), tabulates it and colors it; one table serves
+    every profile of the kept bidders at one set of dropped signals.
+    """
+    checked = 0
+    for n, k, seed in ((2, 3, 41), (3, 2, 42), (4, 1, 43), (4, 2, 44), (5, 1, 45)):
+        v, c, _ = gen.gen_random_tabulated(n, k, seed=seed)
+        assert math.isfinite(c)
+        for mask in range(1, 2**n):
+            keep = tuple(b for b in range(n) if mask >> b & 1)
+            dropped = [b for b in range(n) if b not in keep]
+            sub_space = SignalSpace(tuple(v.space.sizes[b] for b in keep))
+            for fixed in np.ndindex(*(v.space.sizes[b] + 1 for b in dropped)):
+                base = [0] * n
+                for b, x in zip(dropped, fixed):
+                    base[b] = x
+                sub = restrict_bidders(v, keep, base).tabulated()
+                for sub_order in permutations(range(len(keep))):
+                    order = tuple(keep[i] for i in sub_order)
+                    table = hypergrid_coloring(sub, sub_order, c=c)
+                    for sub_s in sub_space.profiles():
+                        s = list(base)
+                        for b, x in zip(keep, sub_s):
+                            s[b] = x
+                        got = lazy_winner(v, order, s, c=c)
+                        assert got == keep[table.winner_at(sub_s)], (n, k, order, s)
+                        checked += 1
+    assert checked > 10_000
+
+
+def test_lazy_winner_rejects_bad_orderings():
+    v = gen.gen_tight_hypergrid(3, 2.0)
+    for bad in ((0, 0), (0, 1, 1), (0, 3), (-1, 2), ()):
+        with pytest.raises(ValidationError):
+            lazy_winner(v, bad, (1, 1, 1))
+    for bad in ((0, 2), ()):
+        with pytest.raises(ValidationError):
+            lazy_winner_trace(v, bad, (1, 1, 1))
 
 
 def test_lazy_winners_validation():

@@ -140,6 +140,25 @@ def test_exact_stats_single_bidder():
     assert mean == 3.0 and per_pi == {(0,): 3.0}
 
 
+def test_exact_stats_match_grid_tables(finite_c_corpus):
+    """Per-ordering values of the n! oracle equal the materialized grid tables.
+
+    The oracle runs the mechanism's own lazy chain; this ties it to the
+    table builder, which shares no chain code with it.
+    """
+    checked = 0
+    for name, v, c, _ in finite_c_corpus:
+        if v.n > 4:
+            continue
+        tables = {pi: hypergrid_coloring(v, pi, c=c) for pi in permutations(range(v.n))}
+        for s in v.space.profiles():
+            _, per_pi = exact_random_hypergrid_stats(v, s, c=c)
+            for pi, table in tables.items():
+                assert per_pi[pi] == v.value(table.winner_at(s), s), (name, pi, s)
+                checked += 1
+    assert checked > 10_000
+
+
 def test_exact_stats_separable_bound():
     for seed in (3, 4):
         v = gen.gen_random_separable(4, 2, 2.0, seed=seed)

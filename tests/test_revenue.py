@@ -1,6 +1,7 @@
 """Reserves, the reserve-backed mechanism, and the revenue bound."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from ivauctions.revenue import (
     lookahead_benchmark,
     lookahead_benchmark_family,
     losing_reserve,
-    mechanism_m_outcome,
     uniform_product_prior,
     winning_reserve,
 )
@@ -61,6 +61,25 @@ def test_prior_json_roundtrip():
     sparse = JointPrior(space=sp, atoms={(0, 2): 0.5, (1, 0): 0.5})
     back = JointPrior.from_json(sparse.to_json(), space=sp)
     assert back.prob((0, 2)) == 0.5
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "product"},
+        {"kind": "product", "marginals": 5},
+        {"kind": "product", "marginals": [["a", "b"]]},
+        {"kind": "sparse", "atoms": [{"profile": [0, 1]}]},
+        {"kind": "sparse", "atoms": [{"p": 1.0}]},
+        {"kind": "sparse", "atoms": [{"profile": [0, 1], "p": "x"}]},
+        {"kind": "sparse", "atoms": []},
+        {"kind": "sparse"},
+        [],
+    ],
+)
+def test_prior_json_malformed_is_a_validation_error(obj):
+    with pytest.raises(ValidationError):
+        JointPrior.from_json(obj)
 
 
 def test_line_probs_product():
@@ -294,8 +313,9 @@ def test_mechanism_m_outcome_seeded():
     v = gen.gen_two_by_two_tight(2.0)
     prior = uniform_product_prior(v.space)
     fam = HighIfPossibleFamily(v)
-    a = mechanism_m_outcome(v, prior, fam, 2.0, 1.0, 1.0, (1, 1), rng_seed=4)
-    b = mechanism_m_outcome(v, prior, fam, 2.0, 1.0, 1.0, (1, 1), rng_seed=4)
+    mech = ReserveBackedMechanism(v=v, prior=prior, family=fam, alpha=2.0, d=1.0, p=1.0)
+    a = mech.sample_event((1, 1), random.Random(4))
+    b = mech.sample_event((1, 1), random.Random(4))
     assert a == b
     assert a.branch in ("full", "subset")
 
