@@ -522,24 +522,13 @@ def welfare_ratio(
     table = as_table(rule, v)
     dense = v.tabulated().values
     maxv = dense.max(axis=0)
-    ratios = np.ones(v.space.shape, dtype=np.float64)
-    flat_w = table.winner.reshape(-1)
-    flat_max = maxv.reshape(-1)
-    flat_ratio = ratios.reshape(-1)
-    flat_vals = dense.reshape(v.n, -1)
-    for idx in range(flat_w.size):
-        w = flat_w[idx]
-        m = flat_max[idx]
-        if w == NO_WINNER:
-            flat_ratio[idx] = 1.0 if m == 0 else INFINITE
-            continue
-        vw = flat_vals[w, idx]
-        if m == 0:
-            flat_ratio[idx] = 1.0
-        elif vw == 0:
-            flat_ratio[idx] = INFINITE
-        else:
-            flat_ratio[idx] = m / vw
+    w = table.winner
+    has_winner = w != NO_WINNER
+    # an absent winner counts as a zero-valued one
+    picked = np.take_along_axis(dense, np.where(has_winner, w, 0)[None], axis=0)[0]
+    vw = np.where(has_winner, picked, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(maxv == 0, 1.0, np.where(vw == 0, INFINITE, maxv / vw))
     return float(ratios.max()), ratios
 
 

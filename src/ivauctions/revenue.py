@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterator, Optional, Sequence, Union
 
@@ -270,6 +270,30 @@ def losing_reserve(
     return _monopoly_quote(values[:cutoff], probs[:cutoff], LOSING, i, context)
 
 
+def _quote(
+    cache: dict,
+    prior: JointPrior,
+    v: ValuationInstance,
+    rule: Rule,
+    i: int,
+    context: tuple[int, ...],
+) -> Optional[ReserveQuote]:
+    """Winning reserve of bidder i on one line, computed once per (rule, i, line).
+
+    The quote depends only on the rule, the bidder and the others' signals, so
+    every profile on the line shares it.  ``None`` marks an undefined reserve.
+    The cache holds the rule itself as part of the key, so a rule's id cannot
+    be reused while its quotes are stored.
+    """
+    key = (rule, i, context)
+    if key not in cache:
+        try:
+            cache[key] = winning_reserve(prior, v, rule, i, context)
+        except UndefinedReserve:
+            cache[key] = None
+    return cache[key]
+
+
 # ---------------------------------------------------------------------------
 # Rule families: a base rule plus its restriction to any bidder subset.
 # ---------------------------------------------------------------------------
@@ -287,6 +311,8 @@ class RuleFamily:
 
     def __init__(self, v: ValuationInstance):
         self.v = v
+        # One rule object per key, so quote caches keyed on the rule see repeats.
+        self._rules: dict = {}
 
     def realizations(self, bidders: Sequence[int]) -> list[tuple[float, Rule]]:
         raise NotImplementedError
@@ -319,7 +345,9 @@ class HypergridFamily(RuleFamily):
             raise ValidationError("grid family needs a finite crossing constant")
 
     def _rule(self, order: tuple[int, ...]) -> Rule:
-        return lambda profile: lazy_winner(self.v, order, profile, c=self.c)
+        if order not in self._rules:
+            self._rules[order] = lambda profile: lazy_winner(self.v, order, profile, c=self.c)
+        return self._rules[order]
 
     def realizations(self, bidders):
         if self.pi is None:
@@ -352,13 +380,23 @@ class HighIfPossibleFamily(RuleFamily):
 
     def realizations(self, bidders):
         keep = tuple(bidders)
+        if keep not in self._rules:
+            self._rules[keep] = self._subset_rule(keep)
+        return [(1.0, self._rules[keep])]
+
+    def _subset_rule(self, keep: tuple[int, ...]) -> Rule:
+        """The sub-market rule; its table is built once per dropped bidders' signals."""
+        dropped = tuple(b for b in range(self.v.n) if b not in keep)
+        tables: dict[tuple[int, ...], AllocationTable] = {}
 
         def rule(profile: tuple[int, ...]) -> Optional[int]:
-            table = high_if_possible(restrict_bidders(self.v, keep, profile), c=self.c)
-            w = table.winner_at(tuple(profile[b] for b in keep))
+            fixed = tuple(profile[b] for b in dropped)
+            if fixed not in tables:
+                tables[fixed] = high_if_possible(restrict_bidders(self.v, keep, profile), c=self.c)
+            w = tables[fixed].winner_at(tuple(profile[b] for b in keep))
             return None if w is None else keep[w]
 
-        return [(1.0, rule)]
+        return rule
 
 
 def family_worst_ratio(family: RuleFamily, v: ValuationInstance) -> float:
@@ -425,6 +463,9 @@ class ReserveBackedMechanism:
     alpha: float
     d: float
     p: float = 1.0
+    # Winning-reserve quotes per (rule, bidder, line), shared by every profile
+    # and Monte Carlo draw that posts on the same line.
+    _quotes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alpha < 1 or self.d < 1 or not 0 < self.p <= 1:
@@ -440,9 +481,8 @@ class ReserveBackedMechanism:
         if i is None:
             return RevenueEvent(prob, 0.0, None, None, None, branch)
         context = tuple(x for b, x in enumerate(s) if b != i)
-        try:
-            quote = winning_reserve(self.prior, self.v, rule, i, context)
-        except UndefinedReserve:
+        quote = _quote(self._quotes, self.prior, self.v, rule, i, context)
+        if quote is None:
             return RevenueEvent(prob, 0.0, None, None, None, branch)
         value = self.v.value(i, s)
         sold = value >= quote.price
@@ -547,6 +587,7 @@ def lookahead_benchmark(
     reserves (possible only off the support) contribute zero.
     """
     win = rule.winner_at if isinstance(rule, AllocationTable) else rule
+    quotes: dict = {}
     total = 0.0
     for s, ps in prior.support():
         vals = v.values_at(s)
@@ -557,10 +598,9 @@ def lookahead_benchmark(
         else:
             runner = max((float(vals[j]) for j in range(v.n) if j != w), default=0.0)
             context = tuple(x for b, x in enumerate(s) if b != w)
-            try:
-                reserve_rev = winning_reserve(prior, v, rule, w, context).expected_revenue
-            except UndefinedReserve:
-                reserve_rev = 0.0
+            # keyed on ``win``: a table holds an array, so it is not hashable
+            quote = _quote(quotes, prior, v, win, w, context)
+            reserve_rev = 0.0 if quote is None else quote.expected_revenue
         total += ps * (reserve_rev + runner)
     return total
 
@@ -578,8 +618,20 @@ def lookahead_benchmark_family(
 def expected_payment_revenue(
     rule: Union[Rule, AllocationTable], v: ValuationInstance, prior: JointPrior
 ) -> float:
-    """Expected critical-signal payment revenue of a rule under truthful play."""
+    """Expected critical-signal payment revenue of a rule under truthful play.
+
+    The winner's payment depends only on her line, so it is settled once per
+    (winner, others' signals); profiles without a winner pay nothing.
+    """
+    win = rule.winner_at if isinstance(rule, AllocationTable) else rule
+    payments: dict[tuple[int, tuple[int, ...]], float] = {}
     total = 0.0
     for s, ps in prior.support():
-        total += ps * outcome(rule, v, s).payment
+        w = win(s)
+        if w is None:
+            continue
+        line = (w, tuple(x for b, x in enumerate(s) if b != w))
+        if line not in payments:
+            payments[line] = outcome(rule, v, s).payment
+        total += ps * payments[line]
     return total

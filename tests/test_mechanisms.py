@@ -544,6 +544,57 @@ def test_welfare_ratio_conventions():
     assert math.isinf(worst)
 
 
+def _welfare_ratio_per_cell(table, v):
+    """Cell-by-cell reference for welfare_ratio's conventions."""
+    dense = v.tabulated().values
+    ratios = np.ones(v.space.shape, dtype=np.float64)
+    for p in v.space.profiles():
+        m = dense[(slice(None),) + p].max()
+        w = int(table.winner[p])
+        vw = 0.0 if w == NO_WINNER else dense[(w,) + p]
+        if m == 0:
+            ratios[p] = 1.0
+        elif vw == 0:
+            ratios[p] = math.inf
+        else:
+            ratios[p] = m / vw
+    return float(ratios.max()), ratios
+
+
+def test_welfare_ratio_equals_per_cell_reference(finite_c_corpus):
+    for name, v, c, _ in finite_c_corpus:
+        base = hypergrid_coloring(v, tuple(reversed(range(v.n))), c=c)
+        # drop the winner on every third cell to reach the no-winner branch
+        holes = base.winner.copy()
+        holes.reshape(-1)[::3] = NO_WINNER
+        for table in (base, AllocationTable(space=v.space, winner=holes)):
+            worst, ratios = welfare_ratio(table, v)
+            ref_worst, ref_ratios = _welfare_ratio_per_cell(table, v)
+            assert worst == ref_worst, name
+            assert ratios.dtype == np.float64 and np.array_equal(ratios, ref_ratios), name
+
+
+def test_critical_signal_rule_calls_are_logarithmic(finite_c_corpus):
+    """Binary search makes at most ceil(log2(k + 1)) + 1 rule calls on every line."""
+    for name, v, c, _ in finite_c_corpus:
+        table = hypergrid_coloring(v, identity_permutation(v.n), c=c)
+        calls = [0]
+
+        def rule(p):
+            calls[0] += 1
+            return table.winner_at(p)
+
+        for i in range(v.n):
+            k = v.space.sizes[i]
+            bound = math.ceil(math.log2(k + 1)) + 1
+            others = SignalSpace(tuple(x for b, x in enumerate(v.space.sizes) if b != i))
+            for ctx in others.profiles() if v.n > 1 else [()]:
+                calls[0] = 0
+                b = critical_signal(rule, v, i, ctx)
+                assert calls[0] <= bound, (name, i, ctx)
+                assert b == critical_signal_scan(table, v, i, ctx)
+
+
 def test_approximation_bounds_random_families():
     for seed in range(20):
         v2, c2, _ = gen.gen_random_tabulated(2, 5, seed=400 + seed)

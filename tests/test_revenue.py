@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -15,11 +16,15 @@ from ivauctions import (
     hypergrid_coloring,
 )
 from ivauctions import instances as gen
+from ivauctions import revenue as revenue_module
+from ivauctions.mechanisms import high_if_possible, lazy_winner, outcome
+from ivauctions.model import restrict_bidders
 from ivauctions.revenue import (
     HighIfPossibleFamily,
     HypergridFamily,
     JointPrior,
     ReserveBackedMechanism,
+    RuleFamily,
     UndefinedReserve,
     expected_payment_revenue,
     expected_revenue,
@@ -340,8 +345,6 @@ def test_expected_payment_revenue_point_mass():
     v = gen.gen_two_by_two_tight(2.0)
     table = hypergrid_coloring(v, (0, 1))
     prior = JointPrior(space=v.space, atoms={(1, 1): 1.0})
-    from ivauctions.mechanisms import outcome
-
     want = outcome(table, v, (1, 1)).payment
     assert expected_payment_revenue(table, v, prior) == pytest.approx(want)
     uniform = uniform_product_prior(v.space)
@@ -455,3 +458,274 @@ def test_posted_truthfulness_of_branch_a():
             if rule(tuple(misreport)) == i:
                 q2 = winning_reserve(prior, v, rule, i, ctx)
                 assert q2.price == quote.price
+
+
+# ---------------------------------------------------------------------------
+# Per-line caches: the cached sums equal the uncached per-profile loops.
+# ---------------------------------------------------------------------------
+
+
+def _ref_lookahead(prior, v, rule):
+    """Per-profile lookahead: one fresh reserve quote at every profile."""
+    win = rule.winner_at if hasattr(rule, "winner_at") else rule
+    total = 0.0
+    for s, ps in prior.support():
+        vals = v.values_at(s)
+        w = win(s)
+        if w is None:
+            runner = float(vals.max())
+            reserve_rev = 0.0
+        else:
+            runner = max((float(vals[j]) for j in range(v.n) if j != w), default=0.0)
+            ctx = tuple(x for b, x in enumerate(s) if b != w)
+            try:
+                reserve_rev = winning_reserve(prior, v, rule, w, ctx).expected_revenue
+            except UndefinedReserve:
+                reserve_rev = 0.0
+        total += ps * (reserve_rev + runner)
+    return total
+
+
+def _ref_payment_revenue(rule, v, prior):
+    total = 0.0
+    for s, ps in prior.support():
+        total += ps * outcome(rule, v, s).payment
+    return total
+
+
+def _ref_realizations(v, kind, c, keep):
+    """Fresh, uncached sub-market rules: ``kind`` is "high", "random" or a fixed ordering."""
+    if kind == "high":
+        def rule(profile):
+            table = high_if_possible(restrict_bidders(v, keep, profile), c=c)
+            w = table.winner_at(tuple(profile[b] for b in keep))
+            return None if w is None else keep[w]
+
+        return [(1.0, rule)]
+    if kind == "random":
+        orders = list(permutations(keep))
+    else:
+        orders = [tuple(b for b in kind if b in keep)]
+    return [
+        (1.0 / len(orders), lambda p, o=o: lazy_winner(v, o, p, c=c)) for o in orders
+    ]
+
+
+def _ref_exact_revenue(mech, kind, c):
+    """Exact revenue summed event by event in the mechanism's order, quoting afresh."""
+    v, prior, n = mech.v, mech.prior, mech.v.n
+    qa = mech.branch_a_prob
+    qb = (1.0 - qa) / 2**n
+    total = 0.0
+    for s, ps in prior.support():
+        branches = [(qa * pr, rule) for pr, rule in _ref_realizations(v, kind, c, tuple(range(n)))]
+        branches.append((qb, None))
+        for mask in range(1, 2**n):
+            keep = tuple(b for b in range(n) if mask >> b & 1)
+            branches += [(qb * pr, rule) for pr, rule in _ref_realizations(v, kind, c, keep)]
+        for prob, rule in branches:
+            rev = 0.0
+            i = None if rule is None else rule(s)
+            if i is not None:
+                ctx = tuple(x for b, x in enumerate(s) if b != i)
+                try:
+                    quote = winning_reserve(prior, v, rule, i, ctx)
+                except UndefinedReserve:
+                    quote = None
+                if quote is not None and v.value(i, s) >= quote.price:
+                    rev = quote.price
+            total += ps * prob * rev
+    return total
+
+
+def _random_product_prior(space, seed):
+    rng = np.random.default_rng(seed)
+    marginals = []
+    for k in space.sizes:
+        w = rng.uniform(0.05, 1.0, size=k + 1)
+        marginals.append(w / w.sum())
+    return JointPrior(space=space, marginals=tuple(marginals))
+
+
+def _random_sparse_prior(space, seed, count):
+    rng = np.random.default_rng(seed)
+    profiles = list(space.profiles())
+    picked = rng.choice(len(profiles), size=min(count, len(profiles)), replace=False)
+    w = rng.uniform(0.1, 1.0, size=picked.size)
+    w = w / w.sum()
+    return JointPrior(space=space, atoms={profiles[j]: float(p) for j, p in zip(picked, w)})
+
+
+def _priors(space, seed):
+    return [
+        uniform_product_prior(space),
+        _random_product_prior(space, seed),
+        _random_sparse_prior(space, seed, max(2, space.profile_count // 2)),
+    ]
+
+
+def _no_bottom(rule):
+    """The rule with nobody winning at the all-zero profile; still monotone."""
+    return lambda p: None if not any(p) else rule(p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cached_line_sums_equal_per_profile_loops(seed):
+    v = gen.gen_random_separable(3, 2, 1.5, seed=60 + seed)
+    c = compute_c(v)
+    table = hypergrid_coloring(v, (2, 0, 1))
+    lazy = lambda p: lazy_winner(v, (1, 2, 0), p, c=c)
+    for prior in _priors(v.space, seed):
+        for rule in (table, lazy, _no_bottom(lazy)):
+            assert lookahead_benchmark(prior, v, rule) == _ref_lookahead(prior, v, rule)
+            assert expected_payment_revenue(rule, v, prior) == _ref_payment_revenue(rule, v, prior)
+
+
+def test_lookahead_undefined_reserve_line_contributes_zero():
+    v, _, _ = gen.gen_random_tabulated(2, 3, seed=61)
+    prior = uniform_product_prior(v.space)
+    low_wins = lambda p: 0 if p[0] == 0 else 1  # bidder 0 never wins at her top signal
+    with pytest.raises(UndefinedReserve):
+        winning_reserve(prior, v, low_wins, 0, (2,))
+    assert lookahead_benchmark(prior, v, low_wins) == _ref_lookahead(prior, v, low_wins)
+
+
+@pytest.mark.parametrize(
+    "make, kind",
+    [
+        (lambda s: gen.gen_random_separable(3, 1, 2.0, seed=s), "high"),
+        (lambda s: gen.gen_random_separable(3, 2, 1.5, seed=s), "random"),
+        (lambda s: gen.gen_random_separable(3, 2, 1.5, seed=s), (2, 0, 1)),
+    ],
+)
+@pytest.mark.parametrize("seed", (70, 71))
+def test_cached_exact_revenue_equals_per_event_loop(make, kind, seed):
+    v = make(seed)
+    c, d = compute_c(v), compute_d(v)
+    for prior in _priors(v.space, seed):
+        if kind == "high":
+            fam = HighIfPossibleFamily(v, c=c)
+        else:
+            fam = HypergridFamily(v, pi=None if kind == "random" else kind, c=c)
+        mech = ReserveBackedMechanism(v=v, prior=prior, family=fam, alpha=2 * c, d=d, p=0.5)
+        got, se = expected_revenue(mech)
+        assert se == 0.0
+        assert got == _ref_exact_revenue(mech, kind, c)
+
+
+class _LowSignalFamily(RuleFamily):
+    """Non-monotone test family: the first kept bidder wins only at her low signal."""
+
+    def realizations(self, bidders):
+        keep = tuple(bidders)
+        if keep not in self._rules:
+            self._rules[keep] = lambda p: keep[0] if p[keep[0]] == 0 else None
+        return [(1.0, self._rules[keep])]
+
+
+def test_cached_mechanism_skips_undefined_reserves_and_empty_wins():
+    v = gen.gen_random_separable(2, 2, 1.5, seed=72)
+    prior = _random_product_prior(v.space, 72)
+    mech = ReserveBackedMechanism(v=v, prior=prior, family=_LowSignalFamily(v), alpha=2.0, d=1.0)
+    events = mech.profile_events((0, 1))
+    assert all(e.revenue == 0.0 and e.buyer is None for e in events)
+    assert expected_revenue(mech) == (0.0, 0.0)
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``revenue.<name>`` and record every call's arguments."""
+    calls = []
+    orig = getattr(revenue_module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(revenue_module, name, wrapped)
+    return calls
+
+
+def test_one_reserve_quote_per_line_in_lookahead(monkeypatch):
+    v = gen.gen_random_separable(3, 2, 1.5, seed=73)
+    prior = _random_product_prior(v.space, 73)
+    table = hypergrid_coloring(v, (0, 1, 2))
+    lines = set()
+    for s, _ in prior.support():
+        w = table.winner_at(s)
+        lines.add((w, tuple(x for b, x in enumerate(s) if b != w)))
+    calls = _count_calls(monkeypatch, "winning_reserve")
+    lookahead_benchmark(prior, v, table)
+    assert len(calls) == len(lines) < sum(1 for _ in prior.support())
+    assert {(i, ctx) for _, _, _, i, ctx in calls} == lines
+    calls.clear()
+    lookahead_benchmark(prior, v, table)  # a second call quotes afresh
+    assert len(calls) == len(lines)
+
+
+@pytest.mark.parametrize("pi", (None, (1, 0, 2)))
+def test_one_reserve_quote_per_rule_and_line_in_exact_revenue(monkeypatch, pi):
+    v = gen.gen_random_separable(3, 2, 1.5, seed=74)
+    prior = uniform_product_prior(v.space)
+    fam = HypergridFamily(v, pi=pi)
+    mech = ReserveBackedMechanism(v=v, prior=prior, family=fam, alpha=3.0, d=1.0, p=0.5)
+    keys = set()
+    subsets = [tuple(b for b in range(3) if mask >> b & 1) for mask in range(1, 8)]
+    for s, _ in prior.support():
+        for keep in subsets:
+            for _, rule in fam.realizations(keep):
+                i = rule(s)
+                if i is not None:
+                    keys.add((rule, i, tuple(x for b, x in enumerate(s) if b != i)))
+    calls = _count_calls(monkeypatch, "winning_reserve")
+    expected_revenue(mech)
+    assert len(calls) == len(keys)
+    assert {(rule, i, ctx) for _, _, rule, i, ctx in calls} == keys
+
+
+def test_one_payment_per_line(monkeypatch):
+    v = gen.gen_random_separable(3, 2, 1.5, seed=75)
+    prior = uniform_product_prior(v.space)
+    table = hypergrid_coloring(v, (2, 1, 0))
+    lines = {
+        (w, tuple(x for b, x in enumerate(s) if b != w))
+        for s in v.space.profiles()
+        for w in [table.winner_at(s)]
+    }
+    calls = _count_calls(monkeypatch, "outcome")
+    expected_payment_revenue(table, v, prior)
+    assert len(calls) == len(lines) < v.space.profile_count
+
+
+def test_high_if_possible_tables_built_once_per_submarket(monkeypatch):
+    """One table per (subset, dropped bidders' signals); revenue as before the cache."""
+    v = gen.gen_random_separable(3, 1, 2.0, seed=41)
+    prior = uniform_product_prior(v.space)
+    mech = ReserveBackedMechanism(
+        v=v, prior=prior, family=HighIfPossibleFamily(v), alpha=2.0, d=compute_d(v)
+    )
+    calls = _count_calls(monkeypatch, "high_if_possible")
+    got = expected_revenue(mech)
+    # subsets of size m leave 3 - m two-signal bidders to fix: 1 + 3*2 + 3*4 keys
+    assert len(calls) <= 19
+    assert got == (1.345673914709564, 0.0)  # the uncached value (192 tables)
+    assert mech.family.realizations((0, 2))[0][1] is mech.family.realizations((0, 2))[0][1]
+
+
+def test_monte_carlo_revenue_stream_is_pinned():
+    """Quote reuse across draws leaves the seeded sample stream bit-identical."""
+    v = gen.gen_random_separable(3, 2, 1.5, seed=43)
+    prior = JointPrior(
+        space=v.space,
+        marginals=(
+            np.array([0.2, 0.3, 0.5]),
+            np.array([0.5, 0.25, 0.25]),
+            np.array([0.1, 0.6, 0.3]),
+        ),
+    )
+    mech = ReserveBackedMechanism(
+        v=v, prior=prior, family=HypergridFamily(v), alpha=2 * compute_c(v), d=compute_d(v), p=0.5
+    )
+    assert expected_revenue(mech, cap=1, samples=3000, seed=17) == (
+        1.4391006534476336,
+        0.01509536009593692,
+    )
