@@ -18,18 +18,17 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import instances, oracle, revenue
 from .mechanisms import (
-    AllocationTable,
+    IncompatibleMechanism,
     generalized_vcg,
     high_if_possible,
     hypergrid_coloring,
     identity_permutation,
     lazy_winner,
     outcome,
-    random_hypergrid_outcome,
     random_permutation,
     two_bidder_coloring,
     welfare_ratio,
@@ -46,7 +45,43 @@ from .model import (
     validate_permutation,
 )
 
-MECHANISMS = ("vcg", "two-bidder", "high-if-possible", "hypergrid", "random-hypergrid")
+
+class Mechanism(NamedTuple):
+    """How the commands run one ``--mechanism`` name.
+
+    ``table(v, pi)`` builds the allocation table and ``family(v, pi, c)`` the
+    revenue rule family (None: no revenue path); both check the mechanism's
+    preconditions and raise ``IncompatibleMechanism``.  ``ordering`` says where
+    the bidder ordering comes from: ``"pi"`` (the ``--pi`` flag), ``"seed"`` (a
+    uniform draw from ``--seed``: the randomized mechanism) or None.  Entries
+    look the library functions up when called, so wrappers installed on this
+    module's names (a tracer, a test double) see every call.
+    """
+
+    table: Callable
+    family: Optional[Callable]
+    ordering: Optional[str]
+
+
+MECHANISMS = {
+    "vcg": Mechanism(lambda v, pi: generalized_vcg(v), None, None),
+    "two-bidder": Mechanism(lambda v, pi: two_bidder_coloring(v), None, None),
+    "high-if-possible": Mechanism(
+        lambda v, pi: high_if_possible(v),
+        lambda v, pi, c: revenue.HighIfPossibleFamily(v, c=c),
+        None,
+    ),
+    "hypergrid": Mechanism(
+        lambda v, pi: hypergrid_coloring(v, pi),
+        lambda v, pi, c: revenue.HypergridFamily(v, pi=pi, c=c),
+        "pi",
+    ),
+    "random-hypergrid": Mechanism(
+        lambda v, pi: hypergrid_coloring(v, pi),
+        lambda v, pi, c: revenue.HypergridFamily(v, c=c),
+        "seed",
+    ),
+}
 
 
 class CliError(Exception):
@@ -104,37 +139,35 @@ def _parse_pi(text: Optional[str], n: int) -> tuple[int, ...]:
         raise CliError("usage", f"--pi: {e} (orderings are 1-based)")
 
 
-def _mechanism_table(name: str, v, pi) -> AllocationTable:
-    if name == "vcg":
-        return generalized_vcg(v)
-    if name == "two-bidder":
-        return two_bidder_coloring(v)
-    if name == "high-if-possible":
-        return high_if_possible(v)
-    if name == "hypergrid":
-        return hypergrid_coloring(v, pi)
-    raise CliError("usage", f"mechanism {name!r} has no deterministic table")
+def _mechanism(name: Optional[str]) -> Mechanism:
+    if name not in MECHANISMS:  # missing, or an unknown name from --config
+        raise CliError("usage", f"mechanism {name!r} has no deterministic table")
+    return MECHANISMS[name]
 
 
-def _emit(obj: dict, out: Optional[str]):
-    text = json.dumps(obj, indent=2)
+def _ordering(mech: Mechanism, args, n: int) -> tuple[int, ...]:
+    """The mechanism's bidder ordering; a given ``--pi`` is validated either way."""
+    pi = _parse_pi(args.pi, n)
+    return random_permutation(n, args.seed) if mech.ordering == "seed" else pi
+
+
+def _write(text: str, out: Optional[str]):
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(obj: dict, out: Optional[str]):
+    _write(json.dumps(obj, indent=2), out)
 
 
 def _emit_csv(rows: list[dict], columns: list[str], out: Optional[str]):
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_csv_cell(row.get(col)) for col in columns))
-    text = "\n".join(lines)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines), out)
 
 
 def _csv_cell(x) -> str:
@@ -153,8 +186,7 @@ def _csv_cell(x) -> str:
 
 
 def cmd_check(args) -> dict:
-    v = _load_instance(args.instance, args.cap)
-    v = v.tabulated()
+    v = _load_instance(args.instance, args.cap).tabulated()
     violations = check_value_monotone(v)
     report = {
         "c": None,
@@ -202,16 +234,6 @@ def cmd_generate(args) -> dict:
     return obj
 
 
-def _check_compat(name: str, v):
-    if name == "two-bidder" and v.n != 2:
-        raise CliError("incompatible", f"two-bidder needs n=2, instance has n={v.n}")
-    if name == "high-if-possible" and any(k != 1 for k in v.space.sizes):
-        raise CliError("incompatible", "high-if-possible needs two signals per bidder")
-    if name in ("two-bidder", "high-if-possible", "hypergrid", "random-hypergrid"):
-        if math.isinf(compute_c(v.tabulated()) if v.is_tabulated else 1.0):
-            raise CliError("incompatible", "instance has an infinite crossing constant")
-
-
 def cmd_run(args) -> dict:
     v = _load_instance(args.instance, args.cap)
     profile = _parse_ints(args.profile, "--profile")
@@ -219,61 +241,45 @@ def cmd_run(args) -> dict:
         v.space.validate_profile(profile)
     except ValidationError as e:
         raise CliError("usage", str(e))
-    name = args.mechanism
-    _check_compat(name, v)
-    try:
-        if name == "random-hypergrid":
-            out, pi = random_hypergrid_outcome(v, profile, args.seed)
-            result = out.to_json()
-            result["pi"] = [b + 1 for b in pi]
-        elif name == "hypergrid":
-            pi = _parse_pi(args.pi, v.n)
-            c = compute_c(v)
-            rule = lambda p: lazy_winner(v, pi, p, c=c)
-            out = outcome(rule, v, profile)
-            result = out.to_json()
-            result["pi"] = [b + 1 for b in pi]
-        else:
-            table = _mechanism_table(name, v, None)
-            out = outcome(table, v, profile)
-            result = out.to_json()
-    except ValidationError as e:
-        raise CliError("incompatible", str(e))
+    mech = _mechanism(args.mechanism)
+    pi = _ordering(mech, args, v.n)
+    if mech.ordering:
+        c = compute_c(v)
+        rule = lambda p: lazy_winner(v, pi, p, c=c)
+    else:
+        rule = mech.table(v, pi)
+    result = outcome(rule, v, profile).to_json()
+    if mech.ordering:
+        result["pi"] = [b + 1 for b in pi]
     _emit(result, args.out)
     return result
 
 
 def cmd_table(args) -> dict:
     v = _load_instance(args.instance, args.cap)
-    pi = _parse_pi(args.pi, v.n)
-    name = args.mechanism
-    _check_compat(name, v)
-    try:
-        if name == "random-hypergrid":
-            pi = random_permutation(v.n, args.seed)
-            table = hypergrid_coloring(v, pi)
-        else:
-            table = _mechanism_table(name, v, pi)
-    except ValidationError as e:
-        raise CliError("incompatible", str(e))
-    obj = table.to_json()
-    if name in ("hypergrid", "random-hypergrid"):
+    mech = _mechanism(args.mechanism)
+    pi = _ordering(mech, args, v.n)
+    obj = mech.table(v, pi).to_json()
+    if mech.ordering:
         obj["pi"] = [b + 1 for b in pi]
     _emit(obj, args.out)
     return obj
 
 
 def cmd_evaluate(args) -> dict:
-    v = _load_instance(args.instance, args.cap)
-    v = v.tabulated()
+    v = _load_instance(args.instance, args.cap).tabulated()
     name = args.mechanism
-    _check_compat(name, v)
-    pi = _parse_pi(args.pi, v.n)
+    mech = _mechanism(name)
+    pi = _ordering(mech, args, v.n)
+    if mech.ordering == "seed":  # the randomized mechanism: its mean over orderings
+        c = compute_c(v)
+        table = None
+    else:
+        table = mech.table(v, pi)
     prior = _load_prior(args.prior, v.space) if args.prior else None
     per_profile = []
     try:
-        if name == "random-hypergrid":
-            c = compute_c(v)
+        if table is None:
             worst = 1.0
             for p in v.space.profiles():
                 opt = oracle.optimal_welfare(v, p)
@@ -288,9 +294,7 @@ def cmd_evaluate(args) -> dict:
                 per_profile.append(
                     {"profile": list(p), "expected_value": mean, "ratio": _num(ratio)}
                 )
-            table = None
         else:
-            table = _mechanism_table(name, v, pi)
             worst, ratios = welfare_ratio(table, v)
             for p in v.space.profiles():
                 w = table.winner_at(p)
@@ -301,6 +305,8 @@ def cmd_evaluate(args) -> dict:
                         "ratio": _num(float(ratios[p])),
                     }
                 )
+    except IncompatibleMechanism:
+        raise  # reported as "incompatible" by main, like in every command
     except (ValidationError, CapExceeded) as e:
         raise CliError("evaluate", str(e))
     result = {"mechanism": name, "worst_ratio": _num(worst), "per_profile": per_profile}
@@ -331,9 +337,7 @@ def cmd_evaluate(args) -> dict:
         if isinstance(rev_val, float) and isinstance(look_val, float):
             result["revenue_ratio"] = _num(look_val / rev_val) if rev_val > 0 else "INFINITE"
     if args.format == "csv":
-        cols = ["profile", "winner", "ratio"]
-        if name == "random-hypergrid":
-            cols = ["profile", "expected_value", "ratio"]
+        cols = ["profile", "winner" if table is not None else "expected_value", "ratio"]
         _emit_csv(per_profile, cols, args.out)
     else:
         _emit(result, args.out)
@@ -359,42 +363,37 @@ def cmd_search(args) -> dict:
 
 
 def cmd_revenue(args) -> dict:
-    v = _load_instance(args.instance, args.cap)
-    v = v.tabulated()
+    v = _load_instance(args.instance, args.cap).tabulated()
     if not args.prior:
         raise CliError("usage", "revenue needs --prior")
     prior = _load_prior(args.prior, v.space)
     name = args.mechanism or "hypergrid"
+    mech = MECHANISMS.get(name)
     c = compute_c(v)
-    if math.isinf(c):
-        raise CliError("incompatible", "instance has an infinite crossing constant")
+    if mech is None or mech.family is None:
+        supported = ", ".join(sorted(m for m in MECHANISMS if MECHANISMS[m].family))
+        raise CliError("usage", f"revenue supports {supported}; got {name!r}")
+    pi = _parse_pi(args.pi, v.n)
     try:
-        if name == "high-if-possible":
-            family = revenue.HighIfPossibleFamily(v)
-            default_alpha = revenue.family_worst_ratio(family, v)
-            default_p = 1.0
-        elif name == "hypergrid":
-            family = revenue.HypergridFamily(v, pi=_parse_pi(args.pi, v.n))
-            default_alpha = revenue.family_worst_ratio(family, v)
-            default_p = 1.0
-        elif name == "random-hypergrid":
-            family = revenue.HypergridFamily(v)
-            default_alpha = 2.0 * c
-            default_p = 0.5
+        family = mech.family(v, pi, c)
+        if mech.ordering == "seed":
+            default_alpha, default_p = 2.0 * c, 0.5
         else:
-            raise CliError("usage", f"revenue supports high-if-possible, hypergrid, random-hypergrid; got {name!r}")
+            default_alpha, default_p = revenue.family_worst_ratio(family, v), 1.0
         alpha = args.alpha if args.alpha is not None else default_alpha
         d = args.d if args.d is not None else compute_d(v)
         p = args.p if args.p is not None else default_p
         if math.isinf(d):
             raise CliError("incompatible", "instance has an infinite concavity constant")
-        mech = revenue.ReserveBackedMechanism(
+        backed = revenue.ReserveBackedMechanism(
             v=v, prior=prior, family=family, alpha=alpha, d=d, p=p
         )
         er, se = revenue.expected_revenue(
-            mech, cap=args.cap, samples=args.samples, seed=args.seed
+            backed, cap=args.cap, samples=args.samples, seed=args.seed
         )
         look = revenue.lookahead_benchmark_family(prior, v, family)
+    except IncompatibleMechanism:
+        raise
     except (ValidationError, CapExceeded) as e:
         raise CliError("revenue", str(e))
     result = {
@@ -433,62 +432,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mechanism=False, profile=False, prior=False):
-        p.add_argument("--config", help="JSON file of flag defaults (flags override it)")
-        p.add_argument("--instance", help="instance JSON file")
-        if mechanism:
-            p.add_argument("--mechanism", choices=MECHANISMS, help="mechanism name")
-        if profile:
-            p.add_argument("--profile", help="comma-separated signals, e.g. 1,0,2")
-        p.add_argument("--pi", help="1-based bidder ordering, e.g. 2,1,3")
-        if prior:
-            p.add_argument("--prior", help="prior JSON file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--cap", type=int, default=None)
-        p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+    def command(name, func, flags, help):
+        p = sub.add_parser(name, help=help)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check", help="measure c, d, and monotonicity of an instance")
-    common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("generate", help="write a named instance to JSON")
+    command("check", cmd_check, "config instance cap out",
+            "measure c, d, and monotonicity of an instance")
+    p = command("generate", cmd_generate, "config cap out", "write a named instance to JSON")
     p.add_argument("name", choices=sorted(instances.GENERATORS))
     p.add_argument("--params", nargs="*", metavar="KEY=VALUE")
-    common(p)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("run", help="one mechanism outcome at one reported profile")
-    common(p, mechanism=True, profile=True)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("table", help="materialize a mechanism's full allocation table")
-    common(p, mechanism=True)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("evaluate", help="per-profile welfare ratios and prior expectations")
-    common(p, mechanism=True, prior=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("search", help="exhaustive best monotone allocation search")
+    command("run", cmd_run, "config instance mechanism profile pi seed cap out",
+            "one mechanism outcome at one reported profile")
+    command("table", cmd_table, "config instance mechanism pi seed cap out",
+            "materialize a mechanism's full allocation table")
+    command("evaluate", cmd_evaluate,
+            "config instance mechanism pi prior seed samples cap out format",
+            "per-profile welfare ratios and prior expectations")
+    p = command("search", cmd_search, "config instance cap out",
+                "exhaustive best monotone allocation search")
     p.add_argument("instance_pos", nargs="?", metavar="instance.json")
     p.add_argument("--witness", help="write the witness table to this file")
-    common(p)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("revenue", help="reserve-backed mechanism revenue against the lookahead")
-    common(p, mechanism=True, prior=True)
+    p = command("revenue", cmd_revenue,
+                "config instance mechanism pi prior seed samples cap out",
+                "reserve-backed mechanism revenue against the lookahead")
     p.add_argument("--alpha", type=float)
     p.add_argument("--d", type=float)
     p.add_argument("--p", type=float)
-    p.set_defaults(func=cmd_revenue)
 
     return parser
 
 
-_CONFIG_KEYS = ("instance", "mechanism", "profile", "pi", "prior", "seed",
-                "samples", "cap", "out", "format")
+# Every flag a subcommand may declare; each subcommand lists the ones it reads.
+_FLAGS = {
+    "config": dict(help="JSON file of flag defaults (flags override it)"),
+    "instance": dict(help="instance JSON file"),
+    "mechanism": dict(choices=MECHANISMS, help="mechanism name"),
+    "profile": dict(help="comma-separated signals, e.g. 1,0,2"),
+    "pi": dict(help="1-based bidder ordering, e.g. 2,1,3"),
+    "prior": dict(help="prior JSON file"),
+    "seed": dict(type=int, default=None),
+    "samples": dict(type=int, default=None),
+    "cap": dict(type=int, default=None),
+    "out": dict(help="write output to this file instead of stdout"),
+    "format": dict(choices=("json", "csv"), default=None),
+}
+_CONFIG_KEYS = tuple(flag for flag in _FLAGS if flag != "config")
 _HARD_DEFAULTS = {"seed": 0, "samples": 100_000, "format": "json"}
 
 
@@ -509,18 +500,20 @@ def _apply_config(args):
         args.cap = _default_cap()
 
 
+def _error_type(e: Exception) -> str:
+    if isinstance(e, CliError):
+        return e.kind
+    return "incompatible" if isinstance(e, IncompatibleMechanism) else "validation"
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
         args.func(args)
-    except CliError as e:
-        json.dump({"error": {"type": e.kind, "message": str(e)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
-    except (ValidationError, CapExceeded) as e:
-        json.dump({"error": {"type": "validation", "message": str(e)}}, sys.stderr)
+    except (CliError, ValidationError, CapExceeded) as e:
+        json.dump({"error": {"type": _error_type(e), "message": str(e)}}, sys.stderr)
         sys.stderr.write("\n")
         return 1
     return 0

@@ -66,11 +66,11 @@ class SearchReport:
         }
 
 
-def _lower_neighbors(v: ValuationInstance) -> tuple[list[tuple[int, ...]], list[list[tuple[int, int]]]]:
+def _lower_neighbors(v: ValuationInstance) -> list[list[tuple[int, int]]]:
+    """Per flat profile index, the (axis, flat index) of each one-step-lower neighbor."""
     space = v.space
-    profiles = list(space.profiles())
     neighbors = []
-    for p in profiles:
+    for p in space.profiles():
         neigh = []
         for axis in range(space.n):
             if p[axis] >= 1:
@@ -78,7 +78,7 @@ def _lower_neighbors(v: ValuationInstance) -> tuple[list[tuple[int, ...]], list[
                 q[axis] -= 1
                 neigh.append((axis, space.index_of(q)))
         neighbors.append(neigh)
-    return profiles, neighbors
+    return neighbors
 
 
 def _forced_winner(assignment: np.ndarray, neighbors: list[tuple[int, int]]) -> Optional[int]:
@@ -95,48 +95,69 @@ def _forced_winner(assignment: np.ndarray, neighbors: list[tuple[int, int]]) -> 
     return forced
 
 
-def enumerate_monotone_tables(v: ValuationInstance, cap: int = DEFAULT_TABLE_CAP) -> Iterator[np.ndarray]:
+def _monotone_tables(
+    v: ValuationInstance, cap: int, cost: Optional[np.ndarray], nodes: list[int]
+) -> Iterator[tuple[np.ndarray, float]]:
     """Yield every fully-assigned monotone winner table, by pruned extension.
 
     Profiles are filled in row-major order; a candidate winner at a profile is
     rejected exactly when some lower neighbor along a bidder's own axis was won
     by that bidder and the candidate differs, so only (and all) monotone tables
-    are completed.
+    are completed.  Each flat table comes with the max of ``cost[winner,
+    profile]`` over its cells (1.0 without ``cost``), carried along the path.
+    The yielded array is reused: copy it to keep it.  ``nodes[0]`` counts the
+    candidate assignments tried.
     """
-    _, neighbor_idx = _lower_neighbors(v)
-    count = len(neighbor_idx)
+    neighbors = _lower_neighbors(v)
+    count = len(neighbors)
     n = v.space.n
     assignment = np.full(count, NO_WINNER, dtype=np.int32)
-    yielded = 0
+    rows = None if cost is None else cost.tolist()  # list lookups beat NumPy scalar indexing
+    path = [1.0] * (count + 1)  # path[pos]: worst cost of the cells before pos
+    todo: list[Iterator[int]] = [iter(())] * count  # untried candidates per cell
+    complete = 0
 
-    def extend(pos: int):
-        nonlocal yielded
-        if pos == count:
-            yielded += 1
-            if yielded > cap:
-                raise CapExceeded(
-                    f"more than {cap} monotone tables; try a smaller instance or raise the cap"
-                )
-            yield assignment.copy()
-            return
-        forced = _forced_winner(assignment, neighbor_idx[pos])
+    def candidates(pos: int) -> Iterator[int]:
+        forced = _forced_winner(assignment, neighbors[pos])
         if forced == NO_WINNER:
-            return
-        candidates = range(n) if forced is None else (forced,)
-        for w in candidates:
-            assignment[pos] = w
-            yield from extend(pos + 1)
-        assignment[pos] = NO_WINNER
+            return iter(())
+        return iter(range(n) if forced is None else (forced,))
 
-    yield from extend(0)
+    pos = 0
+    todo[0] = candidates(0)
+    while pos >= 0:
+        w = next(todo[pos], None)
+        if w is None:
+            assignment[pos] = NO_WINNER
+            pos -= 1
+            continue
+        nodes[0] += 1
+        assignment[pos] = w
+        path[pos + 1] = path[pos] if rows is None else max(path[pos], rows[w][pos])
+        if pos + 1 < count:
+            pos += 1
+            todo[pos] = candidates(pos)
+            continue
+        complete += 1
+        if complete > cap:
+            raise CapExceeded(
+                f"more than {cap} monotone tables; try a smaller instance or raise the cap"
+            )
+        yield assignment, path[count]
+
+
+def enumerate_monotone_tables(v: ValuationInstance, cap: int = DEFAULT_TABLE_CAP) -> Iterator[np.ndarray]:
+    """Yield a copy of every fully-assigned monotone winner table (flat, row-major)."""
+    for table, _ in _monotone_tables(v, cap, None, [0]):
+        yield table.copy()
 
 
 def best_monotone_ratio(v: ValuationInstance, cap: int = DEFAULT_TABLE_CAP) -> SearchReport:
     """Minimum worst-case welfare ratio over all monotone full-support tables.
 
-    Depth-first extension over profiles in row-major order, pruning only
-    non-monotone partial tables, with the running worst ratio carried along
-    the path.  Every monotone table is visited, so the minimum is exact.
+    The monotone-table search with each cell's welfare ratio as its cost, so
+    the running worst ratio is carried along the path.  Every monotone table
+    is visited, so the minimum is exact.
     """
     dense = v.tabulated().values
     space = v.space
@@ -147,44 +168,22 @@ def best_monotone_ratio(v: ValuationInstance, cap: int = DEFAULT_TABLE_CAP) -> S
         raw = flat_max[None, :] / flat_vals
     ratio_of = np.where(flat_max[None, :] == 0, 1.0, raw)  # 0/0 line := 1, x/0 := inf
 
-    _, neighbor_idx = _lower_neighbors(v)
-    count = len(neighbor_idx)
-    assignment = np.full(count, NO_WINNER, dtype=np.int32)
     best = INFINITE
     best_table: Optional[np.ndarray] = None
-    nodes = 0
+    nodes = [0]
     monotone = 0
-
-    def extend(pos: int, worst: float):
-        nonlocal best, best_table, nodes, monotone
-        if pos == count:
-            monotone += 1
-            if monotone > cap:
-                raise CapExceeded(
-                    f"more than {cap} monotone tables; try a smaller instance or raise the cap"
-                )
-            if worst < best:
-                best = worst
-                best_table = assignment.copy()
-            return
-        forced = _forced_winner(assignment, neighbor_idx[pos])
-        if forced == NO_WINNER:
-            return
-        candidates = range(n) if forced is None else (forced,)
-        for w in candidates:
-            nodes += 1
-            assignment[pos] = w
-            extend(pos + 1, max(worst, float(ratio_of[w, pos])))
-        assignment[pos] = NO_WINNER
-
-    extend(0, 1.0)
+    for table, worst in _monotone_tables(v, cap, ratio_of, nodes):
+        monotone += 1
+        if worst < best:
+            best = worst
+            best_table = table.copy()
     witness = None
     if best_table is not None:
         witness = AllocationTable(space=space, winner=best_table.reshape(space.shape))
     return SearchReport(
         best_ratio=best,
         witness_table=witness,
-        tables_scanned=nodes,
+        tables_scanned=nodes[0],
         monotone_count=monotone,
     )
 

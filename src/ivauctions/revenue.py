@@ -25,6 +25,7 @@ import numpy as np
 
 from .mechanisms import (
     AllocationTable,
+    IncompatibleMechanism,
     Rule,
     critical_signal,
     high_if_possible,
@@ -342,7 +343,7 @@ class HypergridFamily(RuleFamily):
         self.pi = None if pi is None else validate_permutation(pi, v.n)
         self.c = compute_c(v) if c is None else float(c)
         if not math.isfinite(self.c):
-            raise ValidationError("grid family needs a finite crossing constant")
+            raise IncompatibleMechanism("grid family needs a finite crossing constant")
 
     def _rule(self, order: tuple[int, ...]) -> Rule:
         if order not in self._rules:
@@ -373,10 +374,10 @@ class HighIfPossibleFamily(RuleFamily):
     def __init__(self, v: ValuationInstance, c: Optional[float] = None):
         super().__init__(v)
         if any(k != 1 for k in v.space.sizes):
-            raise ValidationError("family needs two signals per bidder")
+            raise IncompatibleMechanism("family needs two signals per bidder")
         self.c = compute_c(v) if c is None else float(c)
         if not math.isfinite(self.c):
-            raise ValidationError("family needs a finite crossing constant")
+            raise IncompatibleMechanism("family needs a finite crossing constant")
 
     def realizations(self, bidders):
         keep = tuple(bidders)

@@ -113,6 +113,120 @@ def test_run_incompatible_mechanism(tight_file):
     assert json.loads(err)["error"]["type"] == "incompatible"
 
 
+def _generated(tmp_path, name, *params):
+    path = tmp_path / f"{name}.json"
+    code, _, err = run_cli("generate", name, "--params", *params, "--out", str(path))
+    assert code == 0, err
+    return str(path)
+
+
+def _uniform_prior(tmp_path, instance_path):
+    with open(instance_path) as fh:
+        sizes = json.load(fh)["sizes"]
+    path = tmp_path / "uniform_prior.json"
+    marginals = [[1.0 / (k + 1)] * (k + 1) for k in sizes]
+    path.write_text(json.dumps({"kind": "product", "marginals": marginals}))
+    return str(path), ",".join("0" * len(sizes))
+
+
+# (mechanism, instance generator, params) whose precondition fails; the last
+# three have revenue families.
+INCOMPATIBLE = [
+    ("two-bidder", "tight_hypergrid", ("n=4", "c=2")),
+    ("vcg", "tight_hypergrid", ("n=4", "c=2")),
+    ("high-if-possible", "oil_sc", ("k=3",)),
+    ("hypergrid", "det_impossibility", ("r=3",)),
+    ("random-hypergrid", "det_impossibility", ("r=3",)),
+]
+
+
+@pytest.mark.parametrize(
+    "command,mechanism,generator,params",
+    [(cmd,) + case for cmd in ("run", "table", "evaluate") for case in INCOMPATIBLE]
+    + [("revenue",) + case for case in INCOMPATIBLE[2:]],
+)
+def test_unmet_precondition_is_incompatible(tmp_path, command, mechanism, generator, params):
+    """Every command reports a mechanism precondition as type ``incompatible``."""
+    path = _generated(tmp_path, generator, *params)
+    prior, zeros = _uniform_prior(tmp_path, path)
+    argv = [command, "--instance", path, "--mechanism", mechanism]
+    argv += {"run": ["--profile", zeros], "revenue": ["--prior", prior]}.get(command, [])
+    code, out, err = run_cli(*argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "incompatible"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--mechanism", "random-hypergrid", "--profile", "0,0,0,0"),
+        ("run", "--mechanism", "vcg", "--profile", "0,0,0,0"),
+        ("table", "--mechanism", "random-hypergrid"),
+        ("evaluate", "--mechanism", "random-hypergrid"),
+        ("revenue", "--mechanism", "high-if-possible"),
+        ("revenue", "--mechanism", "random-hypergrid"),
+    ],
+)
+def test_invalid_pi_is_a_usage_error(tight_file, tmp_path, argv):
+    """A bad --pi is refused by every command that accepts it, whatever the mechanism."""
+    prior, _ = _uniform_prior(tmp_path, tight_file)
+    extra = ("--prior", prior) if argv[0] == "revenue" else ()
+    code, out, err = run_cli(*argv, *extra, "--instance", tight_file, "--pi", "9,9")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "usage"
+
+
+@pytest.fixture
+def separable_file(tmp_path):
+    """Two bidders, two signals, each value depending on its own signal only (c = 1)."""
+    path = tmp_path / "separable.json"
+    path.write_text(json.dumps({"sizes": [1, 1], "values": [[1, 1, 2, 2], [1, 2, 1, 2]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "mechanism", ["vcg", "two-bidder", "high-if-possible", "hypergrid", "random-hypergrid"]
+)
+def test_each_command_measures_c_once(separable_file, tmp_path, mechanism, monkeypatch):
+    """The library checks the preconditions, so c is measured once per command."""
+    from ivauctions import model
+
+    calls = []
+    measure = model.single_crossing_report
+    monkeypatch.setattr(model, "single_crossing_report", lambda v: calls.append(v) or measure(v))
+    prior, _ = _uniform_prior(tmp_path, separable_file)
+    commands = [
+        ("run", "--profile", "1,1"),
+        ("table",),
+        ("evaluate",),
+        ("evaluate", "--prior", prior),
+    ]
+    if mechanism in ("high-if-possible", "hypergrid", "random-hypergrid"):
+        commands.append(("revenue", "--prior", prior))
+    for command, *rest in commands:
+        calls.clear()
+        code, _, err = run_cli(
+            command, "--instance", separable_file, "--mechanism", mechanism, *rest
+        )
+        assert code == 0, err
+        assert len(calls) == 1, (command, rest)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--format", "csv"),
+        ("search", "--seed", "1"),
+        ("run", "--mechanism", "hypergrid", "--profile", "0,0,0,0", "--samples", "5"),
+    ],
+)
+def test_unread_flags_are_rejected(tight_file, argv):
+    """A subcommand declares only the flags it reads; argparse refuses the rest."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--instance", tight_file)
+    assert exc.value.code == 2
+
+
 def test_run_random_reports_ordering(tight_file):
     code, out, _ = run_cli(
         "run", "--instance", tight_file, "--mechanism", "random-hypergrid",
@@ -273,6 +387,18 @@ def test_config_file_precedence(tight_file, tmp_path):
     bad.write_text(json.dumps({"nonsense": 1}))
     code, _, err = run_cli("run", "--config", str(bad))
     assert code == 1 and json.loads(err)["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize("command", ["run", "table", "evaluate", "revenue"])
+def test_config_unknown_mechanism_is_a_usage_error(tight_file, tmp_path, command):
+    """A mechanism name from --config bypasses argparse's choices and is refused."""
+    prior, zeros = _uniform_prior(tmp_path, tight_file)
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"instance": tight_file, "mechanism": "bogus",
+                                "profile": zeros, "prior": prior}))
+    code, out, err = run_cli(command, "--config", str(conf))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "usage"
 
 
 def test_mechlib_cap_env(tight_file, monkeypatch):

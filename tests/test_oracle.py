@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ivauctions import (
+    AllocationTable,
     CapExceeded,
     SignalSpace,
     ValuationInstance,
@@ -78,6 +79,28 @@ def test_pruned_enumeration_matches_unpruned():
         pruned = sorted(tuple(t) for t in enumerate_monotone_tables(v))
         brute = sorted(tuple(t) for t in brute_force_monotone_tables(v))
         assert pruned == brute
+
+
+@pytest.mark.parametrize(
+    "v,nodes",
+    [
+        (gen.gen_det_impossibility(2.0), 15),
+        (gen.gen_two_by_two_tight(2.0), 15),
+        (gen.gen_three_bidder_no_c(), 7579),
+        (gen.gen_random_tabulated(2, 3, seed=1)[0], 345),
+    ],
+)
+def test_search_walks_the_enumerated_tables(v, nodes):
+    """The search visits exactly the enumerated tables, in order, and keeps the first best."""
+    report = best_monotone_ratio(v)
+    tables = list(enumerate_monotone_tables(v))
+    worst = [welfare_ratio(AllocationTable(v.space, t.reshape(v.space.shape)), v)[0] for t in tables]
+    assert report.monotone_count == len(tables)
+    assert not tables[0].any()  # candidates are tried lowest bidder first
+    assert report.best_ratio == min(worst)
+    first_best = tables[worst.index(min(worst))]
+    assert np.array_equal(report.witness_table.winner.reshape(-1), first_best)
+    assert report.tables_scanned == nodes  # candidate assignments of the row-major walk
 
 
 def test_best_monotone_det_impossibility():
