@@ -24,7 +24,6 @@ from .model import (
     instance_to_json,
     intermediate_profile,
     restrict_bidders,
-    restrict_box,
     single_crossing_report,
 )
 from .mechanisms import (

@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import instances, oracle, revenue
 from .mechanisms import (
+    NO_WINNER,
     IncompatibleMechanism,
     generalized_vcg,
     high_if_possible,
@@ -104,9 +105,11 @@ def _load_json_file(path: str) -> dict:
         raise CliError("parse", f"{path}: line {e.lineno} column {e.colno}: {e.msg}")
 
 
-def _load_instance(path: str, cap: int):
+def _load_instance(path: Optional[str], cap: int):
     # the cap bounds enumerations; for loading it can only raise the
     # profile ceiling, so a small search cap never breaks parsing
+    if path is None:
+        raise CliError("usage", "--instance is required")
     obj = _load_json_file(path)
     try:
         return instances.load_instance(obj, profile_cap=max(cap, DEFAULT_PROFILE_CAP))
@@ -122,7 +125,9 @@ def _load_prior(path: str, space) -> revenue.JointPrior:
         raise CliError("prior", f"{path}: {e}")
 
 
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+def _parse_ints(text: Optional[str], what: str) -> tuple[int, ...]:
+    if text is None:
+        raise CliError("usage", f"{what} is required")
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
@@ -141,7 +146,8 @@ def _parse_pi(text: Optional[str], n: int) -> tuple[int, ...]:
 
 def _mechanism(name: Optional[str]) -> Mechanism:
     if name not in MECHANISMS:  # missing, or an unknown name from --config
-        raise CliError("usage", f"mechanism {name!r} has no deterministic table")
+        problem = "--mechanism is required" if name is None else f"unknown mechanism {name!r}"
+        raise CliError("usage", f"{problem}; choose one of {', '.join(MECHANISMS)}")
     return MECHANISMS[name]
 
 
@@ -297,11 +303,11 @@ def cmd_evaluate(args) -> dict:
         else:
             worst, ratios = welfare_ratio(table, v)
             for p in v.space.profiles():
-                w = table.winner_at(p)
+                w = int(table.winner[p])
                 per_profile.append(
                     {
                         "profile": list(p),
-                        "winner": None if w is None else w + 1,
+                        "winner": None if w == NO_WINNER else w + 1,
                         "ratio": _num(float(ratios[p])),
                     }
                 )
@@ -325,8 +331,8 @@ def cmd_evaluate(args) -> dict:
         def welfare():
             total = 0.0
             for s, ps in prior.support():
-                w = table.winner_at(s)
-                total += ps * (0.0 if w is None else v.value(w, s))
+                w = int(table.winner[s])
+                total += ps * (0.0 if w == NO_WINNER else v.value(w, s))
             return total
 
         metric("expected_welfare", welfare)

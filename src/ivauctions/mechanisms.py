@@ -57,11 +57,12 @@ class AllocationTable:
         object.__setattr__(self, "winner", arr)
 
     def winner_at(self, profile: Sequence[int]) -> Optional[int]:
-        w = int(self.winner[self.space.validate_profile(profile)])
-        return None if w == NO_WINNER else w
+        return self._lookup(self.space.validate_profile(profile))
 
-    def as_rule(self) -> Rule:
-        return self.winner_at
+    def _lookup(self, profile: tuple[int, ...]) -> Optional[int]:
+        """``winner_at`` for a profile already checked to lie on the grid."""
+        w = int(self.winner[profile])
+        return None if w == NO_WINNER else w
 
     def to_json(self) -> dict:
         flat = self.winner.reshape(-1)
@@ -422,11 +423,7 @@ def critical_signal(
     monotone rule.
     """
     win = _as_rule(rule)
-    if not 0 <= i < v.n:
-        raise ValidationError(f"bidder {i} out of range")
-    line = list(s_minus_i)
-    if len(line) != v.n - 1:
-        raise ValidationError("s_minus_i must fix every other bidder's signal")
+    line = list(v.space.validate_line(i, s_minus_i))
     k = v.space.sizes[i]
 
     def at(b: int) -> Optional[int]:
@@ -453,7 +450,7 @@ def critical_signal_scan(
 ) -> Optional[int]:
     """Linear-scan twin of critical_signal: first winning signal from below."""
     win = _as_rule(rule)
-    line = list(s_minus_i)
+    line = list(v.space.validate_line(i, s_minus_i))
     for b in range(v.space.sizes[i] + 1):
         p = line[:i] + [b] + line[i:]
         if win(tuple(p)) == i:
@@ -622,8 +619,9 @@ def _insert(ctx: tuple[int, ...], axis: int, value: int) -> tuple[int, ...]:
 
 
 def _as_rule(rule: Union[Rule, AllocationTable]) -> Rule:
+    """A table becomes its unchecked lookup: callers pass only profiles on the grid."""
     if isinstance(rule, AllocationTable):
-        return rule.winner_at
+        return rule._lookup
     return rule
 
 

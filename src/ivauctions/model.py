@@ -80,13 +80,6 @@ class SignalSpace:
             idx = idx * size + int(s)
         return idx
 
-    def profile_at(self, index: int) -> tuple[int, ...]:
-        out = []
-        for size in reversed(self.shape):
-            out.append(index % size)
-            index //= size
-        return tuple(reversed(out))
-
     def validate_profile(self, profile: Sequence[int]) -> tuple[int, ...]:
         p = tuple(int(s) for s in profile)
         if len(p) != self.n:
@@ -95,6 +88,20 @@ class SignalSpace:
             if not 0 <= s <= k:
                 raise ValidationError(f"signal {s} out of range [0, {k}] for bidder {i}")
         return p
+
+    def validate_line(self, i: int, s_minus_i: Sequence[int]) -> tuple[int, ...]:
+        """Bidder i's line at fixed others' signals: the validated ``s_minus_i``.
+
+        Checks the bidder and every other signal with one ``validate_profile``
+        call, so every profile on the line is on the grid.
+        """
+        if not 0 <= i < self.n:
+            raise ValidationError(f"bidder {i} out of range")
+        line = tuple(s_minus_i)
+        if len(line) != self.n - 1:
+            raise ValidationError("s_minus_i must fix every other bidder's signal")
+        p = self.validate_profile(line[:i] + (0,) + line[i:])
+        return p[:i] + p[i + 1 :]
 
 
 @dataclass(frozen=True)
@@ -190,13 +197,6 @@ class ValuationInstance:
         for p in self.space.profiles():
             arr[(slice(None),) + p] = self.values_at(p)
         return ValuationInstance(space=self.space, values=arr, name=self.name)
-
-    def scaled(self, factor: float) -> "ValuationInstance":
-        if factor <= 0:
-            raise ValidationError("scale factor must be positive")
-        return ValuationInstance(
-            space=self.space, values=self._dense() * factor, name=self.name
-        )
 
     def _dense(self) -> np.ndarray:
         return self.tabulated().values
@@ -459,27 +459,6 @@ def validate_permutation(pi: Sequence[int], n: int) -> tuple[int, ...]:
     if sorted(order) != list(range(n)):
         raise ValidationError(f"{order} is not a permutation of 0..{n - 1}")
     return order
-
-
-def restrict_box(
-    v: ValuationInstance, lo: Sequence[int], hi: Sequence[int]
-) -> ValuationInstance:
-    """Sub-instance on the box [lo, hi] (inclusive), signals re-indexed from 0."""
-    lo = tuple(int(x) for x in lo)
-    hi = tuple(int(x) for x in hi)
-    if len(lo) != v.n or len(hi) != v.n:
-        raise ValidationError("box bounds must have one entry per bidder")
-    for b, (a, z, k) in enumerate(zip(lo, hi, v.space.sizes)):
-        if not 0 <= a < z <= k:
-            raise ValidationError(f"bad box [{a}, {z}] for bidder {b} (k={k})")
-    dense = v._dense()
-    slices = (slice(None),) + tuple(slice(a, z + 1) for a, z in zip(lo, hi))
-    sizes = tuple(z - a for a, z in zip(lo, hi))
-    return ValuationInstance(
-        space=SignalSpace(sizes, profile_cap=v.space.profile_cap),
-        values=dense[slices],
-        name=v.name,
-    )
 
 
 def restrict_bidders(

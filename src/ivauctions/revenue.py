@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import permutations
 from typing import Iterator, Optional, Sequence, Union
 
@@ -27,6 +27,7 @@ from .mechanisms import (
     AllocationTable,
     IncompatibleMechanism,
     Rule,
+    _as_rule,
     critical_signal,
     high_if_possible,
     lazy_winner,
@@ -52,28 +53,31 @@ class UndefinedReserve(ValidationError):
     """The conditioning event of a reserve quote has probability zero (or no critical signal)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointPrior:
     """Discrete joint distribution over signal profiles.
 
-    Either a product of per-bidder marginals or an explicit sparse atom list.
-    Probabilities must be nonnegative and sum to 1 within 1e-12.
+    Built from either per-bidder ``marginals`` (a product prior) or an explicit
+    sparse ``atoms`` mapping, and stored as one read-only dense array ``probs``
+    over the grid: marginals multiplied in bidder order, repeated atoms summed
+    in insertion order.  Probabilities must be nonnegative and sum to 1 within
+    1e-12.  Priors compare by identity.
     """
 
     space: SignalSpace
-    marginals: Optional[tuple[np.ndarray, ...]] = None
-    atoms: Optional[dict[tuple[int, ...], float]] = None
+    marginals: InitVar[Optional[Sequence[np.ndarray]]] = None
+    atoms: InitVar[Optional[dict[tuple[int, ...], float]]] = None
+    probs: np.ndarray = field(init=False, repr=False)
+    _support: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if (self.marginals is None) == (self.atoms is None):
+    def __post_init__(self, marginals, atoms):
+        if (marginals is None) == (atoms is None):
             raise ValidationError("prior needs exactly one of marginals or atoms")
-        if self.marginals is not None:
-            if len(self.marginals) != self.space.n:
-                raise ValidationError(
-                    f"need {self.space.n} marginals, got {len(self.marginals)}"
-                )
-            ms = []
-            for i, m in enumerate(self.marginals):
+        if marginals is not None:
+            if len(marginals) != self.space.n:
+                raise ValidationError(f"need {self.space.n} marginals, got {len(marginals)}")
+            probs = np.ones(self.space.shape)
+            for i, m in enumerate(marginals):
                 arr = np.asarray(m, dtype=np.float64)
                 if arr.shape != (self.space.sizes[i] + 1,):
                     raise ValidationError(
@@ -83,66 +87,36 @@ class JointPrior:
                     raise ValidationError("probabilities must be nonnegative")
                 if abs(float(arr.sum()) - 1.0) > PROB_TOL:
                     raise ValidationError(f"marginal {i} sums to {arr.sum()}, not 1")
-                arr = arr.copy()
-                arr.flags.writeable = False
-                ms.append(arr)
-            object.__setattr__(self, "marginals", tuple(ms))
+                along_i = [1] * self.space.n
+                along_i[i] = arr.size
+                probs = probs * arr.reshape(along_i)
         else:
-            atoms = {}
+            probs = np.zeros(self.space.shape)
             total = 0.0
-            for profile, p in self.atoms.items():
+            for profile, p in atoms.items():
                 profile = self.space.validate_profile(profile)
                 if p < 0:
                     raise ValidationError("probabilities must be nonnegative")
-                atoms[profile] = atoms.get(profile, 0.0) + float(p)
+                probs[profile] += float(p)
                 total += float(p)
             if abs(total - 1.0) > PROB_TOL:
                 raise ValidationError(f"atom probabilities sum to {total}, not 1")
-            object.__setattr__(self, "atoms", atoms)
+        probs.flags.writeable = False
+        object.__setattr__(self, "probs", probs)
+        support = [tuple(p) for p in np.argwhere(probs > 0).tolist()]  # row-major
+        object.__setattr__(self, "_support", tuple((p, float(probs[p])) for p in support))
 
     def prob(self, profile: Sequence[int]) -> float:
-        p = self.space.validate_profile(profile)
-        if self.marginals is not None:
-            out = 1.0
-            for i, s in enumerate(p):
-                out *= float(self.marginals[i][s])
-            return out
-        return self.atoms.get(p, 0.0)
+        return float(self.probs[self.space.validate_profile(profile)])
 
     def support(self) -> Iterator[tuple[tuple[int, ...], float]]:
         """Profiles with positive probability, in row-major order."""
-        if self.atoms is not None:
-            for p in sorted(self.atoms):
-                if self.atoms[p] > 0:
-                    yield p, self.atoms[p]
-            return
-        for p in self.space.profiles():
-            pr = self.prob(p)
-            if pr > 0:
-                yield p, pr
+        return iter(self._support)
 
     def line_probs(self, i: int, s_minus_i: Sequence[int]) -> np.ndarray:
-        """Joint probabilities along bidder i's line at fixed s_minus_i."""
-        line = list(s_minus_i)
-        if len(line) != self.space.n - 1:
-            raise ValidationError("s_minus_i must fix every other bidder's signal")
-        out = np.empty(self.space.sizes[i] + 1, dtype=np.float64)
-        for t in range(out.size):
-            out[t] = self.prob(tuple(line[:i] + [t] + line[i:]))
-        return out
-
-    def to_json(self) -> dict:
-        if self.marginals is not None:
-            return {
-                "kind": "product",
-                "marginals": [[float(x) for x in m] for m in self.marginals],
-            }
-        return {
-            "kind": "sparse",
-            "atoms": [
-                {"profile": list(p), "p": float(pr)} for p, pr in sorted(self.atoms.items())
-            ],
-        }
+        """Joint probabilities along bidder i's line at fixed s_minus_i (a read-only view)."""
+        context = self.space.validate_line(i, s_minus_i)
+        return self.probs[context[:i] + (slice(None),) + context[i:]]
 
     @staticmethod
     def from_json(obj: dict, space: Optional[SignalSpace] = None) -> "JointPrior":
@@ -388,13 +362,14 @@ class HighIfPossibleFamily(RuleFamily):
     def _subset_rule(self, keep: tuple[int, ...]) -> Rule:
         """The sub-market rule; its table is built once per dropped bidders' signals."""
         dropped = tuple(b for b in range(self.v.n) if b not in keep)
-        tables: dict[tuple[int, ...], AllocationTable] = {}
+        lookups: dict[tuple[int, ...], Rule] = {}
 
         def rule(profile: tuple[int, ...]) -> Optional[int]:
             fixed = tuple(profile[b] for b in dropped)
-            if fixed not in tables:
-                tables[fixed] = high_if_possible(restrict_bidders(self.v, keep, profile), c=self.c)
-            w = tables[fixed].winner_at(tuple(profile[b] for b in keep))
+            if fixed not in lookups:
+                sub = restrict_bidders(self.v, keep, profile)
+                lookups[fixed] = _as_rule(high_if_possible(sub, c=self.c))
+            w = lookups[fixed](tuple(profile[b] for b in keep))
             return None if w is None else keep[w]
 
         return rule
@@ -587,7 +562,7 @@ def lookahead_benchmark(
     the highest-valued non-winner's value, averaged over the prior.  Undefined
     reserves (possible only off the support) contribute zero.
     """
-    win = rule.winner_at if isinstance(rule, AllocationTable) else rule
+    win = _as_rule(rule)
     quotes: dict = {}
     total = 0.0
     for s, ps in prior.support():
@@ -624,7 +599,7 @@ def expected_payment_revenue(
     The winner's payment depends only on her line, so it is settled once per
     (winner, others' signals); profiles without a winner pay nothing.
     """
-    win = rule.winner_at if isinstance(rule, AllocationTable) else rule
+    win = _as_rule(rule)
     payments: dict[tuple[int, tuple[int, ...]], float] = {}
     total = 0.0
     for s, ps in prior.support():

@@ -401,6 +401,32 @@ def test_config_unknown_mechanism_is_a_usage_error(tight_file, tmp_path, command
     assert json.loads(err)["error"]["type"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("check",), "--instance"),
+        (("run", "--mechanism", "hypergrid", "--profile", "0,0,0,0"), "--instance"),
+        (("table", "--mechanism", "hypergrid"), "--instance"),
+        (("evaluate", "--mechanism", "hypergrid"), "--instance"),
+        (("revenue", "--mechanism", "hypergrid", "--prior", "PRIOR"), "--instance"),
+        (("run", "--instance", "TIGHT", "--mechanism", "hypergrid"), "--profile"),
+        (("run", "--instance", "TIGHT", "--profile", "0,0,0,0"), "--mechanism"),
+        (("table", "--instance", "TIGHT"), "--mechanism"),
+        (("evaluate", "--instance", "TIGHT"), "--mechanism"),
+    ],
+)
+def test_missing_required_flag_is_a_usage_error(tight_file, prior_file, argv, flag):
+    """A missing flag is named in a typed error, not a traceback."""
+    argv = [{"TIGHT": tight_file, "PRIOR": prior_file}.get(a, a) for a in argv]
+    code, out, err = run_cli(*argv)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage" and f"{flag} is required" in error["message"]
+    if flag == "--mechanism":
+        names = ("vcg", "two-bidder", "high-if-possible", "hypergrid", "random-hypergrid")
+        assert all(name in error["message"] for name in names)
+
+
 def test_mechlib_cap_env(tight_file, monkeypatch):
     monkeypatch.setenv("MECHLIB_CAP", "3")
     code, _, err = run_cli("search", tight_file)

@@ -615,7 +615,7 @@ def test_approximation_bounds_random_families():
 def test_scale_invariance(seed, factor):
     """Scaling all values leaves winners unchanged and scales payments."""
     v, c, _ = gen.gen_random_tabulated(3, 2, seed=seed)
-    w = v.scaled(factor)
+    w = ValuationInstance(space=v.space, values=v.values * factor)
     pi = (2, 0, 1)
     tv = hypergrid_coloring(v, pi, c=c)
     tw = hypergrid_coloring(w, pi, c=c)

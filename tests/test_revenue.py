@@ -17,7 +17,13 @@ from ivauctions import (
 )
 from ivauctions import instances as gen
 from ivauctions import revenue as revenue_module
-from ivauctions.mechanisms import high_if_possible, lazy_winner, outcome
+from ivauctions.mechanisms import (
+    critical_signal,
+    critical_signal_scan,
+    high_if_possible,
+    lazy_winner,
+    outcome,
+)
 from ivauctions.model import restrict_bidders
 from ivauctions.revenue import (
     HighIfPossibleFamily,
@@ -60,11 +66,11 @@ def test_prior_validation():
 def test_prior_json_roundtrip():
     sp = SignalSpace((1, 2))
     prior = uniform_product_prior(sp)
-    back = JointPrior.from_json(prior.to_json())
+    back = JointPrior.from_json({"kind": "product", "marginals": [[1 / 2] * 2, [1 / 3] * 3]})
     assert back.space.sizes == sp.sizes
     assert back.prob((1, 2)) == pytest.approx(prior.prob((1, 2)))
-    sparse = JointPrior(space=sp, atoms={(0, 2): 0.5, (1, 0): 0.5})
-    back = JointPrior.from_json(sparse.to_json(), space=sp)
+    wire = {"kind": "sparse", "atoms": [{"profile": [0, 2], "p": 0.5}, {"profile": [1, 0], "p": 0.5}]}
+    back = JointPrior.from_json(wire, space=sp)
     assert back.prob((0, 2)) == 0.5
 
 
@@ -94,6 +100,90 @@ def test_line_probs_product():
     )
     probs = prior.line_probs(0, (1,))
     assert probs.tolist() == pytest.approx([0.12, 0.18, 0.30])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dense_prior_equals_per_point_reference(seed):
+    """Stored probabilities equal the per-point formulas bit for bit.
+
+    A product prior multiplies its marginals in bidder order; a sparse prior
+    sums the atoms of one profile in insertion order.  The support lists the
+    positive-probability profiles in row-major order.
+    """
+    rng = np.random.default_rng(seed)
+    sp = SignalSpace((2, 3, 1))
+    marginals = []
+    for k in sp.sizes:
+        w = rng.uniform(0.0, 1.0, size=k + 1) ** 4  # skewed
+        w[rng.integers(k + 1)] = 0.0
+        marginals.append(w / w.sum())
+    product = JointPrior(space=sp, marginals=tuple(marginals))
+    ref = {}
+    for p in sp.profiles():
+        ref[p] = 1.0
+        for i, s in enumerate(p):
+            ref[p] *= float(marginals[i][s])
+    assert all(product.prob(p) == product.probs[p] == ref[p] for p in sp.profiles())
+    assert list(product.support()) == [(p, ref[p]) for p in sp.profiles() if ref[p] > 0]
+
+    profiles = list(sp.profiles())
+    picks = rng.integers(len(profiles), size=12)  # with replacement: repeated profiles
+    w = rng.uniform(0.0, 1.0, size=picks.size)
+    w[:3] = 0.0
+    w = w / w.sum()
+    atoms = {}
+    for j, p in zip(picks, w):
+        # distinct keys naming one profile: "1", "01", "001", ...
+        repeat = sum(1 for key in atoms if tuple(int(x) for x in key) == profiles[j])
+        atoms[tuple("0" * repeat + str(x) for x in profiles[j])] = float(p)
+    sparse = JointPrior(space=sp, atoms=atoms)
+    ref = {}
+    for key, p in atoms.items():
+        q = tuple(int(x) for x in key)
+        ref[q] = ref.get(q, 0.0) + p
+    assert all(sparse.prob(p) == sparse.probs[p] == ref.get(p, 0.0) for p in sp.profiles())
+    assert list(sparse.support()) == [(p, ref[p]) for p in sorted(ref) if ref[p] > 0]
+
+
+@pytest.mark.parametrize(
+    "i,context", [(0, ()), (0, (0, 0)), (0, (2,)), (0, (-1,)), (1, (-1,)), (2, (0,)), (-1, (0,))]
+)
+def test_bad_line_is_a_validation_error(i, context):
+    """Wrong-length, out-of-range and negative lines are refused, never wrapped."""
+    v, c, _ = gen.gen_random_tabulated(2, 1, seed=3)
+    table = hypergrid_coloring(v, (0, 1), c=c)
+    prior = uniform_product_prior(v.space)
+    with pytest.raises(ValidationError):
+        prior.line_probs(i, context)
+    with pytest.raises(ValidationError):
+        critical_signal(table, v, i, context)
+    with pytest.raises(ValidationError):
+        critical_signal_scan(table, v, i, context)
+
+
+def test_library_profiles_are_validated_once(monkeypatch):
+    """The support is not re-checked; a line is checked once, not once per point or probe."""
+    v, c, _ = gen.gen_random_tabulated(2, 6, seed=5)
+    table = hypergrid_coloring(v, (0, 1), c=c)
+    priors = [_random_product_prior(v.space, 1), _random_sparse_prior(v.space, 2, 10)]
+    calls = []
+    check = SignalSpace.validate_profile
+    monkeypatch.setattr(
+        SignalSpace, "validate_profile", lambda self, p: calls.append(p) or check(self, p)
+    )
+    for prior in priors:
+        calls.clear()
+        list(prior.support())
+        assert calls == []
+        prior.line_probs(0, (3,))
+        assert len(calls) == 1
+    for i in range(2):
+        for t in range(7):
+            calls.clear()
+            critical_signal(table, v, i, (t,))
+            assert len(calls) == 1
+            critical_signal_scan(table, v, i, (t,))
+            assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
