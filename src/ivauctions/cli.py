@@ -493,10 +493,21 @@ def _apply_config(args):
     """Settle flag values: explicit flags beat the config file beat defaults."""
     if getattr(args, "config", None):
         conf = _load_json_file(args.config)
+        if not isinstance(conf, dict):
+            raise CliError("usage", "config must be a JSON object of flag values")
         unknown = set(conf) - set(_CONFIG_KEYS)
         if unknown:
             raise CliError("usage", f"unknown config keys {sorted(unknown)}")
         for key, value in conf.items():
+            spec = _FLAGS[key]
+            if spec.get("type") is int:
+                ok = isinstance(value, int) and not isinstance(value, bool)
+            elif key == "format":
+                ok = value in spec["choices"]
+            else:  # a path or a name; an unknown mechanism name is refused where it is read
+                ok = isinstance(value, str)
+            if not ok:
+                raise CliError("usage", f"config key {key!r} cannot take the value {value!r}")
             if hasattr(args, key) and getattr(args, key) is None:
                 setattr(args, key, value)
     for key, value in _HARD_DEFAULTS.items():

@@ -234,8 +234,8 @@ def gen_random_mech_lb(n: int, c: float) -> ValuationInstance:
     """n grouped bidders plus one outlier whose value counts completed groups.
 
     A grouped bidder is worth 1 iff every member of its group is high; the
-    outlier (last index) is worth c per fully-high group.  Backed by fast
-    per-profile and batched evaluators since the grid has 2^(n+1) profiles.
+    outlier (last index) is worth c per fully-high group.  Backed by a batched
+    evaluator since the grid has 2^(n+1) profiles.
     """
     root = math.isqrt(n)
     if root * root != n:
@@ -245,16 +245,6 @@ def gen_random_mech_lb(n: int, c: float) -> ValuationInstance:
     groups = rand_mech_lb_groups(n)
     bounds = [(members[0], members[-1] + 1) for members in groups]  # contiguous by construction
     space = SignalSpace((1,) * (n + 1), profile_cap=2 ** (n + 2))
-
-    def vector_evaluate(profile: tuple[int, ...]) -> np.ndarray:
-        vals = np.zeros(n + 1, dtype=np.float64)
-        done = 0
-        for lo, hi in bounds:
-            if all(profile[lo:hi]):
-                vals[lo:hi] = 1.0
-                done += 1
-        vals[n] = c * done
-        return vals
 
     def batch_evaluate(profiles: np.ndarray) -> np.ndarray:
         vals = np.zeros(profiles.shape, dtype=np.float64)
@@ -268,7 +258,6 @@ def gen_random_mech_lb(n: int, c: float) -> ValuationInstance:
 
     return ValuationInstance(
         space=space,
-        vector_evaluate=vector_evaluate,
         batch_evaluate=batch_evaluate,
         name="random_mech_lb",
     )

@@ -16,6 +16,7 @@ Both are exact suprema over the tabulated grid, not estimates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -25,6 +26,9 @@ INFINITE = math.inf
 
 #: Default bound on the number of grid points a dense instance may have.
 DEFAULT_PROFILE_CAP = 10_000_000
+
+#: Profiles per batched call when tabulating an evaluator-backed instance.
+_TABULATE_CHUNK = 1 << 14
 
 
 class ValidationError(ValueError):
@@ -81,7 +85,10 @@ class SignalSpace:
         return idx
 
     def validate_profile(self, profile: Sequence[int]) -> tuple[int, ...]:
-        p = tuple(int(s) for s in profile)
+        try:
+            p = tuple(operator.index(s) for s in profile)
+        except TypeError as e:
+            raise ValidationError(f"signals must be integers: {e}") from None
         if len(p) != self.n:
             raise ValidationError(f"profile length {len(p)} != {self.n} bidders")
         for i, (s, k) in enumerate(zip(p, self.sizes)):
@@ -108,23 +115,20 @@ class SignalSpace:
 class ValuationInstance:
     """n bidders' valuations over a signal grid.
 
-    Either tabulated (``values`` is a dense (n, *grid) array) or backed by a
-    deterministic evaluator ``evaluate(bidder, profile)``.  ``vector_evaluate``
-    is an optional fast path returning all n values at one profile, and
-    ``batch_evaluate`` one mapping a (B, n) array of profiles to their (B, n)
-    values.  Instances are immutable; all operations are pure and thread-safe.
+    Exactly one representation: tabulated (``values`` is a dense (n, *grid)
+    array) or backed by a deterministic evaluator ``batch_evaluate`` mapping a
+    (B, n) integer array of profiles to their (B, n) values.  Instances are
+    immutable; all operations are pure and thread-safe.
     """
 
     space: SignalSpace
     values: Optional[np.ndarray] = None
-    evaluate: Optional[Callable[[int, tuple[int, ...]], float]] = None
-    vector_evaluate: Optional[Callable[[tuple[int, ...]], np.ndarray]] = None
     name: str = ""
     batch_evaluate: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.values is None and self.evaluate is None and self.vector_evaluate is None:
-            raise ValidationError("instance needs tabulated values or an evaluator")
+        if (self.values is None) == (self.batch_evaluate is None):
+            raise ValidationError("instance needs exactly one of tabulated values or batch_evaluate")
         if self.values is not None:
             arr = np.asarray(self.values, dtype=np.float64)
             expected = (self.space.n,) + self.space.shape
@@ -142,28 +146,20 @@ class ValuationInstance:
     def n(self) -> int:
         return self.space.n
 
-    @property
-    def is_tabulated(self) -> bool:
-        return self.values is not None
-
     def value(self, bidder: int, profile: Sequence[int]) -> float:
         if not 0 <= bidder < self.n:
             raise ValidationError(f"bidder {bidder} out of range")
         p = tuple(profile)
         if self.values is not None:
             return float(self.values[(bidder,) + p])
-        if self.evaluate is not None:
-            return float(self.evaluate(bidder, p))
-        return float(self.vector_evaluate(p)[bidder])
+        return float(self.values_at_batch(np.array([p]))[0, bidder])
 
     def values_at(self, profile: Sequence[int]) -> np.ndarray:
         """All n values at one profile."""
         p = tuple(profile)
         if self.values is not None:
             return self.values[(slice(None),) + p]
-        if self.vector_evaluate is not None:
-            return np.asarray(self.vector_evaluate(p), dtype=np.float64)
-        return np.array([self.evaluate(i, p) for i in range(self.n)], dtype=np.float64)
+        return self.values_at_batch(np.array([p]))[0]
 
     def values_at_batch(self, profiles: np.ndarray) -> np.ndarray:
         """All n values at each row of a (B, n) integer array of profiles, as (B, n).
@@ -173,12 +169,7 @@ class ValuationInstance:
         P = np.asarray(profiles)
         if self.values is not None:
             return self.values[(slice(None),) + tuple(P.T)].T
-        if self.batch_evaluate is not None:
-            return np.asarray(self.batch_evaluate(P), dtype=np.float64)
-        out = np.empty(P.shape, dtype=np.float64)
-        for r, row in enumerate(P.tolist()):
-            out[r] = self.values_at(row)
-        return out
+        return np.asarray(self.batch_evaluate(P), dtype=np.float64)
 
     def tabulated(self, cap: Optional[int] = None) -> "ValuationInstance":
         """Dense copy.  Refuses above the cap rather than sampling.
@@ -186,20 +177,19 @@ class ValuationInstance:
         The default cap is the global one, not the space's declared bound, so
         evaluator-backed instances on deliberately huge grids still refuse.
         """
-        if self.is_tabulated:
+        if self.values is not None:
             return self
         cap = DEFAULT_PROFILE_CAP if cap is None else cap
-        if self.space.profile_count > cap:
-            raise CapExceeded(
-                f"cannot tabulate {self.space.profile_count} profiles (cap {cap})"
-            )
+        count = self.space.profile_count
+        if count > cap:
+            raise CapExceeded(f"cannot tabulate {count} profiles (cap {cap})")
         arr = np.empty((self.n,) + self.space.shape, dtype=np.float64)
-        for p in self.space.profiles():
-            arr[(slice(None),) + p] = self.values_at(p)
+        flat = arr.reshape(self.n, count)  # a row-major view
+        for lo in range(0, count, _TABULATE_CHUNK):
+            hi = min(lo + _TABULATE_CHUNK, count)
+            rows = np.stack(np.unravel_index(np.arange(lo, hi), self.space.shape), axis=1)
+            flat[:, lo:hi] = self.values_at_batch(rows).T
         return ValuationInstance(space=self.space, values=arr, name=self.name)
-
-    def _dense(self) -> np.ndarray:
-        return self.tabulated().values
 
 
 def mean_and_stderr(draws: Iterable[float]) -> tuple[float, float]:
@@ -243,7 +233,7 @@ def check_value_monotone(v: ValuationInstance) -> list[tuple[int, int, tuple[int
 
     Empty list means every v_i is non-decreasing in every signal.
     """
-    dense = v._dense()
+    dense = v.tabulated().values
     violations = []
     for axis in range(v.n):
         diffs = np.diff(dense, axis=axis + 1)
@@ -295,7 +285,7 @@ def spot_check_value_monotone(
 
 
 def _require_monotone(v: ValuationInstance) -> np.ndarray:
-    dense = v._dense()
+    dense = v.tabulated().values
     bad = check_value_monotone(v)
     if bad:
         i, j, s, lo, hi = bad[0]
@@ -466,7 +456,8 @@ def restrict_bidders(
 ) -> ValuationInstance:
     """Sub-market over ``bidders``: the rest report ``fixed`` and cannot win.
 
-    Valuations of the kept bidders are evaluated at the combined profile, so
+    A batched view: each batch of sub-profiles is written into copies of the
+    full profile and evaluated with one ``values_at_batch`` call on ``v``, so
     the dropped bidders' signals enter every evaluation as constants.
     """
     keep = tuple(int(b) for b in bidders)
@@ -475,14 +466,14 @@ def restrict_bidders(
     base = v.space.validate_profile(fixed)
     sizes = tuple(v.space.sizes[b] for b in keep)
     space = SignalSpace(sizes, profile_cap=v.space.profile_cap)
+    cols = list(keep)
 
-    def vector_evaluate(sub_profile: tuple[int, ...]) -> np.ndarray:
-        full = list(base)
-        for b, s in zip(keep, sub_profile):
-            full[b] = s
-        return v.values_at(tuple(full))[list(keep)]
+    def batch_evaluate(profiles: np.ndarray) -> np.ndarray:
+        full = np.tile(np.asarray(base), (len(profiles), 1))
+        full[:, cols] = profiles
+        return v.values_at_batch(full)[:, cols]
 
-    return ValuationInstance(space=space, vector_evaluate=vector_evaluate, name=v.name)
+    return ValuationInstance(space=space, batch_evaluate=batch_evaluate, name=v.name)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +483,7 @@ def restrict_bidders(
 
 
 def instance_to_json(v: ValuationInstance) -> dict:
-    dense = v._dense()
+    dense = v.tabulated().values
     n = v.n
     flat = dense.reshape(n, -1)  # C order == row-major contract
     return {

@@ -201,7 +201,7 @@ def exact_random_hypergrid_stats(
     orders = list(permutations(range(v.n)))
     c = compute_c(v) if c is None else c
     winners = lazy_winners(v, orders, p, c=c).tolist()
-    worth = {w: v.value(w, p) for w in set(winners)}
+    worth = v.values_at(p).tolist()
     per_pi = {pi: worth[w] for pi, w in zip(orders, winners)}
     mean = sum(per_pi.values()) / len(per_pi)
     return mean, per_pi
@@ -226,7 +226,7 @@ def monte_carlo_random_hypergrid(
     c = compute_c(v) if c is None else c
     rng = random.Random(seed)
     order = list(range(v.n))
-    worth: dict[int, float] = {}
+    worth = v.values_at(p).tolist()
 
     def draws():
         left = samples
@@ -237,8 +237,6 @@ def monte_carlo_random_hypergrid(
                 batch.append(tuple(order))
             left -= len(batch)
             for w in lazy_winners(v, batch, p, c=c).tolist():
-                if w not in worth:
-                    worth[w] = v.value(w, p)
                 yield worth[w]
 
     return mean_and_stderr(draws())

@@ -128,7 +128,10 @@ class JointPrior:
                 sp = space or SignalSpace(tuple(len(m) - 1 for m in marginals))
                 return JointPrior(space=sp, marginals=tuple(marginals))
             if kind == "sparse":
-                atoms = {tuple(a["profile"]): float(a["p"]) for a in obj["atoms"]}
+                atoms: dict[tuple, float] = {}
+                for a in obj["atoms"]:  # a repeated profile sums its atoms in file order
+                    key = tuple(a["profile"])
+                    atoms[key] = atoms.get(key, 0.0) + float(a["p"])
                 if space is None:
                     if not atoms:
                         raise ValidationError("a sparse prior without a signal space needs an atom")

@@ -314,6 +314,27 @@ def test_revenue_subcommand(tmp_path, prior_file):
     assert result["ratio"] <= bound
 
 
+def test_revenue_prior_with_a_repeated_atom(tmp_path):
+    """A profile listed twice on the wire sums its atoms, like one merged atom."""
+    path = tmp_path / "t22.json"
+    run_cli("generate", "two_by_two_tight", "--params", "c=2", "--out", str(path))
+    outputs = []
+    for atoms in (
+        [([1, 1], 0.5), ([0, 1], 0.25), ([1, 1], 0.25)],
+        [([1, 1], 0.75), ([0, 1], 0.25)],
+    ):
+        prior = tmp_path / f"prior{len(outputs)}.json"
+        wire = [{"profile": p, "p": q} for p, q in atoms]
+        prior.write_text(json.dumps({"kind": "sparse", "atoms": wire}))
+        code, out, err = run_cli(
+            "revenue", "--instance", str(path), "--mechanism", "high-if-possible",
+            "--prior", str(prior),
+        )
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_revenue_zero_samples_is_a_typed_error(tmp_path, prior_file):
     """A sampled revenue estimate with no samples is refused, not a traceback."""
     path = tmp_path / "t22.json"
@@ -386,6 +407,24 @@ def test_config_file_precedence(tight_file, tmp_path):
     bad = tmp_path / "bad_conf.json"
     bad.write_text(json.dumps({"nonsense": 1}))
     code, _, err = run_cli("run", "--config", str(bad))
+    assert code == 1 and json.loads(err)["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "conf,key",
+    [({"instance": 7}, "instance"), ({"seed": "3"}, "seed"), ({"format": "xml"}, "format"),
+     ({"cap": True}, "cap"), ({"profile": [1, 1, 1, 1]}, "profile")],
+)
+def test_config_value_of_the_wrong_type_is_a_usage_error(tight_file, tmp_path, conf, key):
+    """An ill-typed config value is refused by key before anything reads it."""
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"instance": tight_file, "mechanism": "hypergrid", **conf}))
+    code, out, err = run_cli("evaluate", "--config", str(path))
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage" and repr(key) in error["message"]
+    path.write_text(json.dumps([key]))
+    code, _, err = run_cli("evaluate", "--config", str(path))
     assert code == 1 and json.loads(err)["error"]["type"] == "usage"
 
 

@@ -286,21 +286,15 @@ def test_lazy_winners_match_scalar_chain(finite_c_corpus):
 
 
 def _counting(v):
-    """Evaluator-backed view of v that counts per-profile calls and batched rows."""
+    """Evaluator-backed view of v that counts batched calls and the rows they carry."""
     counts = {"calls": 0, "rows": 0}
 
-    def vector_evaluate(p):
-        counts["calls"] += 1
-        return v.values_at(p)
-
     def batch_evaluate(P):
+        counts["calls"] += 1
         counts["rows"] += len(P)
         return v.values_at_batch(P)
 
-    counted = ValuationInstance(
-        space=v.space, vector_evaluate=vector_evaluate, batch_evaluate=batch_evaluate
-    )
-    return counted, counts
+    return ValuationInstance(space=v.space, batch_evaluate=batch_evaluate), counts
 
 
 def test_lazy_chains_counted_evaluations(finite_c_corpus):
@@ -315,26 +309,30 @@ def test_lazy_chains_counted_evaluations(finite_c_corpus):
         for _ in range(4):
             s = tuple(rng.randint(0, kb) for kb in v.space.sizes)
             for pi in orders:
-                counts["calls"] = 0
+                counts["calls"] = counts["rows"] = 0
                 w = lazy_winner(counted, pi, s, c=c)
+                assert counts["rows"] == counts["calls"]  # one profile per scalar step
                 assert counts["calls"] <= (n - 1) * (k + 1), (name, pi, s)
                 assert counts["calls"] * n <= n * n * (k + 1)
                 assert w == lazy_winner(v, pi, s, c=c)
             counts["calls"] = counts["rows"] = 0
             batch = lazy_winners(counted, orders, s, c=c)
             assert counts["rows"] <= len(orders) * (n - 1) * (k + 1), (name, s)
-            assert counts["calls"] == 0  # the batch never falls back to per-profile calls
+            assert counts["calls"] <= (n - 1) * (k + 1)  # one batched call per scan step
             assert batch.tolist() == lazy_winners(v, orders, s, c=c).tolist()
 
 
-def test_values_at_batch_fallback_and_tabulated_agree():
+def test_values_at_batch_evaluator_and_tabulated_agree():
     v, _, _ = gen.gen_random_tabulated(3, 4, seed=5)
-    rows_only = ValuationInstance(space=v.space, vector_evaluate=v.values_at)
-    per_bidder = ValuationInstance(space=v.space, evaluate=v.value)
+    backed = ValuationInstance(space=v.space, batch_evaluate=v.values_at_batch)
     P = np.array(list(v.space.profiles()))
     expected = np.array([v.values_at(p) for p in P.tolist()])
-    for inst in (v, rows_only, per_bidder):
+    for inst in (v, backed):
         assert np.array_equal(inst.values_at_batch(P), expected)
+    for p, row in zip(P.tolist(), expected):
+        assert np.array_equal(backed.values_at(p), row)
+        assert [backed.value(i, p) for i in range(v.n)] == row.tolist()
+    assert np.array_equal(backed.tabulated().values, v.values)
 
 
 def test_lazy_sub_ordering_matches_restricted_table():

@@ -21,6 +21,7 @@ from ivauctions import (
     instance_from_json,
     instance_to_json,
     intermediate_profile,
+    restrict_bidders,
     single_crossing_report,
 )
 from ivauctions import instances as gen
@@ -92,7 +93,9 @@ def test_instance_rejects_nonfinite_and_negative():
 
 def test_oracle_backed_refuses_tabulation_above_cap():
     sp = SignalSpace((1,) * 30, profile_cap=2**40)
-    v = ValuationInstance(space=sp, evaluate=lambda i, p: float(sum(p)))
+    v = ValuationInstance(  # every bidder's value is the signal sum
+        space=sp, batch_evaluate=lambda P: np.repeat(P.sum(axis=1, keepdims=True), sp.n, axis=1)
+    )
     assert v.value(3, (1,) * 30) == 30.0
     with pytest.raises(CapExceeded):
         v.tabulated()
@@ -100,6 +103,76 @@ def test_oracle_backed_refuses_tabulation_above_cap():
         compute_c(v)
     with pytest.raises(ValidationError):
         SignalSpace((1,) * 30, profile_cap=1000)
+
+
+def test_instance_needs_exactly_one_representation():
+    sp = SignalSpace((1, 1))
+    values = np.zeros((2, 2, 2))
+    with pytest.raises(ValidationError):
+        ValuationInstance(space=sp)
+    with pytest.raises(ValidationError):
+        ValuationInstance(space=sp, values=values, batch_evaluate=lambda P: np.zeros(P.shape))
+
+
+def _per_profile_table(space, row_of):
+    """Reference tabulation: one ``row_of(profile)`` call per profile."""
+    arr = np.empty((space.n,) + space.shape)
+    for p in space.profiles():
+        arr[(slice(None),) + p] = row_of(p)
+    return arr
+
+
+def test_tabulated_evaluator_equals_per_profile_reference():
+    """Chunked batched tabulation equals a per-profile loop, over more than one chunk."""
+    n = 16
+    lb = gen.gen_random_mech_lb(n, 2.0)
+    groups = gen.rand_mech_lb_groups(n)
+
+    def lb_row(p):
+        row = [0.0] * (n + 1)
+        for members in groups:
+            if all(p[b] for b in members):
+                for b in members:
+                    row[b] = 1.0
+                row[n] += 2.0
+        return row
+
+    assert lb.space.profile_count == 131_072
+    assert np.array_equal(lb.tabulated().values, _per_profile_table(lb.space, lb_row))
+    v, _, _ = gen.gen_random_tabulated(3, 30, seed=4)  # 29,791 profiles
+    wrapped = ValuationInstance(space=v.space, batch_evaluate=v.values_at_batch)
+    reference = _per_profile_table(v.space, lambda p: v.values[(slice(None),) + p])
+    assert np.array_equal(wrapped.tabulated().values, reference)
+    assert np.array_equal(reference, v.values)
+
+
+def test_tabulated_makes_no_single_row_calls():
+    v, _, _ = gen.gen_random_tabulated(3, 30, seed=4)
+    sizes = []
+
+    def batch_evaluate(P):
+        sizes.append(len(P))
+        return v.values_at_batch(P)
+
+    ValuationInstance(space=v.space, batch_evaluate=batch_evaluate).tabulated()
+    assert sum(sizes) == v.space.profile_count
+    assert len(sizes) > 1 and min(sizes) > 1
+
+
+def test_restricted_tabulation_is_the_dense_slice():
+    """Every sub-market's table is v.values sliced at the dropped bidders' signals."""
+    v, _, _ = gen.gen_random_tabulated(4, 2, seed=8)
+    rng = np.random.default_rng(8)
+    checked = 0
+    for mask in range(1, 2**v.n):
+        keep = [b for b in range(v.n) if mask >> b & 1]
+        for _ in range(3):
+            fixed = tuple(int(x) for x in rng.integers(0, 3, size=v.n))
+            sub = restrict_bidders(v, keep, fixed).tabulated()
+            at = tuple(slice(None) if b in keep else fixed[b] for b in range(v.n))
+            assert np.array_equal(sub.values, v.values[keep][(slice(None),) + at]), (keep, fixed)
+            checked += 1
+    assert checked == 45
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +447,8 @@ def test_spot_check_monotone_on_huge_grid():
     v = gen.gen_random_mech_lb(64, 2.0)  # 2^65 profiles, evaluator-backed
     assert spot_check_value_monotone(v, samples=500, seed=1) == []
     sp = SignalSpace((1,) * 20, profile_cap=2**22)
-    bad = ValuationInstance(space=sp, evaluate=lambda i, p: float(-sum(p)) + 20.0)
+    bad = ValuationInstance(  # every value falls as any signal rises
+        space=sp, batch_evaluate=lambda P: np.repeat(20.0 - P.sum(axis=1, keepdims=True), sp.n, axis=1)
+    )
     found = spot_check_value_monotone(bad, samples=500, seed=1)
     assert found and all(hi < lo for _, _, _, lo, hi in found)

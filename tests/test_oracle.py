@@ -253,17 +253,24 @@ def test_exact_stats_match_scalar_chain():
         assert mean == sum(expected.values()) / len(expected)
 
 
-def test_random_mech_lb_batch_evaluate_matches_vector_evaluate():
+def test_random_mech_lb_batch_evaluate_matches_group_reference():
     for n in (4, 64, 256, 1024):  # 1, 1, 2 and 3 groups
         v = gen.gen_random_mech_lb(n, 2.0)
+        groups = gen.rand_mech_lb_groups(n)
         rng = np.random.default_rng(n)
         P = np.ones((120, n + 1), dtype=np.intp)
         for r, row in enumerate(P):
             row[rng.choice(n + 1, size=r % 4, replace=False)] = 0
         batch = v.batch_evaluate(P)
         assert batch.shape == P.shape
-        for row, vals in zip(P, batch):
-            assert np.array_equal(vals, v.vector_evaluate(tuple(row.tolist())))
+        for row, vals in zip(P.tolist(), batch):
+            expected = [0.0] * (n + 1)
+            for members in groups:
+                if all(row[b] for b in members):
+                    for b in members:
+                        expected[b] = 1.0
+                    expected[n] += 2.0
+            assert vals.tolist() == expected
         assert np.array_equal(v.values_at_batch(P), batch)
 
 

@@ -106,9 +106,9 @@ def test_line_probs_product():
 def test_dense_prior_equals_per_point_reference(seed):
     """Stored probabilities equal the per-point formulas bit for bit.
 
-    A product prior multiplies its marginals in bidder order; a sparse prior
-    sums the atoms of one profile in insertion order.  The support lists the
-    positive-probability profiles in row-major order.
+    A product prior multiplies its marginals in bidder order; a sparse wire
+    prior sums the atoms of a repeated profile in file order.  The support
+    lists the positive-probability profiles in row-major order.
     """
     rng = np.random.default_rng(seed)
     sp = SignalSpace((2, 3, 1))
@@ -131,16 +131,13 @@ def test_dense_prior_equals_per_point_reference(seed):
     w = rng.uniform(0.0, 1.0, size=picks.size)
     w[:3] = 0.0
     w = w / w.sum()
-    atoms = {}
-    for j, p in zip(picks, w):
-        # distinct keys naming one profile: "1", "01", "001", ...
-        repeat = sum(1 for key in atoms if tuple(int(x) for x in key) == profiles[j])
-        atoms[tuple("0" * repeat + str(x) for x in profiles[j])] = float(p)
-    sparse = JointPrior(space=sp, atoms=atoms)
+    wire = [{"profile": list(profiles[j]), "p": float(p)} for j, p in zip(picks, w)]
+    sparse = JointPrior.from_json({"kind": "sparse", "atoms": wire}, space=sp)
     ref = {}
-    for key, p in atoms.items():
-        q = tuple(int(x) for x in key)
-        ref[q] = ref.get(q, 0.0) + p
+    for atom in wire:  # a repeated profile sums its atoms in file order
+        q = tuple(atom["profile"])
+        ref[q] = ref.get(q, 0.0) + atom["p"]
+    assert len(ref) < len(wire)
     assert all(sparse.prob(p) == sparse.probs[p] == ref.get(p, 0.0) for p in sp.profiles())
     assert list(sparse.support()) == [(p, ref[p]) for p in sorted(ref) if ref[p] > 0]
 
@@ -159,6 +156,23 @@ def test_bad_line_is_a_validation_error(i, context):
         critical_signal(table, v, i, context)
     with pytest.raises(ValidationError):
         critical_signal_scan(table, v, i, context)
+
+
+def test_non_integer_signals_are_refused():
+    """A float or string signal raises instead of being truncated; NumPy integers pass."""
+    v, c, _ = gen.gen_random_tabulated(2, 3, seed=1)
+    table = hypergrid_coloring(v, (0, 1), c=c)
+    prior = uniform_product_prior(v.space)
+    with pytest.raises(ValidationError):
+        outcome(table, v, (1.7, 2))
+    with pytest.raises(ValidationError):
+        lazy_winner(v, (0, 1), (1.0, 2), c=c)
+    with pytest.raises(ValidationError):
+        prior.prob(("1", 0))
+    s = np.array([1, 2], dtype=np.int64)
+    assert outcome(table, v, tuple(s)) == outcome(table, v, (1, 2))
+    assert lazy_winner(v, (0, 1), s, c=c) == lazy_winner(v, (0, 1), (1, 2), c=c)
+    assert prior.prob(tuple(s)) == prior.prob((1, 2))
 
 
 def test_library_profiles_are_validated_once(monkeypatch):
