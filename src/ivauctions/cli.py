@@ -320,28 +320,16 @@ def cmd_evaluate(args) -> dict:
         means = {tuple(row["profile"]): row["expected_value"] for row in per_profile}
         result["expected_welfare"] = sum(ps * means[s] for s, ps in prior.support())
     if prior is not None and table is not None:
-        # each prior metric degrades independently: a cap hit on one is
-        # reported in its place while the others are still emitted
-        def metric(key, fn):
-            try:
-                result[key] = fn()
-            except (ValidationError, CapExceeded) as e:
-                result[key] = {"error": str(e)}
-
-        def welfare():
-            total = 0.0
-            for s, ps in prior.support():
-                w = int(table.winner[s])
-                total += ps * (0.0 if w == NO_WINNER else v.value(w, s))
-            return total
-
-        metric("expected_welfare", welfare)
-        metric("expected_revenue", lambda: revenue.expected_payment_revenue(table, v, prior))
-        metric("lookahead", lambda: revenue.lookahead_benchmark(prior, v, table))
-        rev_val = result.get("expected_revenue")
-        look_val = result.get("lookahead")
-        if isinstance(rev_val, float) and isinstance(look_val, float):
-            result["revenue_ratio"] = _num(look_val / rev_val) if rev_val > 0 else "INFINITE"
+        welfare = 0.0
+        for s, ps in prior.support():
+            w = int(table.winner[s])
+            welfare += ps * (0.0 if w == NO_WINNER else v.value(w, s))
+        rev = revenue.expected_payment_revenue(table, v, prior)
+        look = revenue.lookahead_benchmark(prior, v, table)
+        result["expected_welfare"] = welfare
+        result["expected_revenue"] = rev
+        result["lookahead"] = look
+        result["revenue_ratio"] = _num(look / rev) if rev > 0 else "INFINITE"
     if args.format == "csv":
         cols = ["profile", "winner" if table is not None else "expected_value", "ratio"]
         _emit_csv(per_profile, cols, args.out)

@@ -26,6 +26,7 @@ from .model import (
     SignalSpace,
     ValidationError,
     ValuationInstance,
+    _context_profile,
     compute_c,
     validate_permutation,
 )
@@ -236,37 +237,25 @@ def hypergrid_coloring(
     order = validate_permutation(pi, v.n)
     c = _required_c(v, c)
     dense = v.tabulated().values
-    shape = v.space.shape
-    n = v.n
-    winner = np.full(shape, NO_WINNER, dtype=np.int32)
-
-    first_axis = order[0]
-    idx = [0] * n
-    for t in range(shape[first_axis]):
-        idx[first_axis] = t
-        winner[tuple(idx)] = first_axis
-
-    for it in range(1, n):
-        j = order[it]
+    winner = np.full(v.space.shape, NO_WINNER, dtype=np.int32)
+    for it, j in enumerate(order):
+        first = order[: it + 1]
+        # the sub-grid of the first it+1 bidders, the rest at signal 0 (a view)
+        sub = tuple(slice(None) if a in first else 0 for a in range(v.n))
+        if it == 0:
+            winner[sub] = j
+            continue
+        ax = sorted(first).index(j)  # the sub-grid keeps bidders in index order
+        layers = np.moveaxis(winner[sub], ax, 0)
+        vals = np.moveaxis(dense[(slice(None),) + sub], ax + 1, 1)
+        top = vals[list(first)].max(axis=0)
         thresh = it * c  # iteration number it+1 uses the ((it+1)-1)c test
-        prev_axes = order[:it]
-        first = list(order[: it + 1])
-        prev_shape = tuple(shape[a] for a in prev_axes)
-        for sj in range(shape[j]):
-            for combo in np.ndindex(*prev_shape):
-                p = [0] * n
-                for a, val in zip(prev_axes, combo):
-                    p[a] = val
-                p[j] = sj
-                tp = tuple(p)
-                if sj > 0:
-                    p[j] = sj - 1
-                    winner[tp] = winner[tuple(p)]
-                    p[j] = sj
-                w = int(winner[tp])
-                vals = dense[(slice(None),) + tp]
-                if max(vals[a] for a in first) > thresh * vals[w] or vals[j] > c * vals[w]:
-                    winner[tp] = j
+        for sj in range(len(layers)):
+            if sj:
+                layers[sj] = layers[sj - 1]
+            w = layers[sj]
+            vw = np.take_along_axis(vals[:, sj], w[None], axis=0)[0]
+            layers[sj] = np.where((top[sj] > thresh * vw) | (vals[j, sj] > c * vw), j, w)
     return AllocationTable(space=v.space, winner=winner)
 
 
@@ -545,45 +534,40 @@ def check_expost_truthful(
     """
     table = as_table(rule, v)
     dense = v.tabulated().values
-    n = v.n
     scale = float(dense.max(initial=0.0))
     tol = rel_tol * max(scale, 1.0)
     violations = []
-
-    for i in range(n):
-        k = v.space.sizes[i]
-        w_lines = np.moveaxis(table.winner, i, -1).reshape(-1, k + 1)
-        v_lines = np.moveaxis(dense[i], i, -1).reshape(-1, k + 1)
-        contexts = list(np.ndindex(*(sz for ax, sz in enumerate(v.space.shape) if ax != i)))
-        for row, ctx in enumerate(contexts):
-            wins = w_lines[row] == i
-            if payment == "critical":
-                b_star = int(np.argmax(wins)) if wins.any() else None
-                pay = v_lines[row][b_star] if b_star is not None else 0.0
-                pays = np.where(wins, pay, 0.0)
-            else:
-                pays = np.array(
-                    [payment(i, _insert(ctx, i, b)) for b in range(k + 1)], dtype=np.float64
-                )
-            for true_s in range(k + 1):
-                value = v_lines[row][true_s]
-                utils = np.where(wins, value, 0.0) - pays
-                truthful = utils[true_s]
-                best = int(np.argmax(utils))
-                if utils[best] > truthful + tol:
-                    violations.append(
-                        (
-                            _insert(ctx, i, true_s),
-                            i,
-                            best,
-                            float(truthful),
-                            float(utils[best]),
-                        )
-                    )
-                if wins[true_s] and truthful < -tol:
-                    violations.append(
-                        (_insert(ctx, i, true_s), i, true_s, float(truthful), 0.0)
-                    )
+    for i in range(v.n):
+        # bidder i's lines: (*other signals, own signal), contexts in row-major order
+        wins = np.moveaxis(table.winner, i, -1) == i
+        vals = np.moveaxis(dense[i], i, -1)
+        contexts, k1 = wins.shape[:-1], wins.shape[-1]
+        if payment == "critical":
+            first = np.argmax(wins, axis=-1)[..., None]
+            pays = np.where(wins, np.take_along_axis(vals, first, axis=-1), 0.0)
+        else:
+            pays = np.array(
+                [[payment(i, _context_profile(ctx, i, b)) for b in range(k1)]
+                 for ctx in np.ndindex(*contexts)],
+                dtype=np.float64,
+            ).reshape(wins.shape)
+        truthful = np.empty(wins.shape)
+        best = np.empty(wins.shape, dtype=np.intp)
+        top = np.empty(wins.shape)
+        for true_s in range(k1):  # utilities with true signal true_s, every report
+            utils = np.where(wins, vals[..., true_s : true_s + 1], 0.0) - pays
+            truthful[..., true_s] = utils[..., true_s]
+            best[..., true_s] = np.argmax(utils, axis=-1)
+            top[..., true_s] = utils.max(axis=-1)
+        deviates = top > truthful + tol
+        unfair = wins & (truthful < -tol)  # individual rationality fails
+        for loc in np.argwhere(deviates | unfair).tolist():
+            at, true_s = tuple(loc), loc[-1]
+            p = _context_profile(loc[:-1], i, true_s)
+            if deviates[at]:
+                violations.append((p, i, int(best[at]), float(truthful[at]), float(top[at])))
+            if unfair[at]:
+                violations.append((p, i, true_s, float(truthful[at]), 0.0))
     return violations
 
 
@@ -612,10 +596,6 @@ def check_expost_truthful_literal(
                 if u_dev > u_truth + tol:
                     violations.append((p, i, b, u_truth, u_dev))
     return violations
-
-
-def _insert(ctx: tuple[int, ...], axis: int, value: int) -> tuple[int, ...]:
-    return ctx[:axis] + (value,) + ctx[axis:]
 
 
 def _as_rule(rule: Union[Rule, AllocationTable]) -> Rule:

@@ -147,19 +147,28 @@ class ValuationInstance:
         return self.space.n
 
     def value(self, bidder: int, profile: Sequence[int]) -> float:
+        """Bidder's value at one profile; a profile off the grid raises ValidationError."""
         if not 0 <= bidder < self.n:
             raise ValidationError(f"bidder {bidder} out of range")
         p = tuple(profile)
         if self.values is not None:
-            return float(self.values[(bidder,) + p])
-        return float(self.values_at_batch(np.array([p]))[0, bidder])
+            try:  # NumPy refuses signals above the grid; below it they would wrap
+                if len(p) == self.n and min(p) >= 0:
+                    return float(self.values[(bidder,) + p])
+            except (TypeError, IndexError):
+                pass
+        return float(self.values_at_batch(np.array([self.space.validate_profile(p)]))[0, bidder])
 
     def values_at(self, profile: Sequence[int]) -> np.ndarray:
-        """All n values at one profile."""
+        """All n values at one profile; a profile off the grid raises ValidationError."""
         p = tuple(profile)
         if self.values is not None:
-            return self.values[(slice(None),) + p]
-        return self.values_at_batch(np.array([p]))[0]
+            try:
+                if len(p) == self.n and min(p) >= 0:
+                    return self.values[(slice(None),) + p]
+            except (TypeError, IndexError):
+                pass
+        return self.values_at_batch(np.array([self.space.validate_profile(p)]))[0]
 
     def values_at_batch(self, profiles: np.ndarray) -> np.ndarray:
         """All n values at each row of a (B, n) integer array of profiles, as (B, n).
@@ -171,18 +180,17 @@ class ValuationInstance:
             return self.values[(slice(None),) + tuple(P.T)].T
         return np.asarray(self.batch_evaluate(P), dtype=np.float64)
 
-    def tabulated(self, cap: Optional[int] = None) -> "ValuationInstance":
-        """Dense copy.  Refuses above the cap rather than sampling.
+    def tabulated(self) -> "ValuationInstance":
+        """Dense copy.  Refuses above the global profile cap rather than sampling.
 
-        The default cap is the global one, not the space's declared bound, so
+        The cap is the global one, not the space's declared bound, so
         evaluator-backed instances on deliberately huge grids still refuse.
         """
         if self.values is not None:
             return self
-        cap = DEFAULT_PROFILE_CAP if cap is None else cap
         count = self.space.profile_count
-        if count > cap:
-            raise CapExceeded(f"cannot tabulate {count} profiles (cap {cap})")
+        if count > DEFAULT_PROFILE_CAP:
+            raise CapExceeded(f"cannot tabulate {count} profiles (cap {DEFAULT_PROFILE_CAP})")
         arr = np.empty((self.n,) + self.space.shape, dtype=np.float64)
         flat = arr.reshape(self.n, count)  # a row-major view
         for lo in range(0, count, _TABULATE_CHUNK):

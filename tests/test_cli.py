@@ -275,6 +275,33 @@ def test_evaluate_with_prior_populates_revenue(tmp_path, prior_file):
         assert field in result
 
 
+@pytest.mark.parametrize("stanza", [
+    {"generator": "rand_c_lb", "params": {"n": 9, "c": 2.0}},
+    # orderings change the winner here, so the sampled means carry noise
+    {"generator": "random_separable", "params": {"n": 9, "k": 1, "c": 1.5, "seed": 4}},
+], ids=["rand_c_lb", "random_separable"])
+def test_evaluate_random_hypergrid_sampled_branch(tmp_path, stanza):
+    """Above eight bidders evaluate samples orderings: replayable, and the estimator's own mean."""
+    from ivauctions import compute_c
+    from ivauctions import instances as gen
+    from ivauctions.oracle import monte_carlo_random_hypergrid
+
+    path = tmp_path / "n9.json"
+    path.write_text(json.dumps(stanza))
+    argv = ("evaluate", "--instance", str(path), "--mechanism", "random-hypergrid",
+            "--samples", "20", "--seed", "5")
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
+    assert run_cli(*argv)[1] == out
+    rows = {tuple(r["profile"]): r for r in json.loads(out)["per_profile"]}
+    assert len(rows) == 2**9
+    v = gen.make_instance(stanza["generator"], **stanza["params"])
+    c = compute_c(v)
+    for p in [(0,) * 9, (1, 0, 1, 0, 0, 1, 1, 0, 1), (1,) * 9]:
+        mean, _ = monte_carlo_random_hypergrid(v, p, samples=20, seed=5, c=c)
+        assert rows[p]["expected_value"] == mean, p
+
+
 def test_evaluate_csv_projection(tight_file):
     code, out, _ = run_cli(
         "evaluate", "--instance", tight_file, "--mechanism", "hypergrid",

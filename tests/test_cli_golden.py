@@ -26,6 +26,13 @@ INPUTS = {
                  "params": {"n": 3, "k": 1, "c": 2.0, "seed": 3}},
     "skew.json": {"kind": "product",
                   "marginals": [[0.3, 0.7], [0.6, 0.4], [0.25, 0.75]]},
+    "tab.json": {"generator": "random_tabulated", "params": {"n": 3, "k": 4, "seed": 5}},
+    "sep_k4.json": {"generator": "random_separable",
+                    "params": {"n": 3, "k": 4, "c": 2.0, "seed": 1}},
+    "sep_k2.json": {"generator": "random_separable",
+                    "params": {"n": 3, "k": 2, "c": 1.5, "seed": 1}},
+    "skew_k2.json": {"kind": "product",
+                     "marginals": [[0.5, 0.3, 0.2], [0.1, 0.3, 0.6], [0.2, 0.7, 0.1]]},
 }
 
 #: Case name -> argv; a token naming an input file is replaced by its path.
@@ -36,6 +43,12 @@ CASES = {
                                      "--profile", "1,1,1,1,1"],
     "evaluate_random_hypergrid_random_mech_lb": ["evaluate", "--instance", "lb.json",
                                                  "--mechanism", "random-hypergrid"],
+    "table_hypergrid_random_tabulated": ["table", "--instance", "tab.json", "--mechanism",
+                                         "hypergrid", "--pi", "3,1,2"],
+    "table_hypergrid_random_separable": ["table", "--instance", "sep_k4.json", "--mechanism",
+                                         "hypergrid", "--pi", "3,1,2"],
+    "evaluate_hypergrid_prior_json": ["evaluate", "--instance", "sep_k2.json", "--mechanism",
+                                      "hypergrid", "--pi", "2,3,1", "--prior", "skew_k2.json"],
     "table_two_bidder_oil_sc": ["table", "--instance", "oil.json", "--mechanism", "two-bidder"],
     "evaluate_hypergrid_prior_csv": ["evaluate", "--instance", "sep.json", "--mechanism",
                                      "hypergrid", "--prior", "skew.json", "--format", "csv"],

@@ -1,7 +1,9 @@
 """Mechanisms: allocations, payments, truthfulness, and approximation bounds."""
 
+import json
 import math
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +230,14 @@ def test_lazy_matches_table_full_sweep(finite_c_corpus):
             table = hypergrid_coloring(v, pi)
             for s in v.space.profiles():
                 assert lazy_winner(v, pi, s) == table.winner_at(s), (name, pi, s)
+    # grids beyond the corpus sweep: every ordering at once through the batched chain
+    for v in (gen.gen_random_separable(5, 2, 1.5, seed=31),
+              gen.gen_random_separable(6, 1, 2.0, seed=32)):
+        c = compute_c(v)
+        orders = list(permutations(range(v.n)))
+        tables = np.stack([hypergrid_coloring(v, pi, c=c).winner for pi in orders])
+        for s in v.space.profiles():
+            assert lazy_winners(v, orders, s, c=c).tolist() == tables[(slice(None),) + s].tolist()
 
 
 def test_lazy_matches_table_random_samples_large_grids(finite_c_corpus):
@@ -526,6 +536,42 @@ def test_truthful_checker_flags_ir_violation():
     gouge = check_expost_truthful(table, v, payment=lambda i, p: 10.0 if i == 0 else 0.0)
     assert gouge
     assert any(truth < 0 for _, _, _, truth, _ in gouge)
+
+
+def expost_sweep_cases():
+    """Seeded non-monotone tables (n = 2..4, signals 1..3) with both sweeps' outputs.
+
+    Half the instances have small integer values, so utilities tie often and
+    the first-argmax misreport matters.  Yields (case name, violations under
+    the critical payment, violations under a fixed callable payment).
+    """
+    for idx in range(20):
+        rng = np.random.default_rng(800 + idx)
+        n = 2 + idx % 3
+        sizes = tuple(int(x) for x in rng.integers(1, 4, size=n))
+        space = SignalSpace(sizes)
+        if idx % 2:
+            vals = rng.integers(0, 4, size=(n,) + space.shape).astype(float)
+        else:
+            vals = rng.random((n,) + space.shape) * 10.0
+        v = ValuationInstance(space=space, values=vals)
+        table = AllocationTable(space=space, winner=rng.integers(-1, n, size=space.shape))
+
+        def pay(i, p, vals=vals):
+            return 0.5 * float(vals[(i,) + p]) + 0.25 * p[i]
+
+        yield (
+            f"case{idx}_n{n}_{'x'.join(map(str, sizes))}",
+            check_expost_truthful(table, v),
+            check_expost_truthful(table, v, payment=pay),
+        )
+
+
+def test_expost_sweep_matches_golden():
+    """The sweep's violation lists equal the ones recorded in tests/golden/expost_sweep.json."""
+    golden = json.loads((Path(__file__).parent / "golden" / "expost_sweep.json").read_text())
+    got = {name: {"critical": crit, "callable": call} for name, crit, call in expost_sweep_cases()}
+    assert json.loads(json.dumps(got)) == golden
 
 
 def test_welfare_ratio_conventions():

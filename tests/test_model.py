@@ -105,6 +105,36 @@ def test_oracle_backed_refuses_tabulation_above_cap():
         SignalSpace((1,) * 30, profile_cap=1000)
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [(-1, 2), (4, 2), (1, 4), (1.0, 2), (1,), (1, 2, 0)],
+    ids=["negative", "above", "above-second", "float", "short", "long"],
+)
+def test_value_access_refuses_off_grid_profiles(profile):
+    """A negative signal used to wrap round a table; every off-grid profile now raises."""
+    v, _, _ = gen.gen_random_tabulated(2, 3, seed=1)
+    lb = gen.gen_random_mech_lb(4, 2.0)  # evaluator-backed
+    with pytest.raises(ValidationError):
+        v.value(0, profile)
+    with pytest.raises(ValidationError):
+        v.values_at(profile)
+    with pytest.raises(ValidationError):
+        lb.values_at(profile + (1,) * 3)
+    with pytest.raises(ValidationError):
+        lb.value(4, profile + (1,) * 3)
+
+
+def test_value_access_accepts_numpy_integer_profiles():
+    v, _, _ = gen.gen_random_tabulated(2, 3, seed=1)
+    p = (np.int64(1), np.int32(2))
+    assert v.value(0, p) == v.value(0, (1, 2)) == float(v.values[0, 1, 2])
+    assert np.array_equal(v.values_at(np.array([1, 2])), v.values[:, 1, 2])
+    lb = gen.gen_random_mech_lb(4, 2.0)
+    high = np.ones(5, dtype=np.int64)
+    assert np.array_equal(lb.values_at(high), lb.values_at((1,) * 5))
+    assert lb.value(4, high) == lb.value(4, (1,) * 5)
+
+
 def test_instance_needs_exactly_one_representation():
     sp = SignalSpace((1, 1))
     values = np.zeros((2, 2, 2))
