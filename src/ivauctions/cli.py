@@ -415,7 +415,7 @@ def _default_cap() -> int:
         try:
             return int(env)
         except ValueError:
-            pass
+            raise CliError("usage", f"MECHLIB_CAP must be an integer, got {env!r}") from None
     return 10_000_000
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 # lazy_winner stays importable from here: callers and the benchmark's tracer
 # reach the scalar chain through this module's namespace.
-from .mechanisms import NO_WINNER, AllocationTable, lazy_winner, lazy_winners  # noqa: F401
+from .mechanisms import AllocationTable, lazy_winner, lazy_winners  # noqa: F401
 from .model import (
     INFINITE,
     CapExceeded,
@@ -46,10 +46,12 @@ def optimal_welfare(v: ValuationInstance, s: Sequence[int]) -> float:
 class SearchReport:
     """Result of the exhaustive monotone-table search.
 
-    ``tables_scanned`` counts partial-table extension attempts (DFS nodes);
-    ``monotone_count`` counts the complete monotone tables, all of which are
-    visited.  The witness, when present, is monotone and attains
-    ``best_ratio`` exactly.
+    ``tables_scanned`` counts the candidate assignments the search tried:
+    one per child of a frontier step, the same count as a one-cell-at-a-time
+    depth-first walk.  ``monotone_count`` counts the complete monotone
+    tables, all of which are visited.  The witness, when present, is
+    monotone, attains ``best_ratio`` exactly and is the first such table in
+    lexicographic order.
     """
 
     best_ratio: float
@@ -66,90 +68,86 @@ class SearchReport:
         }
 
 
-def _lower_neighbors(v: ValuationInstance) -> list[list[tuple[int, int]]]:
-    """Per flat profile index, the (axis, flat index) of each one-step-lower neighbor."""
-    space = v.space
-    neighbors = []
-    for p in space.profiles():
-        neigh = []
-        for axis in range(space.n):
-            if p[axis] >= 1:
-                q = list(p)
-                q[axis] -= 1
-                neigh.append((axis, space.index_of(q)))
-        neighbors.append(neigh)
-    return neighbors
-
-
-def _forced_winner(assignment: np.ndarray, neighbors: list[tuple[int, int]]) -> Optional[int]:
-    """The only admissible winner at a cell, if a lower own-axis win forces one.
-
-    Returns NO_WINNER when two different bidders are forced (dead end).
-    """
-    forced = None
-    for axis, idx in neighbors:
-        if assignment[idx] == axis:
-            if forced is not None and forced != axis:
-                return NO_WINNER
-            forced = axis
-    return forced
+#: Most partial tables one frontier step extends.
+_BLOCK = 16_384
+#: Bytes of pending partial tables: the stack keeps at most one parent block of
+#: `step` rows per cell, one byte per profile, so step <= budget / profiles^2.
+_STACK_BYTES = 1 << 26
 
 
 def _monotone_tables(
-    v: ValuationInstance, cap: int, cost: Optional[np.ndarray], nodes: list[int]
-) -> Iterator[tuple[np.ndarray, float]]:
-    """Yield every fully-assigned monotone winner table, by pruned extension.
+    v: ValuationInstance, cap: int, cost: np.ndarray, nodes: list[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield every fully-assigned monotone winner table, in blocks, by pruned extension.
 
     Profiles are filled in row-major order; a candidate winner at a profile is
     rejected exactly when some lower neighbor along a bidder's own axis was won
     by that bidder and the candidate differs, so only (and all) monotone tables
-    are completed.  Each flat table comes with the max of ``cost[winner,
-    profile]`` over its cells (1.0 without ``cost``), carried along the path.
-    The yielded array is reused: copy it to keep it.  ``nodes[0]`` counts the
-    candidate assignments tried.
+    are completed.  The walk is depth-first over blocks of partial tables that
+    share the next cell.  One array step extends a block of at most ``_BLOCK``
+    rows by that cell, children in parent-then-candidate order, and pushes the
+    children as contiguous slices, last slice first; a slice is kept as parent
+    rows plus candidates until it is popped.  So complete tables come out in
+    lexicographic order, as ``(tables, worst)`` blocks: ``tables`` is (rows,
+    profiles) int8 and ``worst`` the max of ``cost[winner, profile]`` over each
+    row's cells (at least 1.0).  ``nodes[0]`` counts the candidate assignments
+    tried.  The first ``cap`` complete tables are yielded before CapExceeded.
     """
-    neighbors = _lower_neighbors(v)
-    count = len(neighbors)
-    n = v.space.n
-    assignment = np.full(count, NO_WINNER, dtype=np.int32)
-    rows = None if cost is None else cost.tolist()  # list lookups beat NumPy scalar indexing
-    path = [1.0] * (count + 1)  # path[pos]: worst cost of the cells before pos
-    todo: list[Iterator[int]] = [iter(())] * count  # untried candidates per cell
+    n, shape = v.space.n, v.space.shape
+    count = math.prod(shape)
+    step = max(1, min(_BLOCK, _STACK_BYTES // (count * count)))
+    strides = np.array([math.prod(shape[axis + 1:]) for axis in range(n)])
+    coords = np.indices(shape).reshape(n, count)
+    lower = []  # per cell: the bidders with a lower own-axis neighbor, and those neighbors
+    for pos in range(count):
+        axes = np.flatnonzero(coords[:, pos])
+        lower.append((axes, pos - strides[axes]))
+    # a stack entry is the block src[parent] with cell pos - 1 set to cand
+    root = np.zeros((1, count), np.int8)  # n <= log2(profiles), so bidders fit int8
+    stack = [(0, root, np.zeros(1, np.intp), None, np.ones(1))]
     complete = 0
-
-    def candidates(pos: int) -> Iterator[int]:
-        forced = _forced_winner(assignment, neighbors[pos])
-        if forced == NO_WINNER:
-            return iter(())
-        return iter(range(n) if forced is None else (forced,))
-
-    pos = 0
-    todo[0] = candidates(0)
-    while pos >= 0:
-        w = next(todo[pos], None)
-        if w is None:
-            assignment[pos] = NO_WINNER
-            pos -= 1
+    while stack:
+        pos, src, parent, cand, worst = stack.pop()
+        tables = src[parent]
+        if pos:
+            tables[:, pos - 1] = cand
+        axes, neighbors = lower[pos]
+        hits = tables[:, neighbors] == axes  # own-axis lower wins: each forces its bidder
+        nhit = hits.sum(axis=1)
+        kids = np.where(nhit == 0, n, nhit == 1)  # all n candidates, the forced one, or none
+        parent = np.repeat(np.arange(len(tables)), kids)
+        if not len(parent):
             continue
-        nodes[0] += 1
-        assignment[pos] = w
-        path[pos + 1] = path[pos] if rows is None else max(path[pos], rows[w][pos])
+        rank = np.arange(len(parent)) - (np.cumsum(kids) - kids)[parent]
+        cand = np.where(nhit[parent] == 0, rank, (hits @ axes)[parent])
+        worst = np.maximum(worst[parent], cost[cand, pos])
+        nodes[0] += len(parent)
         if pos + 1 < count:
-            pos += 1
-            todo[pos] = candidates(pos)
+            for start in reversed(range(0, len(parent), step)):
+                part = slice(start, start + step)
+                stack.append((pos + 1, tables, parent[part], cand[part], worst[part]))
             continue
-        complete += 1
-        if complete > cap:
+        tables = tables[parent]
+        tables[:, pos] = cand
+        room = cap - complete
+        if len(tables) > room:
+            if room:
+                yield tables[:room], worst[:room]
             raise CapExceeded(
                 f"more than {cap} monotone tables; try a smaller instance or raise the cap"
             )
-        yield assignment, path[count]
+        complete += len(tables)
+        yield tables, worst
 
 
 def enumerate_monotone_tables(v: ValuationInstance, cap: int = DEFAULT_TABLE_CAP) -> Iterator[np.ndarray]:
-    """Yield a copy of every fully-assigned monotone winner table (flat, row-major)."""
-    for table, _ in _monotone_tables(v, cap, None, [0]):
-        yield table.copy()
+    """Yield a copy of every fully-assigned monotone winner table (flat, row-major, int32).
+
+    Tables come in lexicographic order, bidder 0 first at each cell.
+    """
+    for tables, _ in _monotone_tables(v, cap, np.ones((v.n, v.space.profile_count)), [0]):
+        for table in tables:
+            yield table.astype(np.int32)
 
 
 def best_monotone_ratio(v: ValuationInstance, cap: int = DEFAULT_TABLE_CAP) -> SearchReport:
@@ -157,7 +155,8 @@ def best_monotone_ratio(v: ValuationInstance, cap: int = DEFAULT_TABLE_CAP) -> S
 
     The monotone-table search with each cell's welfare ratio as its cost, so
     the running worst ratio is carried along the path.  Every monotone table
-    is visited, so the minimum is exact.
+    is visited, so the minimum is exact; the witness is the first table, in
+    the search's lexicographic order, that attains it.
     """
     dense = v.tabulated().values
     space = v.space
@@ -172,11 +171,12 @@ def best_monotone_ratio(v: ValuationInstance, cap: int = DEFAULT_TABLE_CAP) -> S
     best_table: Optional[np.ndarray] = None
     nodes = [0]
     monotone = 0
-    for table, worst in _monotone_tables(v, cap, ratio_of, nodes):
-        monotone += 1
-        if worst < best:
-            best = worst
-            best_table = table.copy()
+    for tables, worst in _monotone_tables(v, cap, ratio_of, nodes):
+        monotone += len(tables)
+        first = int(worst.argmin())
+        if worst[first] < best:
+            best = float(worst[first])
+            best_table = tables[first].astype(np.int32)
     witness = None
     if best_table is not None:
         witness = AllocationTable(space=space, winner=best_table.reshape(space.shape))

@@ -500,7 +500,18 @@ def test_mechlib_cap_env(tight_file, monkeypatch):
     assert json.loads(err)["error"]["type"] == "cap"
     # explicit flag overrides the environment
     code, out, _ = run_cli("search", tight_file, "--cap", "10000000")
-    assert code == 0 and json.loads(out)["monotone_count"] > 0
+    assert code == 0
+    report = json.loads(out)
+    assert report["monotone_count"] == 4_595_984 and report["tables_scanned"] == 8_713_739
+
+
+@pytest.mark.parametrize("value", ["10k", "2.5"])
+def test_malformed_mechlib_cap_is_a_usage_error(tight_file, monkeypatch, value):
+    monkeypatch.setenv("MECHLIB_CAP", value)
+    code, out, err = run_cli("search", tight_file)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage" and "MECHLIB_CAP" in error["message"]
 
 
 def test_console_entry_point(tight_file):

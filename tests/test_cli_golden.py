@@ -1,7 +1,8 @@
 """Golden CLI outputs: the stdout of fixed commands, compared byte for byte.
 
 Each case writes its input files into a temporary directory, runs the CLI
-in-process and compares stdout with ``tests/golden/<case>.txt``.  The golden
+in-process and compares stdout with ``tests/golden/<case>.txt`` and each file
+it writes with ``tests/golden/<case>.<file>``.  The golden
 files pin the behaviour contract (byte-identical CLI output) across
 refactors of the library underneath.
 """
@@ -33,6 +34,7 @@ INPUTS = {
                     "params": {"n": 3, "k": 2, "c": 1.5, "seed": 1}},
     "skew_k2.json": {"kind": "product",
                      "marginals": [[0.5, 0.3, 0.2], [0.1, 0.3, 0.6], [0.2, 0.7, 0.1]]},
+    "tab2_k7.json": {"generator": "random_tabulated", "params": {"n": 2, "k": 7, "seed": 2}},
 }
 
 #: Case name -> argv; a token naming an input file is replaced by its path.
@@ -55,6 +57,8 @@ CASES = {
     "evaluate_high_if_possible_prior": ["evaluate", "--instance", "sep.json", "--mechanism",
                                         "high-if-possible", "--prior", "skew.json"],
     "search_two_by_two_tight": ["search", "--instance", "tight.json"],
+    "search_witness_random_tabulated": ["search", "--instance", "tab2_k7.json",
+                                        "--witness", "witness.json"],
     "revenue_high_if_possible": ["revenue", "--instance", "sep.json", "--mechanism",
                                  "high-if-possible", "--prior", "skew.json"],
     "revenue_random_hypergrid_sampled": ["revenue", "--instance", "sep.json", "--mechanism",
@@ -62,12 +66,16 @@ CASES = {
                                          "10", "--samples", "300", "--seed", "3"],
 }
 
+#: Case name -> the files it writes; a token naming one is replaced by its path.
+WRITES = {"search_witness_random_tabulated": ["witness.json"]}
+
 
 def run_case(name: str, tmp_path: Path) -> str:
     """The case's stdout; fails on a nonzero exit code."""
     for fname, obj in INPUTS.items():
         (tmp_path / fname).write_text(json.dumps(obj))
-    argv = [str(tmp_path / tok) if tok in INPUTS else tok for tok in CASES[name]]
+    paths = set(INPUTS) | set(WRITES.get(name, ()))
+    argv = [str(tmp_path / tok) if tok in paths else tok for tok in CASES[name]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -79,3 +87,5 @@ def run_case(name: str, tmp_path: Path) -> str:
 def test_cli_output_matches_golden(name, tmp_path):
     expected = (GOLDEN / f"{name}.txt").read_text()
     assert run_case(name, tmp_path) == expected
+    for fname in WRITES.get(name, ()):
+        assert (tmp_path / fname).read_bytes() == (GOLDEN / f"{name}.{fname}").read_bytes()

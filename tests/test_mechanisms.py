@@ -516,6 +516,11 @@ def test_truthful_checker_fast_matches_literal():
         table = hypergrid_coloring(v, (2, 0, 1))
         assert check_expost_truthful(table, v) == []
         assert check_expost_truthful_literal(table, v) == []
+    for seed in (0, 1, 3):  # tables that reallocate cells between bidders
+        v = gen.gen_random_separable(3, 2, 2.0, seed=seed)
+        table = hypergrid_coloring(v, (2, 0, 1))
+        assert np.unique(table.winner).size > 1
+        assert check_expost_truthful(table, v) == check_expost_truthful_literal(table, v) == []
     # a rule that charges nothing on a strict-preference instance is manipulable
     sp = SignalSpace((2, 1))
     vals = np.stack([np.arange(6, dtype=float).reshape(3, 2) + 1.0, np.ones((3, 2))])

@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import numpy as np
 import pytest
@@ -74,6 +74,7 @@ def test_pruned_enumeration_matches_unpruned():
             space=SignalSpace((1, 1)),
             values=np.stack([np.ones((2, 2)), np.zeros((2, 2))]),
         ),
+        gen.gen_random_tabulated(3, 1, seed=4)[0],  # 3^8 unpruned tables
     ]
     for v in cases:
         pruned = sorted(tuple(t) for t in enumerate_monotone_tables(v))
@@ -88,6 +89,7 @@ def test_pruned_enumeration_matches_unpruned():
         (gen.gen_two_by_two_tight(2.0), 15),
         (gen.gen_three_bidder_no_c(), 7579),
         (gen.gen_random_tabulated(2, 3, seed=1)[0], 345),
+        (gen.gen_random_tabulated(2, 7, seed=6)[0], 115_821),
     ],
 )
 def test_search_walks_the_enumerated_tables(v, nodes):
@@ -96,11 +98,29 @@ def test_search_walks_the_enumerated_tables(v, nodes):
     tables = list(enumerate_monotone_tables(v))
     worst = [welfare_ratio(AllocationTable(v.space, t.reshape(v.space.shape)), v)[0] for t in tables]
     assert report.monotone_count == len(tables)
+    assert [tuple(t) for t in tables] == sorted(tuple(t) for t in tables)  # lexicographic walk
+    assert all(t.dtype == np.int32 for t in tables)
     assert not tables[0].any()  # candidates are tried lowest bidder first
     assert report.best_ratio == min(worst)
     first_best = tables[worst.index(min(worst))]
     assert np.array_equal(report.witness_table.winner.reshape(-1), first_best)
     assert report.tables_scanned == nodes  # candidate assignments of the row-major walk
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_block_size_does_not_change_the_walk(monkeypatch, block):
+    """Small blocks split every step into many slices; tables, order and counts stay."""
+    v = gen.gen_three_bidder_no_c()
+    tables = list(enumerate_monotone_tables(v))
+    report = best_monotone_ratio(v)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    small = list(enumerate_monotone_tables(v))
+    assert len(small) == len(tables)
+    assert all(np.array_equal(a, b) for a, b in zip(small, tables))
+    again = best_monotone_ratio(v)
+    assert again.best_ratio == report.best_ratio
+    assert (again.tables_scanned, again.monotone_count) == (7579, len(tables))
+    assert np.array_equal(again.witness_table.winner, report.witness_table.winner)
 
 
 def test_best_monotone_det_impossibility():
@@ -149,6 +169,28 @@ def test_search_cap():
     v, _, _ = gen.gen_random_tabulated(3, 2, seed=1)
     with pytest.raises(CapExceeded):
         best_monotone_ratio(v, cap=5)
+
+
+@pytest.mark.parametrize(
+    "v", [gen.gen_three_bidder_no_c(), gen.gen_random_tabulated(2, 7, seed=3)[0]]
+)
+def test_cap_counts_complete_tables_exactly(v):
+    """A cap of N yields exactly the first N tables; asking for one more raises."""
+    tables = list(enumerate_monotone_tables(v))
+    count = len(tables)
+    for cap in (1, count // 3, count - 1):
+        walk = enumerate_monotone_tables(v, cap=cap)
+        head = list(islice(walk, cap))
+        assert len(head) == cap
+        assert all(np.array_equal(a, b) for a, b in zip(head, tables))
+        with pytest.raises(CapExceeded) as err:
+            next(walk)
+        assert str(err.value) == (
+            f"more than {cap} monotone tables; try a smaller instance or raise the cap"
+        )
+    assert best_monotone_ratio(v, cap=count).monotone_count == count
+    with pytest.raises(CapExceeded, match=f"more than {count - 1} monotone tables"):
+        best_monotone_ratio(v, cap=count - 1)
 
 
 # ---------------------------------------------------------------------------
