@@ -2,10 +2,11 @@
 
 Subcommands: check, generate, run, table, evaluate, search, revenue.  All
 output is deterministic given the inputs and seed: JSON objects are emitted
-with a fixed field order and floats printed in shortest round-trip form, so
-reruns are byte-identical.  Errors go to stderr as machine-readable JSON
-objects and flip the exit code to 1.  Bidders and signals are 0-based inside
-the library; winner indices and orderings cross the CLI boundary 1-based.
+with a fixed field order and floats printed in shortest round-trip form, as
+the text of ``json.dumps(obj, indent=2)``, so reruns are byte-identical.
+Errors go to stderr as machine-readable JSON objects and flip the exit code
+to 1.  Bidders and signals are 0-based inside the library; winner indices and
+orderings cross the CLI boundary 1-based.
 
 The enumeration cap obeys: command-line flag > MECHLIB_CAP environment
 variable > built-in default.
@@ -14,10 +15,12 @@ variable > built-in default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
 from . import instances, oracle, revenue
@@ -166,7 +169,94 @@ def _write(text: str, out: Optional[str]):
 
 
 def _emit(obj: dict, out: Optional[str]):
-    _write(json.dumps(obj, indent=2), out)
+    _write(_dumps(obj), out)
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, without its per-item generators.
+
+    A list of records with the same keys is rendered through one row template,
+    each column's cells encoded in one pass; any shape or type not handled here
+    falls back to the stdlib encoder for that subtree.  Any error is left to the
+    stdlib encoder on the whole object, so it raises exactly what it raises.
+    """
+    try:
+        return _encode(obj, 0)
+    except (TypeError, ValueError, RecursionError):
+        return json.dumps(obj, indent=2)
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _indent(level: int) -> str:
+    return "\n" + "  " * level
+
+
+def _encode(o, level: int) -> str:
+    """One value whose first line sits at indent ``level``, checked in the stdlib's order."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _FLOAT_WORDS.get(text, text)
+    if isinstance(o, (list, tuple)) and o:
+        template, cols = _layout(list(o), level + 1)
+        items = cols[0] if template == "%s" else [template % row for row in zip(*cols)]
+        inner = _indent(level + 1)
+        return "[" + inner + ("," + inner).join(items) + _indent(level) + "]"
+    if isinstance(o, dict) and o and all(isinstance(k, str) for k in o):
+        inner = _indent(level + 1)
+        items = (encode_basestring_ascii(k) + ": " + _encode(x, level + 1) for k, x in o.items())
+        return "{" + inner + ("," + inner).join(items) + _indent(level) + "}"
+    # empty containers, non-str keys, unknown types: the stdlib, re-indented
+    # (its text has no raw newline inside a string, so every newline is a line break)
+    return json.dumps(o, indent=2).replace("\n", _indent(level))
+
+
+def _layout(cells: list, level: int) -> tuple[str, list[list[str]]]:
+    """A ``%`` template and its leaf columns: cell b's text is template % (col[b] for col in cols).
+
+    A column of one scalar type is encoded in one pass; same-key records and
+    same-length lists nest their cells' templates, so each cell is formatted once.
+    """
+    kinds = set(map(type, cells))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is int:
+        return "%s", [list(map(int.__repr__, cells))]
+    if kind is float:
+        texts = list(map(float.__repr__, cells))
+        if not all(map(math.isfinite, cells)):
+            texts = [_FLOAT_WORDS.get(t, t) for t in texts]
+        return "%s", [texts]
+    if kind is str:
+        return "%s", [list(map(encode_basestring_ascii, cells))]
+    if kind is dict:
+        keys = tuple(cells[0])
+        if keys and all(isinstance(k, str) for k in keys) and all(map(keys.__eq__, map(tuple, cells))):
+            heads, cols = [], []
+            for key in keys:
+                sub, sub_cols = _layout([c[key] for c in cells], level + 1)
+                heads.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + sub)
+                cols += sub_cols
+            inner = _indent(level + 1)
+            return "{" + inner + ("," + inner).join(heads) + _indent(level) + "}", cols
+    if kind in (list, tuple):
+        width = len(cells[0])
+        if width and set(map(len, cells)) == {width}:
+            subs = [_layout(list(col), level + 1) for col in zip(*cells)]
+            inner = _indent(level + 1)
+            template = "[" + inner + ("," + inner).join(t for t, _ in subs) + _indent(level) + "]"
+            return template, [col for _, sub_cols in subs for col in sub_cols]
+    return "%s", [[_encode(c, level) for c in cells]]
 
 
 def _emit_csv(rows: list[dict], columns: list[str], out: Optional[str]):
@@ -302,15 +392,12 @@ def cmd_evaluate(args) -> dict:
                 )
         else:
             worst, ratios = welfare_ratio(table, v)
-            for p in v.space.profiles():
-                w = int(table.winner[p])
-                per_profile.append(
-                    {
-                        "profile": list(p),
-                        "winner": None if w == NO_WINNER else w + 1,
-                        "ratio": _num(float(ratios[p])),
-                    }
-                )
+            rows = zip(v.space.profiles(), table.winner.reshape(-1).tolist(),
+                       ratios.reshape(-1).tolist())
+            per_profile = [
+                {"profile": list(p), "winner": None if w == NO_WINNER else w + 1, "ratio": _num(r)}
+                for p, w, r in rows
+            ]
     except IncompatibleMechanism:
         raise  # reported as "incompatible" by main, like in every command
     except (ValidationError, CapExceeded) as e:
@@ -349,9 +436,7 @@ def cmd_search(args) -> dict:
         raise CliError("cap", str(e))
     obj = report.to_json()
     if args.witness and report.witness_table is not None:
-        with open(args.witness, "w") as fh:
-            json.dump(report.witness_table.to_json(), fh, indent=2)
-            fh.write("\n")
+        _write(_dumps(report.witness_table.to_json()), args.witness)
     _emit(obj, args.out)
     return obj
 
@@ -413,9 +498,12 @@ def _default_cap() -> int:
     env = os.environ.get("MECHLIB_CAP")
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise CliError("usage", f"MECHLIB_CAP must be an integer, got {env!r}") from None
+        if cap < 1:
+            raise CliError("usage", f"MECHLIB_CAP must be at least 1, got {env!r}")
+        return cap
     return 10_000_000
 
 
@@ -479,6 +567,8 @@ _HARD_DEFAULTS = {"seed": 0, "samples": 100_000, "format": "json"}
 
 def _apply_config(args):
     """Settle flag values: explicit flags beat the config file beat defaults."""
+    if getattr(args, "cap", None) is not None and args.cap < 1:
+        raise CliError("usage", f"--cap must be at least 1, got {args.cap}")
     if getattr(args, "config", None):
         conf = _load_json_file(args.config)
         if not isinstance(conf, dict):
@@ -490,6 +580,7 @@ def _apply_config(args):
             spec = _FLAGS[key]
             if spec.get("type") is int:
                 ok = isinstance(value, int) and not isinstance(value, bool)
+                ok = ok and (key != "cap" or value >= 1)
             elif key == "format":
                 ok = value in spec["choices"]
             else:  # a path or a name; an unknown mechanism name is refused where it is read
@@ -511,9 +602,14 @@ def _error_type(e: Exception) -> str:
     return "incompatible" if isinstance(e, IncompatibleMechanism) else "validation"
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on first use (parsing leaves it unchanged)."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _apply_config(args)
         args.func(args)

@@ -66,10 +66,10 @@ class AllocationTable:
         return None if w == NO_WINNER else w
 
     def to_json(self) -> dict:
-        flat = self.winner.reshape(-1)
+        flat = self.winner.reshape(-1).tolist()
         return {
             "sizes": list(self.space.sizes),
-            "winner": [None if w == NO_WINNER else int(w) + 1 for w in flat],
+            "winner": [None if w == NO_WINNER else w + 1 for w in flat],
         }
 
     @staticmethod
@@ -270,6 +270,8 @@ def lazy_winner(
     those levels in ascending order and stopping at the first trigger matches
     the table exactly, because once the entrant wins a cell it keeps every
     higher cell on that line.  Runs in O(n^2 k) valuation evaluations.
+    Without ``c=``, ``c`` is measured once per instance object: the first
+    call tabulates and scans the grid, later calls on ``v`` look it up.
 
     ``pi`` may order any non-empty subset of the bidders: the rule is then the
     grid coloring of that sub-market, the others held at their reports.

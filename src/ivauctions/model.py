@@ -10,7 +10,10 @@ module measures the two structural constants everything else depends on:
 * the concavity constant ``d``: how much an increment in one direction can
   grow as the remaining signals rise (d = 1 means concave).
 
-Both are exact suprema over the tabulated grid, not estimates.
+Both are exact suprema over the tabulated grid, not estimates.  Each is
+measured once per instance object: the first report is kept on the immutable
+instance, so later calls (every ``lazy_winner`` without ``c=``, say) look it
+up instead of tabulating and scanning the grid again.
 """
 
 from __future__ import annotations
@@ -118,13 +121,16 @@ class ValuationInstance:
     Exactly one representation: tabulated (``values`` is a dense (n, *grid)
     array) or backed by a deterministic evaluator ``batch_evaluate`` mapping a
     (B, n) integer array of profiles to their (B, n) values.  Instances are
-    immutable; all operations are pure and thread-safe.
+    immutable; all operations are pure and thread-safe.  ``_reports`` keeps
+    the crossing and concavity reports measured on this object; it takes no
+    part in ``==`` or ``repr``.
     """
 
     space: SignalSpace
     values: Optional[np.ndarray] = None
     name: str = ""
     batch_evaluate: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    _reports: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.values is None) == (self.batch_evaluate is None):
@@ -241,9 +247,12 @@ def check_value_monotone(v: ValuationInstance) -> list[tuple[int, int, tuple[int
 
     Empty list means every v_i is non-decreasing in every signal.
     """
-    dense = v.tabulated().values
+    return _monotone_violations(v.tabulated().values)
+
+
+def _monotone_violations(dense: np.ndarray) -> list[tuple[int, int, tuple[int, ...], float, float]]:
     violations = []
-    for axis in range(v.n):
+    for axis in range(dense.ndim - 1):
         diffs = np.diff(dense, axis=axis + 1)
         bad = np.argwhere(diffs < 0)
         for loc in bad:
@@ -294,7 +303,7 @@ def spot_check_value_monotone(
 
 def _require_monotone(v: ValuationInstance) -> np.ndarray:
     dense = v.tabulated().values
-    bad = check_value_monotone(v)
+    bad = _monotone_violations(dense)
     if bad:
         i, j, s, lo, hi = bad[0]
         raise ValidationError(
@@ -320,45 +329,52 @@ class CrossingReport:
 
 
 def single_crossing_report(v: ValuationInstance) -> CrossingReport:
-    dense = _require_monotone(v)
-    n = v.n
+    """Measured crossing constant, once per instance object.
+
+    The first call on ``v`` tabulates and scans the grid and keeps the report
+    on ``v``; later calls return it.  A non-monotone instance raises on every
+    call.
+    """
+    report = v._reports.get("c")
+    if report is None:
+        report = v._reports["c"] = _measure_crossing(_require_monotone(v))
+    return report
+
+
+def _measure_crossing(dense: np.ndarray) -> CrossingReport:
     best_raw = 0.0
     witness = None
-    infinite = False
-    for i in range(n):
-        diffs = np.diff(dense, axis=i + 1)  # (n, ..., k_i, ...)
+    for i in range(dense.shape[0]):
+        # axes (target j, profiles...); one pass compares every target with bidder i's own step
+        diffs = np.diff(dense, axis=i + 1)
         own = diffs[i]
-        for j in range(n):
-            if j == i:
-                continue
-            cross = diffs[j]
-            blow_up = (own == 0) & (cross > 0)
-            if np.any(blow_up):
-                if not infinite:
-                    loc = np.argwhere(blow_up)[0]
-                    p = list(int(x) for x in loc)
-                    p[i] += 1  # diff at index t compares signals t and t+1
-                    witness = (i, j, tuple(p))
-                    infinite = True
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(own > 0, cross / np.where(own > 0, own, 1.0), 0.0)
-            local = float(ratios.max()) if ratios.size else 0.0
-            if not infinite and local > best_raw:
-                best_raw = local
-                loc = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-                p = list(int(x) for x in loc)
-                p[i] += 1
-                witness = (i, j, tuple(p))
-    if infinite:
-        return CrossingReport(c=INFINITE, raw=INFINITE, witness=witness)
+        blow_up = (own == 0) & (diffs > 0)  # never on row i itself
+        if blow_up.any():
+            j, *loc = np.unravel_index(int(np.argmax(blow_up)), diffs.shape)
+            return CrossingReport(c=INFINITE, raw=INFINITE, witness=(i, int(j), _raised(loc, i)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(own > 0, diffs / np.where(own > 0, own, 1.0), 0.0)
+        ratios[i] = 0.0  # the own ratio is not a crossing
+        at = int(np.argmax(ratios))
+        if ratios.flat[at] > best_raw:
+            best_raw = float(ratios.flat[at])
+            j, *loc = np.unravel_index(at, diffs.shape)
+            witness = (i, int(j), _raised(loc, i))
     return CrossingReport(c=max(1.0, best_raw), raw=best_raw, witness=witness)
+
+
+def _raised(loc: Sequence[int], axis: int) -> tuple[int, ...]:
+    """The upper profile of the step at ``loc`` along ``axis`` (diff t compares t and t+1)."""
+    p = [int(x) for x in loc]
+    p[axis] += 1
+    return tuple(p)
 
 
 def compute_c(v: ValuationInstance) -> float:
     """Smallest c >= 1 with c * own-increment >= cross-increment everywhere.
 
     INFINITE when a zero own-increment coexists with a positive cross-increment.
+    Measured once per instance object (see ``single_crossing_report``).
     """
     return single_crossing_report(v).c
 
@@ -370,50 +386,51 @@ class ConcavityReport:
     witness: Optional[tuple[int, int, tuple[int, ...], tuple[int, ...]]]
 
 
-def _upset_max(arr: np.ndarray) -> np.ndarray:
-    """out[a] = max of arr over the coordinate-wise up-set of a."""
-    out = arr.copy()
-    for axis in range(arr.ndim):
+def _upset_max(arr: np.ndarray, axes: Iterable[int]) -> np.ndarray:
+    """out[a] = max of arr over the up-set of a along ``axes`` (the others held fixed)."""
+    out = arr
+    for axis in axes:
         out = np.flip(np.maximum.accumulate(np.flip(out, axis=axis), axis=axis), axis=axis)
     return out
 
 
 def concavity_report(v: ValuationInstance) -> ConcavityReport:
-    """Measured concavity constant d.
+    """Measured concavity constant d, once per instance object.
 
     For every value owner i, direction j, and signal level s_j >= 1, compares
     the j-increment at every context against the same increment at every
     coordinate-wise higher context.  d = max growth ratio (clamped at 1);
-    INFINITE when a zero increment sits below a positive one.
+    INFINITE when a zero increment sits below a positive one.  The witness is
+    the first maximizer (or the first blow-up) in (j, i, level, row-major
+    context) order.  Like ``single_crossing_report``, the first call keeps the
+    report on ``v`` and a non-monotone instance raises on every call.
     """
-    dense = _require_monotone(v)
-    n = v.n
+    report = v._reports.get("d")
+    if report is None:
+        report = v._reports["d"] = _measure_concavity(_require_monotone(v))
+    return report
+
+
+def _measure_concavity(dense: np.ndarray) -> ConcavityReport:
+    n = dense.shape[0]
     best_raw = 0.0
     witness = None
-    infinite = False
     for j in range(n):
-        diffs = np.diff(dense, axis=j + 1)  # (n, ..., k_j, ...)
-        for i in range(n):
-            slab_all = np.moveaxis(diffs[i], j, 0)  # (k_j, contexts...)
-            for t in range(slab_all.shape[0]):
-                low = slab_all[t]
-                high = _upset_max(low)
-                blow_up = (low == 0) & (high > 0)
-                if np.any(blow_up):
-                    if not infinite:
-                        loc = tuple(int(x) for x in np.argwhere(blow_up)[0])
-                        witness = (i, j, _context_profile(loc, j, t + 1), None)
-                        infinite = True
-                    continue
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratios = np.where(low > 0, high / np.where(low > 0, low, 1.0), 1.0)
-                local = float(ratios.max()) if ratios.size else 1.0
-                if not infinite and local > best_raw:
-                    best_raw = local
-                    loc = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-                    witness = (i, j, _context_profile(tuple(int(x) for x in loc), j, t + 1), None)
-    if infinite:
-        return ConcavityReport(d=INFINITE, raw=INFINITE, witness=witness)
+        # axes (i, s_j level, contexts...); one up-set max along every context axis
+        low = np.moveaxis(np.diff(dense, axis=j + 1), j + 1, 1)
+        high = _upset_max(low, range(2, low.ndim))
+        blow_up = (low == 0) & (high > 0)
+        if blow_up.any():
+            i, t, *ctx = np.unravel_index(int(np.argmax(blow_up)), low.shape)
+            profile = _context_profile(tuple(map(int, ctx)), j, int(t) + 1)
+            return ConcavityReport(d=INFINITE, raw=INFINITE, witness=(int(i), j, profile, None))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(low > 0, high / np.where(low > 0, low, 1.0), 1.0)
+        at = int(np.argmax(ratios))
+        if ratios.flat[at] > best_raw:
+            best_raw = float(ratios.flat[at])
+            i, t, *ctx = np.unravel_index(at, low.shape)
+            witness = (int(i), j, _context_profile(tuple(map(int, ctx)), j, int(t) + 1), None)
     return ConcavityReport(d=max(1.0, best_raw), raw=best_raw, witness=witness)
 
 
@@ -424,7 +441,10 @@ def _context_profile(context: tuple[int, ...], axis: int, level: int) -> tuple[i
 
 
 def compute_d(v: ValuationInstance) -> float:
-    """Smallest d >= 1 bounding how much increments grow as other signals rise."""
+    """Smallest d >= 1 bounding how much increments grow as other signals rise.
+
+    Measured once per instance object (see ``concavity_report``).
+    """
     return concavity_report(v).d
 
 

@@ -514,6 +514,64 @@ def test_malformed_mechlib_cap_is_a_usage_error(tight_file, monkeypatch, value):
     assert error["type"] == "usage" and "MECHLIB_CAP" in error["message"]
 
 
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_mechlib_cap_below_one_is_a_usage_error(tight_file, monkeypatch, value):
+    monkeypatch.setenv("MECHLIB_CAP", value)
+    for argv in (("search", tight_file), ("check", "--instance", tight_file)):
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "usage" and "MECHLIB_CAP" in error["message"], argv
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_cap_flag_below_one_is_a_usage_error(tight_file, value):
+    for argv in (("search", tight_file), ("check", "--instance", tight_file),
+                 ("generate", "oil_sc", "--params", "k=2")):
+        code, out, err = run_cli(*argv, "--cap", value)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "usage" and "--cap" in error["message"], argv
+
+
+@pytest.mark.parametrize("value", [-1, 0])
+def test_config_cap_below_one_is_a_usage_error(tight_file, tmp_path, value):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"cap": value}))
+    for argv in (("search", tight_file), ("check", "--instance", tight_file)):
+        code, out, err = run_cli(*argv, "--config", str(conf))
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "usage" and "'cap'" in error["message"], argv
+
+
+def test_cap_of_one_is_accepted(tight_file, monkeypatch):
+    code, _, err = run_cli("check", "--instance", tight_file, "--cap", "1")
+    assert code == 0, err
+    monkeypatch.setenv("MECHLIB_CAP", "1")
+    code, _, err = run_cli("search", tight_file)
+    assert code == 1 and json.loads(err)["error"]["type"] == "cap"
+
+
+def test_parser_is_built_once_and_reads_the_environment_per_call(tight_file, monkeypatch):
+    from ivauctions import cli
+
+    run_cli("check", "--instance", tight_file)
+    assert cli._parser() is cli._parser()
+    monkeypatch.setenv("MECHLIB_CAP", "-5")
+    assert run_cli("check", "--instance", tight_file)[0] == 1
+    monkeypatch.delenv("MECHLIB_CAP")
+    assert run_cli("check", "--instance", tight_file)[0] == 0
+    # argparse errors and --help still exit through SystemExit, every time
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("nonsense")
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli("check", "--help")
+        assert exc.value.code == 0
+
+
 def test_console_entry_point(tight_file):
     proc = subprocess.run(
         [sys.executable, "-m", "ivauctions.cli", "check", "--instance", tight_file],

@@ -19,6 +19,7 @@ from ivauctions import (
     check_allocation_monotone,
     check_expost_truthful,
     compute_c,
+    concavity_report,
     critical_signal,
     generalized_vcg,
     high_if_possible,
@@ -28,6 +29,7 @@ from ivauctions import (
     lazy_winners,
     outcome,
     random_hypergrid_outcome,
+    single_crossing_report,
     two_bidder_coloring,
     welfare_ratio,
 )
@@ -330,6 +332,47 @@ def test_lazy_chains_counted_evaluations(finite_c_corpus):
             assert counts["rows"] <= len(orders) * (n - 1) * (k + 1), (name, s)
             assert counts["calls"] <= (n - 1) * (k + 1)  # one batched call per scan step
             assert batch.tolist() == lazy_winners(v, orders, s, c=c).tolist()
+
+
+def test_lazy_winner_measures_c_once_per_instance():
+    """Without c=, the first call tabulates once; later calls evaluate only the chain."""
+    import random as _random
+
+    rng = _random.Random(7)
+    for v in (gen.gen_random_tabulated(3, 4, seed=8)[0], gen.gen_oil_no_sc(5),
+              gen.gen_random_separable(4, 2, 2.0, seed=3)):
+        n, k = v.n, max(v.space.sizes)
+        chain = (n - 1) * (k + 1)
+        counted, counts = _counting(v)
+        before = (counted, repr(counted))
+        profiles = [tuple(rng.randint(0, kb) for kb in v.space.sizes) for _ in range(6)]
+        pi = tuple(rng.sample(range(n), n))
+        w = lazy_winner(counted, pi, profiles[0])
+        assert counts["rows"] <= v.space.profile_count + chain  # one tabulation in all
+        for s in profiles:
+            counts["rows"] = 0
+            assert lazy_winner(counted, pi, s) == lazy_winner(v, pi, s, c=compute_c(v))
+            assert counts["rows"] <= chain, s
+        assert w == lazy_winner(v, pi, profiles[0])
+        assert (counted, repr(counted)) == before  # the kept report is not part of == or repr
+        # an equal but distinct instance measures again
+        fresh = ValuationInstance(space=counted.space, batch_evaluate=counted.batch_evaluate)
+        assert fresh == counted and repr(fresh) == repr(counted)
+        counts["rows"] = 0
+        lazy_winner(fresh, pi, profiles[0])
+        assert v.space.profile_count <= counts["rows"] <= v.space.profile_count + chain
+
+
+def test_reports_are_kept_but_nonmonotone_raises_every_call():
+    v = gen.gen_random_tabulated(2, 5, seed=4)[0]
+    assert single_crossing_report(v) is single_crossing_report(v)
+    assert concavity_report(v) is concavity_report(v)
+    vals = np.array([[[0.0, 1.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    bad = ValuationInstance(space=SignalSpace((1, 1)), values=vals)
+    for _ in range(2):
+        for measure in (single_crossing_report, concavity_report, compute_c):
+            with pytest.raises(ValidationError, match="not monotone"):
+                measure(bad)
 
 
 def test_values_at_batch_evaluator_and_tabulated_agree():
