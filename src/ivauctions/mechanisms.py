@@ -28,7 +28,6 @@ from .model import (
     ValuationInstance,
     _context_profile,
     compute_c,
-    validate_permutation,
 )
 
 NO_WINNER = -1
@@ -233,28 +232,33 @@ def hypergrid_coloring(
     the winner from the layer below and reallocates to the entrant whenever the
     standing winner fails the (j-1)c test against the best of the first j
     bidders or the c test against the entrant itself.
+
+    ``pi`` may order any non-empty subset of the bidders (``lazy_winner``'s
+    contract): the others keep their whole axis in every iteration and never
+    win, so each slice of the table is the sub-market at their reports.
     """
-    order = validate_permutation(pi, v.n)
+    order = _validate_order(pi, v.n)
     c = _required_c(v, c)
     dense = v.tabulated().values
     winner = np.full(v.space.shape, NO_WINNER, dtype=np.int32)
     for it, j in enumerate(order):
-        first = order[: it + 1]
-        # the sub-grid of the first it+1 bidders, the rest at signal 0 (a view)
-        sub = tuple(slice(None) if a in first else 0 for a in range(v.n))
+        first, later = order[: it + 1], order[it + 1 :]
+        # bidders yet to enter sit at signal 0, the rest keep their whole axis (a view)
+        sub = tuple(0 if a in later else slice(None) for a in range(v.n))
         if it == 0:
             winner[sub] = j
             continue
-        ax = sorted(first).index(j)  # the sub-grid keeps bidders in index order
+        ax = sum(a not in later for a in range(j))  # the view keeps its axes in bidder order
         layers = np.moveaxis(winner[sub], ax, 0)
         vals = np.moveaxis(dense[(slice(None),) + sub], ax + 1, 1)
         top = vals[list(first)].max(axis=0)
+        cells = np.indices(layers.shape[1:], sparse=True)  # with w, picks each cell's winner value
         thresh = it * c  # iteration number it+1 uses the ((it+1)-1)c test
         for sj in range(len(layers)):
             if sj:
                 layers[sj] = layers[sj - 1]
             w = layers[sj]
-            vw = np.take_along_axis(vals[:, sj], w[None], axis=0)[0]
+            vw = vals[:, sj][(w, *cells)]
             layers[sj] = np.where((top[sj] > thresh * vw) | (vals[j, sj] > c * vw), j, w)
     return AllocationTable(space=v.space, winner=winner)
 
@@ -264,36 +268,19 @@ def lazy_winner(
 ) -> int:
     """Winner of the grid coloring at one profile, without building the table.
 
-    Follows the tentative winner along the chain of intermediate profiles.  At
-    each iteration the entrant takes over iff the standing winner trips the
-    reallocation test at any signal level up to the entrant's report; scanning
-    those levels in ascending order and stopping at the first trigger matches
-    the table exactly, because once the entrant wins a cell it keeps every
-    higher cell on that line.  Runs in O(n^2 k) valuation evaluations.
-    Without ``c=``, ``c`` is measured once per instance object: the first
-    call tabulates and scans the grid, later calls on ``v`` look it up.
+    Follows the tentative winner along the chain of intermediate profiles: a
+    one-row ``lazy_winners``, at most (n-1)(k+1) profile evaluations in n-1
+    batched calls.  Without ``c=``, ``c`` is measured once per instance
+    object: the first call tabulates and scans the grid, later calls on ``v``
+    look it up.
 
     ``pi`` may order any non-empty subset of the bidders: the rule is then the
     grid coloring of that sub-market, the others held at their reports.
     """
-    order = tuple(int(x) for x in pi)
-    if not order or len(set(order)) != len(order) or not all(0 <= b < v.n for b in order):
-        raise ValidationError(f"{order} is not an ordering of distinct bidders in 0..{v.n - 1}")
-    p = v.space.validate_profile(s)
+    order = _validate_order(pi, v.n)
+    p = np.asarray(v.space.validate_profile(s), dtype=np.intp)
     c = _required_c(v, c)
-    return _lazy_chain(v, order, p, c, trace=None)
-
-
-def lazy_winner_trace(
-    v: ValuationInstance, pi: Sequence[int], s: Sequence[int], c: Optional[float] = None
-) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
-    """Winner plus the per-iteration (tentative winner, intermediate profile) chain."""
-    order = validate_permutation(pi, v.n)
-    p = v.space.validate_profile(s)
-    c = _required_c(v, c)
-    trace: list[tuple[int, tuple[int, ...]]] = []
-    w = _lazy_chain(v, order, p, c, trace=trace)
-    return w, trace
+    return int(_lazy_chain(v, np.array([order], dtype=np.intp), p, c)[0])
 
 
 def lazy_winners(
@@ -305,18 +292,21 @@ def lazy_winners(
     """Grid-mechanism winners at one profile for a batch of orderings.
 
     Entry b is ``lazy_winner(v, orders[b], s, c)`` for every row of the
-    (B, n) array ``orders``.  The same chain runs once over all rows: a
-    per-row prefix mask picks the first it+1 bidders of each ordering, a
-    per-row scanning mask stops a row at its first trigger, and the
-    reallocation test is the scalar chain's, in the same float64 arithmetic.
-    Evaluates at most B (n-1)(k+1) profiles, in batches through
-    ``values_at_batch``.  The scalar chain stays the rule for single profiles:
-    a batch of one costs several times more in NumPy call overhead.
+    (B, n) array ``orders``: the same chain, run once over all rows.
+    Evaluates at most B (n-1)(k+1) profiles in n-1 ``values_at_batch`` calls.
     """
     P = _validate_orders(orders, v.n)
     p = np.asarray(v.space.validate_profile(s), dtype=np.intp)
     c = _required_c(v, c)
-    return _lazy_chain_batch(v, P, p, c)
+    return _lazy_chain(v, P, p, c)
+
+
+def _validate_order(pi: Sequence[int], n: int) -> tuple[int, ...]:
+    """An ordering of a non-empty subset of the bidders 0..n-1."""
+    order = tuple(int(x) for x in pi)
+    if not order or len(set(order)) != len(order) or not all(0 <= b < n for b in order):
+        raise ValidationError(f"{order} is not an ordering of distinct bidders in 0..{n - 1}")
+    return order
 
 
 def _validate_orders(orders, n: int) -> np.ndarray:
@@ -331,74 +321,38 @@ def _validate_orders(orders, n: int) -> np.ndarray:
     return P
 
 
-def _lazy_chain(v, order, p, c, trace):
-    w = order[0]
-    base = list(p)  # bidders outside the ordering stay at their reports
-    for b in order[1:]:
-        base[b] = 0
-    if trace is not None:
-        trace.append((w, tuple(base)))
-    first = np.fromiter(order, dtype=np.intp)
-    last_profile = None  # one-deep cache: consecutive scans share a profile
-    last_vals = None
-    for it in range(1, len(order)):
-        j = order[it]
-        thresh = it * c
-        fa = first[: it + 1]
-        for sj in range(p[j] + 1):
-            base[j] = sj
-            tp = tuple(base)
-            if tp == last_profile:
-                vals = last_vals
-            else:
-                vals = v.values_at(tp)
-                last_profile, last_vals = tp, vals
-            vw = vals[w]
-            if vals[fa].max() > thresh * vw or vals[j] > c * vw:
-                w = j
-                break
-        base[j] = p[j]
-        if trace is not None:
-            trace.append((w, tuple(base)))
-    return w
+def _lazy_chain(v, orders, p, c):
+    """Grid winners at profile ``p`` for each row of a (B, m) array of orderings.
 
-
-def _lazy_chain_batch(v, orders, p, c):
-    B, n = orders.shape
+    Bidders outside a row's ordering keep their reports; its entrants after
+    the first start at signal 0.  For each entrant j, one ``values_at_batch``
+    call evaluates every row at j's levels 0..p_j, and j takes over iff some
+    level trips the reallocation test: the table scans those levels upward
+    and the first trigger wins, so any trigger decides the same winner.
+    """
+    B, m = orders.shape
     rows = np.arange(B)
     w = orders[:, 0].copy()
-    base = np.zeros((B, n), dtype=np.intp)
-    base[rows, w] = p[w]
-    prefix = np.zeros((B, n), dtype=bool)
-    prefix[rows, w] = True
-    cur = np.empty((B, n), dtype=np.float64)  # values at each row's last evaluated profile
-    fresh = np.zeros(B, dtype=bool)  # cur already holds the row's current base
-    for it in range(1, n):
+    base = np.repeat(p[None], B, axis=0)
+    base[rows[:, None], orders[:, 1:]] = 0
+    entered = np.zeros(base.shape, dtype=bool)
+    entered[rows, w] = True
+    for it in range(1, m):
         j = orders[:, it]
-        thresh = it * c
-        prefix[rows, j] = True
-        pj = p[j]
-        scanning = np.ones(B, dtype=bool)
-        last = np.zeros(B, dtype=np.intp)
-        for sj in range(int(pj.max(initial=0)) + 1):
-            act = np.flatnonzero(scanning & (pj >= sj))
-            if act.size == 0:
-                break
-            ja = j[act]
-            base[act, ja] = sj
-            need = act if sj else act[~fresh[act]]  # the one-deep cache of the scalar chain
-            if need.size:
-                cur[need] = v.values_at_batch(base[need])
-            vals = cur[act]
-            at = np.arange(act.size)
-            vw = vals[at, w[act]]
-            top = np.where(prefix[act], vals, -np.inf).max(axis=1)
-            won = act[(top > thresh * vw) | (vals[at, ja] > c * vw)]
-            w[won] = j[won]
-            scanning[won] = False
-            last[act] = sj
-        base[rows, j] = pj
-        fresh = last == pj
+        entered[rows, j] = True
+        levels = p[j] + 1
+        starts = np.cumsum(levels) - levels
+        at = np.repeat(rows, levels)  # the row of each evaluated profile
+        ev = np.arange(len(at))
+        ja = j[at]
+        profiles = base[at]
+        profiles[ev, ja] = ev - starts[at]
+        vals = v.values_at_batch(profiles)
+        vw = vals[ev, w[at]]
+        top = np.where(entered[at], vals, -np.inf).max(axis=1)
+        hit = (top > (it * c) * vw) | (vals[ev, ja] > c * vw)
+        w = np.where(np.logical_or.reduceat(hit, starts), j, w)
+        base[rows, j] = p[j]
     return w
 
 
@@ -616,40 +570,3 @@ def as_table(rule: Union[Rule, AllocationTable], v: ValuationInstance) -> Alloca
         w = rule(p)
         winner[p] = NO_WINNER if w is None else w
     return AllocationTable(space=v.space, winner=winner)
-
-
-def check_hypergrid_internal_chain(
-    v: ValuationInstance,
-    pi: Sequence[int],
-    s: Sequence[int],
-    c: Optional[float] = None,
-) -> None:
-    """Assert the two internal invariants of the grid mechanism at one profile.
-
-    The tentative winner's value never decreases along the iteration chain, and
-    the top bidder's value never jumps between consecutive intermediate
-    profiles by more than c^2 times the final winner's value.
-    """
-    c = _required_c(v, c)
-    w, trace = lazy_winner_trace(v, pi, s, c=c)
-    p = v.space.validate_profile(s)
-    chain_vals = [v.value(b, q) for b, q in trace]
-    for a, b in zip(chain_vals, chain_vals[1:]):
-        if b < a - 1e-12 * max(1.0, abs(a)):
-            raise AssertionError(
-                f"tentative winner value decreased {a} -> {b} along {pi} at {p}"
-            )
-    vals = v.values_at(p)
-    istar = _argmax_lowest(vals)
-    bound = c * c * v.value(w, p)
-    prev = v.value(istar, trace[0][1])
-    start = v.value(istar, tuple([0] * v.n))
-    if prev - start > bound + 1e-9 * max(1.0, bound):
-        raise AssertionError("first iteration moved the top value by more than c^2 * winner")
-    for _, q in trace[1:]:
-        cur = v.value(istar, q)
-        if cur - prev > bound + 1e-9 * max(1.0, bound):
-            raise AssertionError(
-                f"top bidder's value jumped {prev} -> {cur} > c^2 * winner value {bound}"
-            )
-        prev = cur

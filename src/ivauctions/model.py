@@ -13,11 +13,15 @@ module measures the two structural constants everything else depends on:
 Both are exact suprema over the tabulated grid, not estimates.  Each is
 measured once per instance object: the first report is kept on the immutable
 instance, so later calls (every ``lazy_winner`` without ``c=``, say) look it
-up instead of tabulating and scanning the grid again.
+up instead of tabulating and scanning the grid again.  An evaluator-backed
+instance keeps its dense copy too, and the monotonicity check is run once, so
+the second report, and every grid table built on the instance, neither
+evaluates the grid nor checks monotonicity again.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -78,7 +82,7 @@ class SignalSpace:
 
     def profiles(self) -> Iterator[tuple[int, ...]]:
         """All profiles in row-major order (last coordinate fastest)."""
-        return iter(np.ndindex(*self.shape))
+        return itertools.product(*map(range, self.shape))
 
     def index_of(self, profile: Sequence[int]) -> int:
         """Row-major index: sum_i s_i * prod_{j>i} (k_j + 1).  Part of the JSON contract."""
@@ -88,8 +92,17 @@ class SignalSpace:
         return idx
 
     def validate_profile(self, profile: Sequence[int]) -> tuple[int, ...]:
+        """``profile`` as a tuple of ints on the grid; anything else raises ValidationError.
+
+        Integer types other than ``int`` (a bool, a NumPy integer) are read
+        through ``operator.index``, so ``True`` is signal 1 and ``np.True_``
+        is refused.
+        """
+        p = tuple(profile)
+        if len(p) == self.n and all(type(s) is int and 0 <= s <= k for s, k in zip(p, self.sizes)):
+            return p  # plain ints on the grid: the common case, nothing to convert
         try:
-            p = tuple(operator.index(s) for s in profile)
+            p = tuple(operator.index(s) for s in p)
         except TypeError as e:
             raise ValidationError(f"signals must be integers: {e}") from None
         if len(p) != self.n:
@@ -122,8 +135,9 @@ class ValuationInstance:
     array) or backed by a deterministic evaluator ``batch_evaluate`` mapping a
     (B, n) integer array of profiles to their (B, n) values.  Instances are
     immutable; all operations are pure and thread-safe.  ``_reports`` keeps
-    the crossing and concavity reports measured on this object; it takes no
-    part in ``==`` or ``repr``.
+    what is measured on this object (the crossing and concavity reports, the
+    monotonicity check, an evaluator-backed instance's dense copy); it takes
+    no part in ``==`` or ``repr``.
     """
 
     space: SignalSpace
@@ -156,25 +170,17 @@ class ValuationInstance:
         """Bidder's value at one profile; a profile off the grid raises ValidationError."""
         if not 0 <= bidder < self.n:
             raise ValidationError(f"bidder {bidder} out of range")
-        p = tuple(profile)
+        p = self.space.validate_profile(profile)
         if self.values is not None:
-            try:  # NumPy refuses signals above the grid; below it they would wrap
-                if len(p) == self.n and min(p) >= 0:
-                    return float(self.values[(bidder,) + p])
-            except (TypeError, IndexError):
-                pass
-        return float(self.values_at_batch(np.array([self.space.validate_profile(p)]))[0, bidder])
+            return float(self.values[(bidder,) + p])
+        return float(self.values_at_batch(np.array([p]))[0, bidder])
 
     def values_at(self, profile: Sequence[int]) -> np.ndarray:
         """All n values at one profile; a profile off the grid raises ValidationError."""
-        p = tuple(profile)
+        p = self.space.validate_profile(profile)
         if self.values is not None:
-            try:
-                if len(p) == self.n and min(p) >= 0:
-                    return self.values[(slice(None),) + p]
-            except (TypeError, IndexError):
-                pass
-        return self.values_at_batch(np.array([self.space.validate_profile(p)]))[0]
+            return self.values[(slice(None),) + p]
+        return self.values_at_batch(np.array([p]))[0]
 
     def values_at_batch(self, profiles: np.ndarray) -> np.ndarray:
         """All n values at each row of a (B, n) integer array of profiles, as (B, n).
@@ -187,13 +193,17 @@ class ValuationInstance:
         return np.asarray(self.batch_evaluate(P), dtype=np.float64)
 
     def tabulated(self) -> "ValuationInstance":
-        """Dense copy.  Refuses above the global profile cap rather than sampling.
+        """Dense copy, built once per instance object and kept in ``_reports``.
 
-        The cap is the global one, not the space's declared bound, so
-        evaluator-backed instances on deliberately huge grids still refuse.
+        Refuses above the global profile cap rather than sampling.  The cap is
+        the global one, not the space's declared bound, so evaluator-backed
+        instances on deliberately huge grids still refuse.
         """
         if self.values is not None:
             return self
+        dense = self._reports.get("tabulated")
+        if dense is not None:
+            return dense
         count = self.space.profile_count
         if count > DEFAULT_PROFILE_CAP:
             raise CapExceeded(f"cannot tabulate {count} profiles (cap {DEFAULT_PROFILE_CAP})")
@@ -203,7 +213,9 @@ class ValuationInstance:
             hi = min(lo + _TABULATE_CHUNK, count)
             rows = np.stack(np.unravel_index(np.arange(lo, hi), self.space.shape), axis=1)
             flat[:, lo:hi] = self.values_at_batch(rows).T
-        return ValuationInstance(space=self.space, values=arr, name=self.name)
+        dense = ValuationInstance(space=self.space, values=arr, name=self.name)
+        self._reports["tabulated"] = dense
+        return dense
 
 
 def mean_and_stderr(draws: Iterable[float]) -> tuple[float, float]:
@@ -302,14 +314,17 @@ def spot_check_value_monotone(
 
 
 def _require_monotone(v: ValuationInstance) -> np.ndarray:
+    """The dense table of a monotone ``v``, checked once per instance object."""
     dense = v.tabulated().values
-    bad = _monotone_violations(dense)
-    if bad:
-        i, j, s, lo, hi = bad[0]
-        raise ValidationError(
-            f"valuations not monotone: v_{i} drops {lo} -> {hi} "
-            f"when bidder {j}'s signal rises to reach {s}"
-        )
+    if "monotone" not in v._reports:
+        bad = _monotone_violations(dense)
+        if bad:
+            i, j, s, lo, hi = bad[0]
+            raise ValidationError(
+                f"valuations not monotone: v_{i} drops {lo} -> {hi} "
+                f"when bidder {j}'s signal rises to reach {s}"
+            )
+        v._reports["monotone"] = True
     return dense
 
 

@@ -6,7 +6,8 @@ averages over all n! bidder orderings certify the randomized bounds, and the
 closed forms for the no-crossing construction are checked against direct
 enumeration.  The search and the closed forms share no code with the
 mechanisms they judge; the ordering averages run the grid mechanism's own lazy
-chain, which tests tie to the materialized ``hypergrid_coloring`` tables.
+chain, which tests tie to the materialized ``hypergrid_coloring`` tables and
+to a literal scalar chain kept outside the package.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 # lazy_winner stays importable from here: callers and the benchmark's tracer
-# reach the scalar chain through this module's namespace.
+# reach the one-row lazy chain through this module's namespace.
 from .mechanisms import AllocationTable, lazy_winner, lazy_winners  # noqa: F401
 from .model import (
     INFINITE,

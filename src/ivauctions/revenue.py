@@ -23,6 +23,8 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+# lazy_winner is bound here, as in ``oracle``: sampled grid rules and the
+# benchmark's tracer reach the lazy chain through this module's namespace.
 from .mechanisms import (
     AllocationTable,
     IncompatibleMechanism,
@@ -30,6 +32,7 @@ from .mechanisms import (
     _as_rule,
     critical_signal,
     high_if_possible,
+    hypergrid_coloring,
     lazy_winner,
     outcome,
 )
@@ -309,8 +312,12 @@ class HypergridFamily(RuleFamily):
 
     With a fixed ordering the family is deterministic and restrictions use the
     induced order on the subset; without one, every restriction is uniformly
-    random over the subset's orderings.  A restricted rule is the lazy chain on
-    the full instance, ordering only the subset.
+    random over the subset's orderings.  A restricted rule is the grid
+    coloring of the full instance for the ordering of the subset alone; no
+    sub-instance is built.  The exact enumeration reads every ordering at every
+    support profile, so there each rule is the ordering's ``hypergrid_coloring``
+    table; a sampled draw reads one profile's lines, so there it is the lazy
+    chain, which keeps nothing grid-sized per ordering.
     """
 
     def __init__(
@@ -322,24 +329,29 @@ class HypergridFamily(RuleFamily):
         if not math.isfinite(self.c):
             raise IncompatibleMechanism("grid family needs a finite crossing constant")
 
-    def _rule(self, order: tuple[int, ...]) -> Rule:
-        if order not in self._rules:
-            self._rules[order] = lambda profile: lazy_winner(self.v, order, profile, c=self.c)
-        return self._rules[order]
+    def _rule(self, order: tuple[int, ...], table: bool) -> Rule:
+        key = (order, table)
+        if key not in self._rules:
+            if table:
+                self._rules[key] = _as_rule(hypergrid_coloring(self.v, order, c=self.c))
+            else:
+                self._rules[key] = lambda profile: lazy_winner(self.v, order, profile, c=self.c)
+        return self._rules[key]
 
     def realizations(self, bidders):
         if self.pi is None:
             orders = list(permutations(bidders))
         else:
             orders = [tuple(b for b in self.pi if b in bidders)]
-        return [(1.0 / len(orders), self._rule(order)) for order in orders]
+        return [(1.0 / len(orders), self._rule(order, table=True)) for order in orders]
 
     def sample_rule(self, bidders, rng):
-        if self.pi is not None:
-            return super().sample_rule(bidders, rng)
-        order = list(bidders)
-        rng.shuffle(order)
-        return self._rule(tuple(order))
+        if self.pi is None:
+            order = list(bidders)
+            rng.shuffle(order)
+        else:
+            order = [b for b in self.pi if b in bidders]
+        return self._rule(tuple(order), table=False)
 
     def realization_count(self, market_size: int) -> int:
         return 1 if self.pi is not None else math.factorial(max(1, market_size))
@@ -447,8 +459,9 @@ class ReserveBackedMechanism:
     _quotes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.alpha < 1 or self.d < 1 or not 0 < self.p <= 1:
-            raise ValidationError("need alpha >= 1, d >= 1, 0 < p <= 1")
+        finite = math.isfinite(self.alpha) and math.isfinite(self.d)
+        if not finite or self.alpha < 1 or self.d < 1 or not 0 < self.p <= 1:
+            raise ValidationError("need finite alpha >= 1 and d >= 1, and 0 < p <= 1")
 
     @property
     def branch_a_prob(self) -> float:

@@ -37,7 +37,6 @@ from ivauctions import (
 )
 from ivauctions import instances as gen
 from ivauctions.mechanisms import (
-    check_hypergrid_internal_chain,
     critical_signal_scan,
     random_permutation,
 )
@@ -51,6 +50,8 @@ from ivauctions.revenue import (
     lookahead_benchmark_family,
     uniform_product_prior,
 )
+
+from reference import check_hypergrid_internal_chain
 
 REL = 1e-9
 

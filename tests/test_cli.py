@@ -374,6 +374,20 @@ def test_revenue_zero_samples_is_a_typed_error(tmp_path, prior_file):
     assert json.loads(err)["error"] == {"type": "revenue", "message": "need at least one sample"}
 
 
+@pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--d", "nan"), ("--alpha", "inf")])
+def test_revenue_non_finite_parameter_is_a_typed_error(tmp_path, prior_file, flag, value):
+    """A NaN or infinite alpha, or a NaN d, is refused before any revenue is summed."""
+    path = tmp_path / "t22.json"
+    run_cli("generate", "two_by_two_tight", "--params", "c=2", "--out", str(path))
+    code, out, err = run_cli(
+        "revenue", "--instance", str(path), "--mechanism", "high-if-possible",
+        "--prior", prior_file, flag, value,
+    )
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "revenue" and "finite" in error["message"]
+
+
 @pytest.mark.parametrize(
     "prior",
     [

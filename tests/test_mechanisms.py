@@ -38,12 +38,13 @@ from ivauctions.mechanisms import (
     NO_WINNER,
     as_table,
     check_expost_truthful_literal,
-    check_hypergrid_internal_chain,
     critical_signal_scan,
-    lazy_winner_trace,
 )
 from ivauctions.model import restrict_bidders
 from ivauctions.oracle import exact_random_hypergrid_stats, optimal_welfare
+
+import reference
+from reference import check_hypergrid_internal_chain, lazy_winner_trace
 
 REL = 1e-9
 
@@ -277,7 +278,7 @@ def test_lazy_trace_ends_at_winner():
 
 
 def test_lazy_winners_match_scalar_chain(finite_c_corpus):
-    """The batched chain gives the scalar chain's winner on every row.
+    """The array chain, one row or a batch, gives the reference scalar chain's winner.
 
     Every ordering on instances with n <= 4, 40 seeded orderings otherwise;
     eight seeded profiles per instance plus the top corner.
@@ -293,8 +294,9 @@ def test_lazy_winners_match_scalar_chain(finite_c_corpus):
         profiles = [tuple(rng.randint(0, k) for k in v.space.sizes) for _ in range(8)]
         profiles.append(v.space.sizes)
         for s in profiles:
-            batch = lazy_winners(v, orders, s, c=c)
-            assert batch.tolist() == [lazy_winner(v, pi, s, c=c) for pi in orders], (name, s)
+            expected = [reference.lazy_winner(v, pi, s, c=c) for pi in orders]
+            assert lazy_winners(v, orders, s, c=c).tolist() == expected, (name, s)
+            assert [lazy_winner(v, pi, s, c=c) for pi in orders] == expected, (name, s)
 
 
 def _counting(v):
@@ -310,7 +312,8 @@ def _counting(v):
 
 
 def test_lazy_chains_counted_evaluations(finite_c_corpus):
-    """Scalar: <= (n-1)(k+1) profiles, so <= n^2 (k+1) values; batch: <= B (n-1)(k+1) rows."""
+    """One call per entrant: one ordering evaluates <= (n-1)(k+1) profiles, so <= n^2 (k+1)
+    values, and a batch of B orderings <= B (n-1)(k+1)."""
     import random as _random
 
     rng = _random.Random(43)
@@ -323,14 +326,14 @@ def test_lazy_chains_counted_evaluations(finite_c_corpus):
             for pi in orders:
                 counts["calls"] = counts["rows"] = 0
                 w = lazy_winner(counted, pi, s, c=c)
-                assert counts["rows"] == counts["calls"]  # one profile per scalar step
-                assert counts["calls"] <= (n - 1) * (k + 1), (name, pi, s)
-                assert counts["calls"] * n <= n * n * (k + 1)
+                assert counts["calls"] <= n - 1  # one batched call per entrant
+                assert counts["rows"] <= (n - 1) * (k + 1), (name, pi, s)
+                assert counts["rows"] * n <= n * n * (k + 1)
                 assert w == lazy_winner(v, pi, s, c=c)
             counts["calls"] = counts["rows"] = 0
             batch = lazy_winners(counted, orders, s, c=c)
             assert counts["rows"] <= len(orders) * (n - 1) * (k + 1), (name, s)
-            assert counts["calls"] <= (n - 1) * (k + 1)  # one batched call per scan step
+            assert counts["calls"] <= n - 1
             assert batch.tolist() == lazy_winners(v, orders, s, c=c).tolist()
 
 
@@ -375,6 +378,26 @@ def test_reports_are_kept_but_nonmonotone_raises_every_call():
                 measure(bad)
 
 
+def test_grid_tables_share_one_tabulation(monkeypatch):
+    """Tables of several orderings on an evaluator-backed grid evaluate each profile once."""
+    from ivauctions import model
+
+    lb = gen.gen_random_mech_lb(4, 2.0)
+    c = compute_c(lb)
+    counted, counts = _counting(lb)
+    checks = []
+    check = model._monotone_violations
+    monkeypatch.setattr(model, "_monotone_violations", lambda d: checks.append(1) or check(d))
+    orders = [(0, 1, 2, 3), (3, 0, 2, 1), (1, 2), (2,)]
+    for pi in orders:
+        assert np.array_equal(hypergrid_coloring(counted, pi, c=c).winner,
+                              hypergrid_coloring(lb, pi, c=c).winner)
+    assert counts["rows"] == lb.space.profile_count and not checks
+    assert compute_c(counted) == c
+    assert counts["rows"] == lb.space.profile_count and len(checks) == 1
+    assert counted.tabulated() is counted.tabulated()
+
+
 def test_values_at_batch_evaluator_and_tabulated_agree():
     v, _, _ = gen.gen_random_tabulated(3, 4, seed=5)
     backed = ValuationInstance(space=v.space, batch_evaluate=v.values_at_batch)
@@ -393,12 +416,14 @@ def test_lazy_sub_ordering_matches_restricted_table():
 
     The reference restricts the instance to the ordered bidders (the others
     fixed at their reports), tabulates it and colors it; one table serves
-    every profile of the kept bidders at one set of dropped signals.
+    every profile of the kept bidders at one set of dropped signals.  Both the
+    lazy chain and the full-grid table of the sub-ordering must agree with it.
     """
     checked = 0
     for n, k, seed in ((2, 3, 41), (3, 2, 42), (4, 1, 43), (4, 2, 44), (5, 1, 45)):
         v, c, _ = gen.gen_random_tabulated(n, k, seed=seed)
         assert math.isfinite(c)
+        full_tables = {}
         for mask in range(1, 2**n):
             keep = tuple(b for b in range(n) if mask >> b & 1)
             dropped = [b for b in range(n) if b not in keep]
@@ -411,12 +436,15 @@ def test_lazy_sub_ordering_matches_restricted_table():
                 for sub_order in permutations(range(len(keep))):
                     order = tuple(keep[i] for i in sub_order)
                     table = hypergrid_coloring(sub, sub_order, c=c)
+                    if order not in full_tables:
+                        full_tables[order] = hypergrid_coloring(v, order, c=c)
                     for sub_s in sub_space.profiles():
                         s = list(base)
                         for b, x in zip(keep, sub_s):
                             s[b] = x
-                        got = lazy_winner(v, order, s, c=c)
-                        assert got == keep[table.winner_at(sub_s)], (n, k, order, s)
+                        want = keep[table.winner_at(sub_s)]
+                        assert lazy_winner(v, order, s, c=c) == want, (n, k, order, s)
+                        assert full_tables[order].winner_at(s) == want, (n, k, order, s)
                         checked += 1
     assert checked > 10_000
 
@@ -426,6 +454,8 @@ def test_lazy_winner_rejects_bad_orderings():
     for bad in ((0, 0), (0, 1, 1), (0, 3), (-1, 2), ()):
         with pytest.raises(ValidationError):
             lazy_winner(v, bad, (1, 1, 1))
+        with pytest.raises(ValidationError):
+            hypergrid_coloring(v, bad)
     for bad in ((0, 2), ()):
         with pytest.raises(ValidationError):
             lazy_winner_trace(v, bad, (1, 1, 1))

@@ -135,6 +135,62 @@ def test_value_access_accepts_numpy_integer_profiles():
     assert lb.value(4, high) == lb.value(4, (1,) * 5)
 
 
+def test_value_access_reads_bool_signals_as_validate_profile_does():
+    """``True`` is signal 1, not a NumPy mask; ``np.True_`` has no integer reading and is refused."""
+    v, _, _ = gen.gen_random_tabulated(2, 3, seed=1)
+    lb = gen.gen_random_mech_lb(4, 2.0)
+    assert v.space.validate_profile((True, 1)) == (1, 1)
+    assert np.array_equal(v.values_at((True, 1)), v.values[:, 1, 1])
+    assert np.array_equal(v.values_at((False, True)), v.values[:, 0, 1])
+    assert v.value(0, (True, 1)) == v.value(0, (1, 1))
+    assert np.array_equal(lb.values_at((True,) * 5), lb.values_at((1,) * 5))
+    assert lb.value(4, (True,) * 5) == lb.value(4, (1,) * 5)
+    for inst, p in ((v, (np.True_, 1)), (lb, (np.True_,) + (1,) * 4)):
+        with pytest.raises(ValidationError):
+            inst.space.validate_profile(p)
+        with pytest.raises(ValidationError):
+            inst.values_at(p)
+        with pytest.raises(ValidationError):
+            inst.value(0, p)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (4,), (1, 1), (2, 3), (3, 1, 2), (1,) * 6, (70, 70)])
+def test_profiles_come_in_row_major_order(sizes):
+    """``profiles()`` walks the grid in ``np.ndindex`` order, as tuples of ints."""
+    space = SignalSpace(sizes)
+    got = list(space.profiles())
+    assert got == list(np.ndindex(*space.shape))
+    assert [space.index_of(p) for p in got] == list(range(space.profile_count))
+    assert all(type(s) is int for p in got for s in p)
+
+
+def test_reports_share_one_tabulation_and_monotonicity_check(monkeypatch):
+    """c then d on an evaluator-backed grid evaluate each profile once and check monotonicity once."""
+    from ivauctions import model
+
+    lb = gen.gen_random_mech_lb(4, 2.0)
+    rows, checks = [], []
+
+    def batch_evaluate(P):
+        rows.append(len(P))
+        return lb.values_at_batch(P)
+
+    check = model._monotone_violations
+
+    def counted_check(dense):
+        checks.append(dense.shape)
+        return check(dense)
+
+    monkeypatch.setattr(model, "_monotone_violations", counted_check)
+    counted = ValuationInstance(space=lb.space, batch_evaluate=batch_evaluate)
+    assert compute_c(counted) == compute_c(lb)
+    assert compute_d(counted) == compute_d(lb)
+    assert sum(rows) == lb.space.profile_count
+    assert len(checks) == 2  # one per instance: counted, then lb
+    assert single_crossing_report(counted) is single_crossing_report(counted)
+    assert sum(rows) == lb.space.profile_count and len(checks) == 2
+
+
 def test_instance_needs_exactly_one_representation():
     sp = SignalSpace((1, 1))
     values = np.zeros((2, 2, 2))

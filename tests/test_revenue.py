@@ -42,6 +42,8 @@ from ivauctions.revenue import (
     winning_reserve,
 )
 
+import reference
+
 REL = 1e-9
 
 
@@ -611,7 +613,7 @@ def _ref_realizations(v, kind, c, keep):
     else:
         orders = [tuple(b for b in kind if b in keep)]
     return [
-        (1.0 / len(orders), lambda p, o=o: lazy_winner(v, o, p, c=c)) for o in orders
+        (1.0 / len(orders), lambda p, o=o: reference.lazy_winner(v, o, p, c=c)) for o in orders
     ]
 
 
@@ -833,3 +835,25 @@ def test_monte_carlo_revenue_stream_is_pinned():
         1.4391006534476336,
         0.01509536009593692,
     )
+
+
+@pytest.mark.parametrize("pi", [None, (2, 0, 1)])
+def test_sampled_grid_revenue_builds_no_tables(monkeypatch, pi):
+    """A Monte Carlo draw reads one profile's lines, so the sampled path keeps one
+    lazy rule per drawn ordering and no grid table; the exact path keeps tables."""
+    v = gen.gen_random_separable(3, 2, 1.5, seed=43)
+    prior = uniform_product_prior(v.space)
+    c, d = compute_c(v), compute_d(v)
+    family = HypergridFamily(v, pi=pi, c=c)
+    mech = ReserveBackedMechanism(v=v, prior=prior, family=family, alpha=2 * c, d=d, p=0.5)
+    calls = _count_calls(monkeypatch, "hypergrid_coloring")
+    sampled, se = expected_revenue(mech, cap=1, samples=500, seed=5)
+    assert not calls and se > 0
+    orderings = sum(math.perm(3, m) for m in range(1, 4)) if pi is None else 2**3 - 1
+    assert 0 < len(family._rules) <= orderings
+    assert not any(table for _, table in family._rules)
+    exact_family = HypergridFamily(v, pi=pi, c=c)
+    exact = ReserveBackedMechanism(v=v, prior=prior, family=exact_family, alpha=2 * c, d=d, p=0.5)
+    assert expected_revenue(exact)[1] == 0.0
+    assert 0 < len(calls) == len(exact_family._rules) <= orderings
+    assert all(table for _, table in exact_family._rules)
