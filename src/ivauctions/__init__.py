@@ -14,16 +14,12 @@ from .model import (
     SignalSpace,
     ValidationError,
     ValuationInstance,
-    alpha_approximates,
     check_value_monotone,
     compute_c,
     compute_d,
     concavity_report,
-    discrete_derivative,
     instance_from_json,
     instance_to_json,
-    intermediate_profile,
-    restrict_bidders,
     single_crossing_report,
 )
 from .mechanisms import (
@@ -48,7 +44,6 @@ from .mechanisms import (
 from .oracle import (
     SearchReport,
     best_monotone_ratio,
-    closed_form_rand_impossibility,
     exact_random_hypergrid_stats,
     monte_carlo_random_hypergrid,
     optimal_welfare,

@@ -23,10 +23,13 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
+import numpy as np
+
 from . import instances, oracle, revenue
 from .mechanisms import (
     NO_WINNER,
     IncompatibleMechanism,
+    _ratios,
     generalized_vcg,
     high_if_possible,
     hypergrid_coloring,
@@ -39,7 +42,6 @@ from .mechanisms import (
 )
 from .model import (
     DEFAULT_PROFILE_CAP,
-    INFINITE,
     CapExceeded,
     ValidationError,
     compute_c,
@@ -162,8 +164,11 @@ def _ordering(mech: Mechanism, args, n: int) -> tuple[int, ...]:
 
 def _write(text: str, out: Optional[str]):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise CliError("io", f"cannot write {out}: {e.strerror or e}")
     else:
         print(text)
 
@@ -373,23 +378,23 @@ def cmd_evaluate(args) -> dict:
     else:
         table = mech.table(v, pi)
     prior = _load_prior(args.prior, v.space) if args.prior else None
-    per_profile = []
     try:
         if table is None:
-            worst = 1.0
+            means = []
             for p in v.space.profiles():
-                opt = oracle.optimal_welfare(v, p)
                 if v.n <= 8:
                     mean, _ = oracle.exact_random_hypergrid_stats(v, p, c=c)
                 else:
                     mean, _ = oracle.monte_carlo_random_hypergrid(
                         v, p, samples=args.samples, seed=args.seed, c=c
                     )
-                ratio = 1.0 if opt == 0 else (INFINITE if mean == 0 else opt / mean)
-                worst = max(worst, ratio)
-                per_profile.append(
-                    {"profile": list(p), "expected_value": mean, "ratio": _num(ratio)}
-                )
+                means.append(mean)
+            ratios = _ratios(v.values.max(axis=0).reshape(-1), np.array(means))
+            worst = max(1.0, float(ratios.max()))
+            per_profile = [
+                {"profile": list(p), "expected_value": mean, "ratio": _num(r)}
+                for p, mean, r in zip(v.space.profiles(), means, ratios.tolist())
+            ]
         else:
             worst, ratios = welfare_ratio(table, v)
             rows = zip(v.space.profiles(), table.winner.reshape(-1).tolist(),

@@ -32,6 +32,9 @@ from .model import (
 
 NO_WINNER = -1
 
+#: Utility slack of the truthfulness sweep, relative to the largest value (at least 1).
+REL_TOL = 1e-9
+
 Rule = Callable[[tuple[int, ...]], Optional[int]]
 
 
@@ -461,24 +464,28 @@ def welfare_ratio(
     Conventions: 0/0 is 1; a positive max with a zero-valued (or absent)
     winner is INFINITE.
     """
-    table = as_table(rule, v)
     dense = v.tabulated().values
-    maxv = dense.max(axis=0)
-    w = table.winner
-    has_winner = w != NO_WINNER
-    # an absent winner counts as a zero-valued one
-    picked = np.take_along_axis(dense, np.where(has_winner, w, 0)[None], axis=0)[0]
-    vw = np.where(has_winner, picked, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(maxv == 0, 1.0, np.where(vw == 0, INFINITE, maxv / vw))
+    ratios = _ratios(dense.max(axis=0), _winner_values(dense, as_table(rule, v).winner))
     return float(ratios.max()), ratios
+
+
+def _winner_values(dense: np.ndarray, winner: np.ndarray) -> np.ndarray:
+    """The winner's value at every profile; an absent winner counts as a zero-valued one."""
+    has_winner = winner != NO_WINNER
+    picked = np.take_along_axis(dense, np.where(has_winner, winner, 0)[None], axis=0)[0]
+    return np.where(has_winner, picked, 0.0)
+
+
+def _ratios(top: np.ndarray, won: np.ndarray) -> np.ndarray:
+    """``top / won`` over arrays, with the welfare conventions: 0/0 is 1, x/0 is INFINITE."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(top == 0, 1.0, np.where(won == 0, INFINITE, top / won))
 
 
 def check_expost_truthful(
     rule: Union[Rule, AllocationTable],
     v: ValuationInstance,
     payment: Union[str, Callable[[int, tuple[int, ...]], float]] = "critical",
-    rel_tol: float = 1e-9,
 ) -> list[tuple[tuple[int, ...], int, int, float, float]]:
     """Profitable deviations (profile, bidder, misreport, truthful u, deviating u).
 
@@ -491,7 +498,7 @@ def check_expost_truthful(
     table = as_table(rule, v)
     dense = v.tabulated().values
     scale = float(dense.max(initial=0.0))
-    tol = rel_tol * max(scale, 1.0)
+    tol = REL_TOL * max(scale, 1.0)
     violations = []
     for i in range(v.n):
         # bidder i's lines: (*other signals, own signal), contexts in row-major order
@@ -527,33 +534,6 @@ def check_expost_truthful(
     return violations
 
 
-def check_expost_truthful_literal(
-    rule: Union[Rule, AllocationTable], v: ValuationInstance, rel_tol: float = 1e-9
-) -> list[tuple[tuple[int, ...], int, int, float, float]]:
-    """Triple-loop deviation sweep using per-profile outcomes; cross-checks the fast path."""
-    win = _as_rule(rule)
-    scale = float(v.tabulated().values.max(initial=0.0))
-    tol = rel_tol * max(scale, 1.0)
-    violations = []
-    for p in v.space.profiles():
-        for i in range(v.n):
-            value = v.value(i, p)
-            truth = outcome(win, v, p)
-            u_truth = (value - truth.payment) if truth.winner == i else 0.0
-            if truth.winner == i and u_truth < -tol:
-                violations.append((p, i, p[i], u_truth, 0.0))
-            for b in range(v.space.sizes[i] + 1):
-                if b == p[i]:
-                    continue
-                q = list(p)
-                q[i] = b
-                dev = outcome(win, v, tuple(q))
-                u_dev = (value - dev.payment) if dev.winner == i else 0.0
-                if u_dev > u_truth + tol:
-                    violations.append((p, i, b, u_truth, u_dev))
-    return violations
-
-
 def _as_rule(rule: Union[Rule, AllocationTable]) -> Rule:
     """A table becomes its unchecked lookup: callers pass only profiles on the grid."""
     if isinstance(rule, AllocationTable):
@@ -562,9 +542,14 @@ def _as_rule(rule: Union[Rule, AllocationTable]) -> Rule:
 
 
 def as_table(rule: Union[Rule, AllocationTable], v: ValuationInstance) -> AllocationTable:
-    """Materialize a winner function over the whole grid (subject to the profile cap)."""
+    """Materialize a winner function over the whole grid (subject to the profile cap).
+
+    A table, or the lookup ``_as_rule`` made of one, is returned as it is.
+    """
     if isinstance(rule, AllocationTable):
         return rule
+    if getattr(rule, "__func__", None) is AllocationTable._lookup:
+        return rule.__self__
     winner = np.full(v.space.shape, NO_WINNER, dtype=np.int32)
     for p in v.space.profiles():
         w = rule(p)

@@ -240,20 +240,6 @@ def mean_and_stderr(draws: Iterable[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / count)
 
 
-def discrete_derivative(
-    v: ValuationInstance, target: int, direction: int, s: Sequence[int]
-) -> float:
-    """v_target(s) - v_target(s with s_direction lowered by one).  Needs s_direction >= 1."""
-    p = v.space.validate_profile(s)
-    if not 0 <= target < v.n or not 0 <= direction < v.n:
-        raise ValidationError("bidder index out of range")
-    if p[direction] < 1:
-        raise ValidationError(f"signal of bidder {direction} must be >= 1 at {p}")
-    lower = list(p)
-    lower[direction] -= 1
-    return v.value(target, p) - v.value(target, tuple(lower))
-
-
 def check_value_monotone(v: ValuationInstance) -> list[tuple[int, int, tuple[int, ...], float, float]]:
     """Violations of coordinate-wise monotonicity: (bidder, axis, profile, lower, upper).
 
@@ -463,60 +449,11 @@ def compute_d(v: ValuationInstance) -> float:
     return concavity_report(v).d
 
 
-def alpha_approximates(
-    v: ValuationInstance, i: int, j: int, s: Sequence[int], alpha: float
-) -> bool:
-    """True iff v_j(s) <= alpha * v_i(s).  Exact comparison, no epsilon."""
-    if alpha < 0:
-        raise ValidationError("alpha must be nonnegative")
-    p = v.space.validate_profile(s)
-    return v.value(j, p) <= alpha * v.value(i, p)
-
-
-def intermediate_profile(
-    s: Sequence[int], pi: Sequence[int], i: int
-) -> tuple[int, ...]:
-    """Profile keeping the signals of the first i bidders of ordering pi, zeroing the rest."""
-    n = len(s)
-    order = validate_permutation(pi, n)
-    if not 0 <= i <= n:
-        raise ValidationError(f"prefix length {i} out of range [0, {n}]")
-    out = [0] * n
-    for pos in range(i):
-        out[order[pos]] = int(s[order[pos]])
-    return tuple(out)
-
-
 def validate_permutation(pi: Sequence[int], n: int) -> tuple[int, ...]:
     order = tuple(int(x) for x in pi)
     if sorted(order) != list(range(n)):
         raise ValidationError(f"{order} is not a permutation of 0..{n - 1}")
     return order
-
-
-def restrict_bidders(
-    v: ValuationInstance, bidders: Sequence[int], fixed: Sequence[int]
-) -> ValuationInstance:
-    """Sub-market over ``bidders``: the rest report ``fixed`` and cannot win.
-
-    A batched view: each batch of sub-profiles is written into copies of the
-    full profile and evaluated with one ``values_at_batch`` call on ``v``, so
-    the dropped bidders' signals enter every evaluation as constants.
-    """
-    keep = tuple(int(b) for b in bidders)
-    if len(set(keep)) != len(keep) or any(not 0 <= b < v.n for b in keep):
-        raise ValidationError(f"bad bidder subset {keep}")
-    base = v.space.validate_profile(fixed)
-    sizes = tuple(v.space.sizes[b] for b in keep)
-    space = SignalSpace(sizes, profile_cap=v.space.profile_cap)
-    cols = list(keep)
-
-    def batch_evaluate(profiles: np.ndarray) -> np.ndarray:
-        full = np.tile(np.asarray(base), (len(profiles), 1))
-        full[:, cols] = profiles
-        return v.values_at_batch(full)[:, cols]
-
-    return ValuationInstance(space=space, batch_evaluate=batch_evaluate, name=v.name)
 
 
 # ---------------------------------------------------------------------------
@@ -536,18 +473,23 @@ def instance_to_json(v: ValuationInstance) -> dict:
 
 
 def instance_from_json(obj: dict, profile_cap: int = DEFAULT_PROFILE_CAP) -> ValuationInstance:
+    """Parse the wire form; missing keys or malformed entries raise ``ValidationError``."""
     if "sizes" not in obj or "values" not in obj:
         raise ValidationError("instance JSON needs 'sizes' and 'values'")
-    space = SignalSpace(tuple(obj["sizes"]), profile_cap=profile_cap)
-    rows = obj["values"]
-    if len(rows) != space.n:
-        raise ValidationError(f"expected {space.n} value rows, got {len(rows)}")
-    count = space.profile_count
-    arr = np.empty((space.n,) + space.shape, dtype=np.float64)
-    for i, row in enumerate(rows):
-        if len(row) != count:
-            raise ValidationError(
-                f"bidder {i} row has {len(row)} entries, expected {count}"
-            )
-        arr[i] = np.asarray(row, dtype=np.float64).reshape(space.shape)
-    return ValuationInstance(space=space, values=arr, name=str(obj.get("name", "")))
+    try:
+        space = SignalSpace(tuple(obj["sizes"]), profile_cap=profile_cap)
+        rows = obj["values"]
+        if len(rows) != space.n:
+            raise ValidationError(f"expected {space.n} value rows, got {len(rows)}")
+        count = space.profile_count
+        arr = np.empty((space.n,) + space.shape, dtype=np.float64)
+        for i, row in enumerate(rows):
+            if len(row) != count:
+                raise ValidationError(f"bidder {i} row has {len(row)} entries, expected {count}")
+            arr[i] = np.asarray(row, dtype=np.float64).reshape(space.shape)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"malformed instance: {e}") from e
+    name = obj.get("name")
+    return ValuationInstance(space=space, values=arr, name="" if name is None else str(name))

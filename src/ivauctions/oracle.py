@@ -1,13 +1,12 @@
 """Brute-force ground truth for the mechanisms.
 
 Exhaustive search over all monotone deterministic allocations certifies the
-impossibility instances (no monotone table can beat the claimed ratio), exact
-averages over all n! bidder orderings certify the randomized bounds, and the
-closed forms for the no-crossing construction are checked against direct
-enumeration.  The search and the closed forms share no code with the
-mechanisms they judge; the ordering averages run the grid mechanism's own lazy
-chain, which tests tie to the materialized ``hypergrid_coloring`` tables and
-to a literal scalar chain kept outside the package.
+impossibility instances (no monotone table can beat the claimed ratio), and
+exact averages over all n! bidder orderings certify the randomized bounds.
+The search shares no code with the mechanisms it judges; the ordering
+averages run the grid mechanism's own lazy chain, which tests tie to the
+materialized ``hypergrid_coloring`` tables and to a literal scalar chain kept
+outside the package.
 """
 
 from __future__ import annotations
@@ -242,28 +241,3 @@ def monte_carlo_random_hypergrid(
 
     return mean_and_stderr(draws())
 
-
-def closed_form_rand_impossibility(n: int, epsilon: float) -> tuple[float, float, float]:
-    """Closed forms for the product-indicator family under i.i.d. two-point signals.
-
-    Returns (optimal expected welfare, the ceiling any monotone mechanism's
-    expected welfare obeys, and the exactly enumerated expected welfare of the
-    uniform random allocation).  The last two coincide at epsilon^(n-1).
-    """
-    if not 0 < epsilon < 1:
-        raise ValidationError("epsilon must lie in (0, 1)")
-    if n < 2:
-        raise ValidationError("n must be >= 2")
-    opt = epsilon**n + n * epsilon ** (n - 1) * (1 - epsilon)
-    bound = epsilon ** (n - 1)
-
-    from .instances import gen_rand_impossibility
-
-    inst = gen_rand_impossibility(n)
-    uniform = 0.0
-    for p in inst.space.profiles():
-        prob = 1.0
-        for bit in p:
-            prob *= epsilon if bit == 1 else 1 - epsilon
-        uniform += prob * float(inst.values_at(p).sum()) / n
-    return opt, bound, uniform

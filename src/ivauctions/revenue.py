@@ -1,15 +1,15 @@
 """Revenue via conditional monopoly reserves on top of any monotone rule.
 
-Given a discrete prior over signal profiles, a bidder's winning (losing)
-conditional monopoly reserve is the posted price maximizing price times
-acceptance probability over her posterior, conditioned on her signal being at
-or above (below) her critical signal on the line.  The reserve-backed
-mechanism offers the base rule's winner her winning reserve with one
-probability, and otherwise draws a uniform bidder subset, reruns the base rule
-restricted to it, and offers that winner her reserve under the restricted
-rule.  Expected revenue is evaluated exactly by enumerating profiles, internal
-branches, subsets, and rule realizations whenever that enumeration is small,
-and by seeded Monte Carlo otherwise.
+Given a discrete prior over signal profiles, a bidder's winning conditional
+monopoly reserve is the posted price maximizing price times acceptance
+probability over her posterior, conditioned on her signal being at or above
+her critical signal on the line.  The reserve-backed mechanism offers the
+base rule's winner her winning reserve with one probability, and otherwise
+draws a uniform bidder subset, reruns the base rule restricted to it, and
+offers that winner her reserve under the restricted rule.  Expected revenue
+is evaluated exactly by enumerating profiles, internal branches, subsets, and
+rule realizations whenever that enumeration is small, and by seeded Monte
+Carlo otherwise.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from .mechanisms import (
     IncompatibleMechanism,
     Rule,
     _as_rule,
+    _ratios,
+    _required_c,
+    _winner_values,
+    as_table,
     critical_signal,
     high_if_possible,
     hypergrid_coloring,
@@ -40,16 +44,13 @@ from .model import (
     SignalSpace,
     ValidationError,
     ValuationInstance,
-    compute_c,
     mean_and_stderr,
-    restrict_bidders,
     validate_permutation,
 )
 
 PROB_TOL = 1e-12
 
 WINNING = "winning"
-LOSING = "losing"
 
 
 class UndefinedReserve(ValidationError):
@@ -228,29 +229,6 @@ def winning_reserve(
     return quote
 
 
-def losing_reserve(
-    prior: JointPrior,
-    v: ValuationInstance,
-    rule: Union[Rule, AllocationTable],
-    i: int,
-    s_minus_i: Sequence[int],
-) -> ReserveQuote:
-    """Monopoly price for bidder i conditioned on losing (s_i below critical).
-
-    When i never wins on the line, the critical signal is taken one past the
-    top signal, so the condition is vacuous and the whole line is the posterior.
-    """
-    context = tuple(int(x) for x in s_minus_i)
-    b_star = critical_signal(rule, v, i, context)
-    k = v.space.sizes[i]
-    cutoff = k + 1 if b_star is None else b_star
-    if cutoff == 0:
-        raise UndefinedReserve(f"bidder {i} always wins on line {context}; losing side empty")
-    values = _line_values(v, i, context)
-    probs = prior.line_probs(i, context)
-    return _monopoly_quote(values[:cutoff], probs[:cutoff], LOSING, i, context)
-
-
 def _quote(
     cache: dict,
     prior: JointPrior,
@@ -325,9 +303,7 @@ class HypergridFamily(RuleFamily):
     ):
         super().__init__(v)
         self.pi = None if pi is None else validate_permutation(pi, v.n)
-        self.c = compute_c(v) if c is None else float(c)
-        if not math.isfinite(self.c):
-            raise IncompatibleMechanism("grid family needs a finite crossing constant")
+        self.c = _required_c(v, c)
 
     def _rule(self, order: tuple[int, ...], table: bool) -> Rule:
         key = (order, table)
@@ -364,9 +340,7 @@ class HighIfPossibleFamily(RuleFamily):
         super().__init__(v)
         if any(k != 1 for k in v.space.sizes):
             raise IncompatibleMechanism("family needs two signals per bidder")
-        self.c = compute_c(v) if c is None else float(c)
-        if not math.isfinite(self.c):
-            raise IncompatibleMechanism("family needs a finite crossing constant")
+        self.c = _required_c(v, c)
 
     def realizations(self, bidders):
         keep = tuple(bidders)
@@ -375,14 +349,26 @@ class HighIfPossibleFamily(RuleFamily):
         return [(1.0, self._rules[keep])]
 
     def _subset_rule(self, keep: tuple[int, ...]) -> Rule:
-        """The sub-market rule; its table is built once per dropped bidders' signals."""
-        dropped = tuple(b for b in range(self.v.n) if b not in keep)
+        """The sub-market rule; its table is built once per dropped bidders' signals.
+
+        Each table is ``high_if_possible`` of the slice of ``v`` at those signals,
+        read with one ``values_at_batch`` call: only the slices a caller reaches
+        are evaluated.
+        """
+        v = self.v
+        dropped = tuple(b for b in range(v.n) if b not in keep)
+        space = SignalSpace(tuple(v.space.sizes[b] for b in keep), profile_cap=v.space.profile_cap)
+        cols = list(keep)
+        grid = np.indices(space.shape).reshape(len(cols), -1).T  # sub-profiles, row-major
         lookups: dict[tuple[int, ...], Rule] = {}
 
         def rule(profile: tuple[int, ...]) -> Optional[int]:
             fixed = tuple(profile[b] for b in dropped)
             if fixed not in lookups:
-                sub = restrict_bidders(self.v, keep, profile)
+                full = np.tile(np.asarray(profile), (len(grid), 1))
+                full[:, cols] = grid
+                values = v.values_at_batch(full)[:, cols].T.reshape((len(cols),) + space.shape)
+                sub = ValuationInstance(space=space, values=values)
                 lookups[fixed] = _as_rule(high_if_possible(sub, c=self.c))
             w = lookups[fixed](tuple(profile[b] for b in keep))
             return None if w is None else keep[w]
@@ -395,24 +381,17 @@ def family_worst_ratio(family: RuleFamily, v: ValuationInstance) -> float:
 
     This is the approximation constant the revenue reduction actually needs:
     every restriction of the rule must cover the best bidder of its own
-    sub-market at every profile.
+    sub-market at every profile.  Each sub-market is one array pass over its
+    rule's table.
     """
     if family.realization_count(v.n) != 1:
         raise ValidationError("worst ratio over realizations needs a deterministic family")
-    n = v.n
+    dense = v.tabulated().values
     worst = 1.0
-    subsets = [tuple(b for b in range(n) if mask >> b & 1) for mask in range(1, 2**n)]
-    for profile in v.space.profiles():
-        vals = v.values_at(profile)
-        for keep in subsets:
-            rule = family.realizations(keep)[0][1]
-            w = rule(tuple(profile))
-            top = max(float(vals[b]) for b in keep)
-            if top == 0:
-                continue
-            if w is None or float(vals[w]) == 0:
-                return math.inf
-            worst = max(worst, top / float(vals[w]))
+    for mask in range(1, 2**v.n):
+        keep = tuple(b for b in range(v.n) if mask >> b & 1)
+        won = _winner_values(dense, as_table(family.realizations(keep)[0][1], v).winner)
+        worst = max(worst, float(_ratios(dense[list(keep)].max(axis=0), won).max()))
     return worst
 
 

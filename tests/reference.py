@@ -3,17 +3,35 @@
 The package never imports this module.  ``lazy_winner`` is the grid
 mechanism's chain written one profile and one signal level at a time, the
 way the paper states it; ``ivauctions.lazy_winner`` and ``lazy_winners`` run
-the same chain as array passes and are tested against it.
+the same chain as array passes and are tested against it.  The rest are the
+literal twins and paper definitions the tests cross-check the package with:
+the per-profile truthfulness sweep, the losing reserve, the evaluator-backed
+sub-market, the worst ratio over sub-markets as a profile-by-subset loop,
+the closed forms of the no-crossing family, and the increments and
+intermediate profiles that define ``c``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import math
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ivauctions import ValidationError, ValuationInstance, compute_c
+from ivauctions import SignalSpace, ValidationError, ValuationInstance, compute_c
+from ivauctions.instances import gen_rand_impossibility
+from ivauctions.mechanisms import REL_TOL, AllocationTable, Rule, critical_signal, outcome
 from ivauctions.model import validate_permutation
+from ivauctions.revenue import (
+    JointPrior,
+    ReserveQuote,
+    RuleFamily,
+    UndefinedReserve,
+    _line_values,
+    _monopoly_quote,
+)
+
+LOSING = "losing"
 
 
 def lazy_winner(
@@ -98,3 +116,157 @@ def check_hypergrid_internal_chain(
                 f"top bidder's value jumped {prev} -> {cur} > c^2 * winner value {bound}"
             )
         prev = cur
+
+
+def check_expost_truthful_literal(
+    rule: Union[Rule, AllocationTable], v: ValuationInstance
+) -> list[tuple[tuple[int, ...], int, int, float, float]]:
+    """Triple-loop deviation sweep over per-profile outcomes; twin of ``check_expost_truthful``."""
+    scale = float(v.tabulated().values.max(initial=0.0))
+    tol = REL_TOL * max(scale, 1.0)
+    violations = []
+    for p in v.space.profiles():
+        for i in range(v.n):
+            value = v.value(i, p)
+            truth = outcome(rule, v, p)
+            u_truth = (value - truth.payment) if truth.winner == i else 0.0
+            if truth.winner == i and u_truth < -tol:
+                violations.append((p, i, p[i], u_truth, 0.0))
+            for b in range(v.space.sizes[i] + 1):
+                if b == p[i]:
+                    continue
+                q = list(p)
+                q[i] = b
+                dev = outcome(rule, v, tuple(q))
+                u_dev = (value - dev.payment) if dev.winner == i else 0.0
+                if u_dev > u_truth + tol:
+                    violations.append((p, i, b, u_truth, u_dev))
+    return violations
+
+
+def losing_reserve(
+    prior: JointPrior,
+    v: ValuationInstance,
+    rule: Union[Rule, AllocationTable],
+    i: int,
+    s_minus_i: Sequence[int],
+) -> ReserveQuote:
+    """Monopoly price for bidder i conditioned on losing (s_i below critical).
+
+    When i never wins on the line, the critical signal is taken one past the
+    top signal, so the condition is vacuous and the whole line is the posterior.
+    """
+    context = tuple(int(x) for x in s_minus_i)
+    b_star = critical_signal(rule, v, i, context)
+    k = v.space.sizes[i]
+    cutoff = k + 1 if b_star is None else b_star
+    if cutoff == 0:
+        raise UndefinedReserve(f"bidder {i} always wins on line {context}; losing side empty")
+    values = _line_values(v, i, context)
+    probs = prior.line_probs(i, context)
+    return _monopoly_quote(values[:cutoff], probs[:cutoff], LOSING, i, context)
+
+
+def restrict_bidders(
+    v: ValuationInstance, bidders: Sequence[int], fixed: Sequence[int]
+) -> ValuationInstance:
+    """Sub-market over ``bidders``: the rest report ``fixed`` and cannot win.
+
+    A batched view: each batch of sub-profiles is written into copies of the
+    full profile and evaluated with one ``values_at_batch`` call on ``v``, so
+    the dropped bidders' signals enter every evaluation as constants.
+    """
+    keep = tuple(int(b) for b in bidders)
+    if len(set(keep)) != len(keep) or any(not 0 <= b < v.n for b in keep):
+        raise ValidationError(f"bad bidder subset {keep}")
+    base = v.space.validate_profile(fixed)
+    sizes = tuple(v.space.sizes[b] for b in keep)
+    space = SignalSpace(sizes, profile_cap=v.space.profile_cap)
+    cols = list(keep)
+
+    def batch_evaluate(profiles: np.ndarray) -> np.ndarray:
+        full = np.tile(np.asarray(base), (len(profiles), 1))
+        full[:, cols] = profiles
+        return v.values_at_batch(full)[:, cols]
+
+    return ValuationInstance(space=space, batch_evaluate=batch_evaluate, name=v.name)
+
+
+def family_worst_ratio(family: RuleFamily, v: ValuationInstance) -> float:
+    """Worst welfare ratio over every profile and sub-market, one rule call at a time."""
+    if family.realization_count(v.n) != 1:
+        raise ValidationError("worst ratio over realizations needs a deterministic family")
+    n = v.n
+    worst = 1.0
+    subsets = [tuple(b for b in range(n) if mask >> b & 1) for mask in range(1, 2**n)]
+    for profile in v.space.profiles():
+        vals = v.values_at(profile)
+        for keep in subsets:
+            rule = family.realizations(keep)[0][1]
+            w = rule(tuple(profile))
+            top = max(float(vals[b]) for b in keep)
+            if top == 0:
+                continue
+            if w is None or float(vals[w]) == 0:
+                return math.inf
+            worst = max(worst, top / float(vals[w]))
+    return worst
+
+
+def closed_form_rand_impossibility(n: int, epsilon: float) -> tuple[float, float, float]:
+    """Closed forms for the product-indicator family under i.i.d. two-point signals.
+
+    Returns (optimal expected welfare, the ceiling any monotone mechanism's
+    expected welfare obeys, and the exactly enumerated expected welfare of the
+    uniform random allocation).  The last two coincide at epsilon^(n-1).
+    """
+    if not 0 < epsilon < 1:
+        raise ValidationError("epsilon must lie in (0, 1)")
+    if n < 2:
+        raise ValidationError("n must be >= 2")
+    opt = epsilon**n + n * epsilon ** (n - 1) * (1 - epsilon)
+    bound = epsilon ** (n - 1)
+    inst = gen_rand_impossibility(n)
+    uniform = 0.0
+    for p in inst.space.profiles():
+        prob = 1.0
+        for bit in p:
+            prob *= epsilon if bit == 1 else 1 - epsilon
+        uniform += prob * float(inst.values_at(p).sum()) / n
+    return opt, bound, uniform
+
+
+def discrete_derivative(
+    v: ValuationInstance, target: int, direction: int, s: Sequence[int]
+) -> float:
+    """v_target(s) - v_target(s with s_direction lowered by one).  Needs s_direction >= 1."""
+    p = v.space.validate_profile(s)
+    if not 0 <= target < v.n or not 0 <= direction < v.n:
+        raise ValidationError("bidder index out of range")
+    if p[direction] < 1:
+        raise ValidationError(f"signal of bidder {direction} must be >= 1 at {p}")
+    lower = list(p)
+    lower[direction] -= 1
+    return v.value(target, p) - v.value(target, tuple(lower))
+
+
+def intermediate_profile(s: Sequence[int], pi: Sequence[int], i: int) -> tuple[int, ...]:
+    """Profile keeping the signals of the first i bidders of ordering pi, zeroing the rest."""
+    n = len(s)
+    order = validate_permutation(pi, n)
+    if not 0 <= i <= n:
+        raise ValidationError(f"prefix length {i} out of range [0, {n}]")
+    out = [0] * n
+    for pos in range(i):
+        out[order[pos]] = int(s[order[pos]])
+    return tuple(out)
+
+
+def alpha_approximates(
+    v: ValuationInstance, i: int, j: int, s: Sequence[int], alpha: float
+) -> bool:
+    """True iff v_j(s) <= alpha * v_i(s).  Exact comparison, no epsilon."""
+    if alpha < 0:
+        raise ValidationError("alpha must be nonnegative")
+    p = v.space.validate_profile(s)
+    return v.value(j, p) <= alpha * v.value(i, p)

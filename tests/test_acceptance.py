@@ -20,7 +20,6 @@ from ivauctions import (
     best_monotone_ratio,
     check_allocation_monotone,
     check_expost_truthful,
-    closed_form_rand_impossibility,
     compute_c,
     compute_d,
     critical_signal,
@@ -51,7 +50,7 @@ from ivauctions.revenue import (
     uniform_product_prior,
 )
 
-from reference import check_hypergrid_internal_chain
+from reference import check_hypergrid_internal_chain, closed_form_rand_impossibility
 
 REL = 1e-9
 

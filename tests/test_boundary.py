@@ -1,0 +1,54 @@
+"""The package stands alone: test-side reference code stays out of ``src/``."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import ivauctions
+
+PACKAGE = Path(ivauctions.__file__).parent
+
+#: Helpers that only tests call; they live in ``tests/reference.py``.
+MOVED = (
+    "check_expost_truthful_literal",
+    "closed_form_rand_impossibility",
+    "losing_reserve",
+    "discrete_derivative",
+    "intermediate_profile",
+    "alpha_approximates",
+    "restrict_bidders",
+    "lazy_winner_trace",
+    "check_hypergrid_internal_chain",
+)
+
+
+def _imported_names(tree):
+    """Every dotted module name an import statement names, and each name it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (alias.name for alias in node.names)
+
+
+def test_package_never_imports_test_code():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name in _imported_names(tree):
+            parts = set(name.split("."))
+            assert not parts & {"reference", "tests"}, f"{path.name} imports {name}"
+
+
+def test_moved_helpers_are_not_package_attributes():
+    modules = [ivauctions] + [
+        importlib.import_module(f"ivauctions.{info.name}")
+        for info in pkgutil.iter_modules(ivauctions.__path__)
+    ]
+    assert len(modules) > 6
+    for module in modules:
+        for name in MOVED:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

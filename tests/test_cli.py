@@ -409,6 +409,35 @@ def test_revenue_malformed_prior_is_a_typed_error(tmp_path, prior):
     assert json.loads(err)["error"]["type"] == "prior"
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"sizes": [1], "values": [[0.0, "a"]]},
+        {"sizes": [1, 1], "values": [[1.0, 2.0, 3.0, [5]], [1.0, 2.0, 3.0, 4.0]]},
+        {"sizes": [1, "b"], "values": [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]]},
+        {"sizes": [1], "values": [1.0, 2.0]},
+    ],
+)
+def test_malformed_instance_file_is_a_typed_error(tmp_path, obj):
+    """A value table or size list of the wrong types yields a JSON error, not a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli("check", "--instance", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "instance"
+
+
+@pytest.mark.parametrize("flag", ["--out", "--witness"])
+def test_unwritable_output_path_is_an_io_error(tmp_path, flag):
+    path = tmp_path / "t22.json"
+    run_cli("generate", "two_by_two_tight", "--params", "c=2", "--out", str(path))
+    target = str(tmp_path / "missing" / "dir" / "w.json")
+    code, out, err = run_cli("search", str(path), flag, target)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "io" and target in error["message"]
+
+
 def test_generate_unknown_params_error():
     code, _, err = run_cli("generate", "oil_sc", "--params", "bogus=3")
     assert code == 1

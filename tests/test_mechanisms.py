@@ -36,15 +36,19 @@ from ivauctions import (
 from ivauctions import instances as gen
 from ivauctions.mechanisms import (
     NO_WINNER,
+    _as_rule,
     as_table,
-    check_expost_truthful_literal,
     critical_signal_scan,
 )
-from ivauctions.model import restrict_bidders
 from ivauctions.oracle import exact_random_hypergrid_stats, optimal_welfare
 
 import reference
-from reference import check_hypergrid_internal_chain, lazy_winner_trace
+from reference import (
+    check_expost_truthful_literal,
+    check_hypergrid_internal_chain,
+    lazy_winner_trace,
+    restrict_bidders,
+)
 
 REL = 1e-9
 
@@ -664,6 +668,15 @@ def test_welfare_ratio_conventions():
     assert math.isinf(worst)
     worst, _ = welfare_ratio(lambda p: 1, v2)  # zero-valued winner, positive max
     assert math.isinf(worst)
+
+
+def test_as_table_returns_the_table_behind_its_lookup():
+    v = gen.gen_random_separable(3, 2, 1.5, seed=12)
+    table = hypergrid_coloring(v, (2, 0, 1))
+    assert as_table(_as_rule(table), v) is table
+    assert as_table(table, v) is table
+    copy = as_table(lambda p: table.winner_at(p), v)
+    assert copy is not table and np.array_equal(copy.winner, table.winner)
 
 
 def _welfare_ratio_per_cell(table, v):

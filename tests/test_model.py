@@ -13,18 +13,21 @@ from ivauctions import (
     SignalSpace,
     ValidationError,
     ValuationInstance,
-    alpha_approximates,
     check_value_monotone,
     compute_c,
     compute_d,
-    discrete_derivative,
     instance_from_json,
     instance_to_json,
-    intermediate_profile,
-    restrict_bidders,
     single_crossing_report,
 )
 from ivauctions import instances as gen
+
+from reference import (
+    alpha_approximates,
+    discrete_derivative,
+    intermediate_profile,
+    restrict_bidders,
+)
 
 REL = 1e-9
 
@@ -70,6 +73,12 @@ def test_json_roundtrip_row_major():
     assert obj["values"][1][sp.index_of((2, 0, 0))] == pytest.approx(0.007436)
     back = instance_from_json(obj)
     assert np.array_equal(back.values, v.values)
+
+
+def test_json_null_name_loads_as_empty():
+    obj = {"sizes": [1], "values": [[0.0, 1.0]], "name": None}
+    assert instance_from_json(obj).name == ""
+    assert instance_from_json({**obj, "name": "x"}).name == "x"
 
 
 def test_json_validation_errors():

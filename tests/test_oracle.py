@@ -14,7 +14,6 @@ from ivauctions import (
     ValuationInstance,
     best_monotone_ratio,
     check_allocation_monotone,
-    closed_form_rand_impossibility,
     compute_c,
     exact_random_hypergrid_stats,
     hypergrid_coloring,
@@ -28,6 +27,8 @@ from ivauctions import instances as gen
 from ivauctions import oracle
 from ivauctions.model import ValidationError, mean_and_stderr
 from ivauctions.oracle import enumerate_monotone_tables
+
+from reference import closed_form_rand_impossibility
 
 REL = 1e-9
 

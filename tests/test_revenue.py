@@ -18,13 +18,13 @@ from ivauctions import (
 from ivauctions import instances as gen
 from ivauctions import revenue as revenue_module
 from ivauctions.mechanisms import (
+    IncompatibleMechanism,
     critical_signal,
     critical_signal_scan,
     high_if_possible,
     lazy_winner,
     outcome,
 )
-from ivauctions.model import restrict_bidders
 from ivauctions.revenue import (
     HighIfPossibleFamily,
     HypergridFamily,
@@ -37,12 +37,12 @@ from ivauctions.revenue import (
     family_worst_ratio,
     lookahead_benchmark,
     lookahead_benchmark_family,
-    losing_reserve,
     uniform_product_prior,
     winning_reserve,
 )
 
 import reference
+from reference import losing_reserve, restrict_bidders
 
 REL = 1e-9
 
@@ -546,6 +546,65 @@ def test_family_worst_ratio_covers_submarkets():
     alpha = family_worst_ratio(fam, v)
     c = compute_c(v)
     assert 1.0 <= alpha <= c * (1 + REL)
+
+
+def test_high_if_possible_family_equals_restricted_reference(finite_c_corpus):
+    """Each sub-market rule is high-if-possible on the evaluator-backed restriction."""
+    cases = [(name, v, c) for name, v, c, _ in finite_c_corpus if set(v.space.sizes) == {1}]
+    for n in (4, 5):
+        v = gen.gen_random_separable(n, 1, 2.0, seed=3)
+        cases.append((f"separable_n{n}_k1", v, compute_c(v)))
+    for name, v, c in cases:
+        family = HighIfPossibleFamily(v, c=c)
+        for mask in range(1, 2**v.n):
+            keep = tuple(b for b in range(v.n) if mask >> b & 1)
+            rule = family.realizations(keep)[0][1]
+            for s in v.space.profiles():
+                table = high_if_possible(restrict_bidders(v, keep, s), c=c)
+                w = table.winner_at(tuple(s[b] for b in keep))
+                assert rule(s) == (None if w is None else keep[w]), (name, keep, s)
+
+
+def test_high_if_possible_family_evaluates_only_the_slices_it_reads():
+    dense = gen.gen_random_separable(5, 1, 2.0, seed=3)
+    rows = []
+
+    def batch_evaluate(profiles):
+        rows.append(len(profiles))
+        return dense.values_at_batch(profiles)
+
+    v = ValuationInstance(space=dense.space, batch_evaluate=batch_evaluate)
+    family = HighIfPossibleFamily(v, c=compute_c(dense))
+    rule = family.realizations((0, 2, 3))[0][1]
+    rule((1, 0, 1, 1, 0))
+    rule((0, 0, 1, 0, 0))  # the same dropped bidders' signals: the slice is kept
+    assert rows == [8] and "tabulated" not in v._reports
+    rule((0, 1, 1, 1, 0))
+    assert rows == [8, 8]
+
+
+def test_family_worst_ratio_equals_literal_loop(finite_c_corpus):
+    """The array pass per sub-market equals the profile-by-subset loop exactly."""
+    for name, v, c, _ in finite_c_corpus:
+        makers = [lambda: HypergridFamily(v, pi=tuple(reversed(range(v.n))), c=c)]
+        if set(v.space.sizes) == {1}:
+            makers.append(lambda: HighIfPossibleFamily(v, c=c))
+        for make in makers:
+            assert family_worst_ratio(make(), v) == reference.family_worst_ratio(make(), v), name
+
+
+@pytest.mark.parametrize("make", [HypergridFamily, HighIfPossibleFamily])
+def test_families_check_the_crossing_constant_at_construction(make):
+    v = gen.gen_rand_impossibility(3)  # two signals, infinite c
+    assert math.isinf(compute_c(v))
+    with pytest.raises(IncompatibleMechanism):
+        make(v)
+    w = gen.gen_two_by_two_tight(2.0)
+    with pytest.raises(IncompatibleMechanism):
+        make(w, c=math.inf)
+    with pytest.raises(ValidationError) as e:
+        make(w, c=0.5)
+    assert not isinstance(e.value, IncompatibleMechanism)
 
 
 def test_posted_truthfulness_of_branch_a():
