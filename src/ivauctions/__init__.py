@@ -44,6 +44,7 @@ from .mechanisms import (
 from .oracle import (
     SearchReport,
     best_monotone_ratio,
+    exact_random_hypergrid_counts,
     exact_random_hypergrid_stats,
     monte_carlo_random_hypergrid,
     optimal_welfare,

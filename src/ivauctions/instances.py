@@ -361,6 +361,8 @@ def load_instance(obj: dict, profile_cap: int = DEFAULT_PROFILE_CAP) -> Valuatio
     if "values" in obj:
         return instance_from_json(obj, profile_cap=profile_cap)
     if "generator" in obj:
-        params = dict(obj.get("params", {}))
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ValidationError(f"'params' must be an object, got {type(params).__name__}")
         return make_instance(str(obj["generator"]), **params)
     raise ValidationError("instance JSON needs either 'values' or 'generator'")

@@ -351,12 +351,57 @@ def _lazy_chain(v, orders, p, c):
         profiles = base[at]
         profiles[ev, ja] = ev - starts[at]
         vals = v.values_at_batch(profiles)
-        vw = vals[ev, w[at]]
         top = np.where(entered[at], vals, -np.inf).max(axis=1)
-        hit = (top > (it * c) * vw) | (vals[ev, ja] > c * vw)
+        hit = _reallocates(top, vals[ev, ja], vals[ev, w[at]], it, c)
         w = np.where(np.logical_or.reduceat(hit, starts), j, w)
         base[rows, j] = p[j]
     return w
+
+
+def _reallocates(top, vj, vw, m, c):
+    """The chain's strict float64 test: entrant j, worth ``vj``, takes over from a
+    standing winner worth ``vw`` when ``top``, the best of the m entered bidders
+    and j, exceeds (m c) vw or j alone exceeds c vw."""
+    return (top > (m * c) * vw) | (vj > c * vw)
+
+
+def _entry_table(v, p, c):
+    """The lazy chain's transitions at profile ``p``, keyed by entered set.
+
+    ``T[S, w, j]`` is the standing winner after entrant j (not in the bitmask
+    S) meets standing winner w (in S); other entries are -1.  The chain is
+    Markov in (S, w): j's profiles hold S at its reports, j at each level
+    0..p_j and everyone else at 0, and its test reads the best of S and j
+    against |S| c.  So every ordering's winner is a walk through ``T``.  One
+    ``values_at_batch`` call per layer |S| = 1..n-1 evaluates exactly
+    sum over non-empty proper S, and j not in S, of (p_j + 1) profiles.
+    """
+    n = len(p)
+    masks = np.arange(1 << n)
+    member = (masks[:, None] >> np.arange(n)) & 1 == 1
+    size = member.sum(axis=1)
+    T = np.full((1 << n, n, n), -1, dtype=np.int8)
+    for m in range(1, n):
+        S = masks[size == m]
+        inS = member[S]
+        ws = np.nonzero(inS)[1].reshape(len(S), m)  # each set's members, ascending
+        pair, j = np.nonzero(~inS)  # every (S, j) with j outside S
+        levels = p[j] + 1
+        starts = np.cumsum(levels) - levels
+        at = np.repeat(np.arange(len(j)), levels)  # the pair of each evaluated profile
+        ev = np.arange(len(at))
+        ja = j[at]
+        entered = inS[pair][at]
+        profiles = np.where(entered, p, 0)
+        profiles[ev, ja] = ev - starts[at]
+        entered[ev, ja] = True
+        vals = v.values_at_batch(profiles)
+        top = np.where(entered, vals, -np.inf).max(axis=1)
+        wa = ws[pair][at]  # every candidate standing winner of the row's set
+        hit = _reallocates(top[:, None], vals[ev, ja][:, None], vals[ev[:, None], wa], m, c)
+        took = np.logical_or.reduceat(hit, starts, axis=0)
+        T[S[pair][:, None], ws[pair], j[:, None]] = np.where(took, j[:, None], ws[pair])
+    return T
 
 
 def critical_signal(

@@ -3,10 +3,11 @@
 Exhaustive search over all monotone deterministic allocations certifies the
 impossibility instances (no monotone table can beat the claimed ratio), and
 exact averages over all n! bidder orderings certify the randomized bounds.
-The search shares no code with the mechanisms it judges; the ordering
-averages run the grid mechanism's own lazy chain, which tests tie to the
-materialized ``hypergrid_coloring`` tables and to a literal scalar chain kept
-outside the package.
+The search shares no code with the mechanisms it judges.  The exact ordering
+oracles walk the lazy chain's subset entry table (``_entry_table``), which
+shares the reallocation test with the chain; tests tie it to the
+materialized ``hypergrid_coloring`` tables and to an n! batch of the chain
+kept outside the package.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ import numpy as np
 
 # lazy_winner stays importable from here: callers and the benchmark's tracer
 # reach the one-row lazy chain through this module's namespace.
-from .mechanisms import AllocationTable, lazy_winner, lazy_winners  # noqa: F401
+from .mechanisms import (  # noqa: F401
+    AllocationTable,
+    _entry_table,
+    _required_c,
+    lazy_winner,
+    lazy_winners,
+)
 from .model import (
     INFINITE,
     CapExceeded,
@@ -193,18 +200,53 @@ def exact_random_hypergrid_stats(
 ) -> tuple[float, dict[tuple[int, ...], float]]:
     """Average winner value at s over all n! orderings of the grid mechanism.
 
-    All orderings run as one batch of the lazy chain, with c measured once.
+    The chain's entry table is built once, with c measured once; each
+    ordering's winner is then a walk through it, prefixes expanded in
+    ``itertools.permutations`` order.
     """
     if v.n > 8:
         raise CapExceeded("n! enumeration limited to n <= 8; use the Monte Carlo path")
     p = v.space.validate_profile(s)
-    orders = list(permutations(range(v.n)))
-    c = compute_c(v) if c is None else c
-    winners = lazy_winners(v, orders, p, c=c).tolist()
-    worth = v.values_at(p).tolist()
-    per_pi = {pi: worth[w] for pi, w in zip(orders, winners)}
+    T = _entry_table(v, np.asarray(p, dtype=np.intp), _required_c(v, c))
+    n = v.n
+    mask, w = 1 << np.arange(n), np.arange(n)  # the one-bidder prefixes
+    for d in range(1, n):
+        rest = np.nonzero((mask[:, None] >> np.arange(n)) & 1 == 0)[1]  # children, ascending
+        mask, w = np.repeat(mask, n - d), np.repeat(w, n - d)
+        w = T[mask, w, rest]
+        mask |= 1 << rest
+    per_pi = dict(zip(permutations(range(n)), v.values_at(p)[w].tolist()))
     mean = sum(per_pi.values()) / len(per_pi)
     return mean, per_pi
+
+
+#: Largest n the subset DP takes: its entry table has 2^n n^2 one-byte cells.
+COUNTS_MAX_N = 16
+
+
+def exact_random_hypergrid_counts(
+    v: ValuationInstance, s: Sequence[int], c: Optional[float] = None
+) -> np.ndarray:
+    """How many of the n! orderings each bidder wins at s under the grid mechanism.
+
+    A DP over entered sets on the chain's entry table: ``count[{j}, j] = 1``,
+    then ``count[S | {j}, T[S, w, j]] += count[S, w]`` one layer |S| at a
+    time.  Returns int64 counts that sum to n!; n is capped at 16.
+    """
+    n = v.n
+    if n > COUNTS_MAX_N:
+        raise CapExceeded(f"subset DP limited to n <= {COUNTS_MAX_N}; use the Monte Carlo path")
+    p = v.space.validate_profile(s)
+    T = _entry_table(v, np.asarray(p, dtype=np.intp), _required_c(v, c))
+    masks = np.arange(1 << n)
+    size = ((masks[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    count = np.zeros((1 << n, n), dtype=np.int64)
+    count[1 << np.arange(n), np.arange(n)] = 1
+    for m in range(1, n):
+        S = masks[size == m]
+        si, w, j = np.nonzero(T[S] >= 0)
+        np.add.at(count, (S[si] | (1 << j), T[S[si], w, j]), count[S[si], w])
+    return count[-1].copy()
 
 
 def monte_carlo_random_hypergrid(

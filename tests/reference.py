@@ -14,11 +14,19 @@ intermediate profiles that define ``c``.
 from __future__ import annotations
 
 import math
+from itertools import permutations
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ivauctions import SignalSpace, ValidationError, ValuationInstance, compute_c
+from ivauctions import (
+    CapExceeded,
+    SignalSpace,
+    ValidationError,
+    ValuationInstance,
+    compute_c,
+    lazy_winners,
+)
 from ivauctions.instances import gen_rand_impossibility
 from ivauctions.mechanisms import REL_TOL, AllocationTable, Rule, critical_signal, outcome
 from ivauctions.model import validate_permutation
@@ -80,6 +88,25 @@ def _chain(v, order, p, c, trace):
         if trace is not None:
             trace.append((w, tuple(base)))
     return w
+
+
+def exact_stats_by_chain(
+    v: ValuationInstance, s: Sequence[int], c: Optional[float] = None
+) -> tuple[float, dict[tuple[int, ...], float]]:
+    """Average winner value at s over all n! orderings of the grid mechanism.
+
+    All orderings run as one batch of the lazy chain, with c measured once.
+    """
+    if v.n > 8:
+        raise CapExceeded("n! enumeration limited to n <= 8; use the Monte Carlo path")
+    p = v.space.validate_profile(s)
+    orders = list(permutations(range(v.n)))
+    c = compute_c(v) if c is None else c
+    winners = lazy_winners(v, orders, p, c=c).tolist()
+    worth = v.values_at(p).tolist()
+    per_pi = {pi: worth[w] for pi, w in zip(orders, winners)}
+    mean = sum(per_pi.values()) / len(per_pi)
+    return mean, per_pi
 
 
 def check_hypergrid_internal_chain(

@@ -20,6 +20,7 @@ MOVED = (
     "restrict_bidders",
     "lazy_winner_trace",
     "check_hypergrid_internal_chain",
+    "exact_stats_by_chain",
 )
 
 

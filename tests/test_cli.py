@@ -427,6 +427,16 @@ def test_malformed_instance_file_is_a_typed_error(tmp_path, obj):
     assert json.loads(err)["error"]["type"] == "instance"
 
 
+@pytest.mark.parametrize("params", ["x", [1], 3])
+def test_non_object_generator_params_is_a_typed_error(tmp_path, params):
+    """A generator stanza whose "params" is not an object yields a JSON error, not a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"generator": "oil_sc", "params": params}))
+    code, out, err = run_cli("check", "--instance", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "instance"
+
+
 @pytest.mark.parametrize("flag", ["--out", "--witness"])
 def test_unwritable_output_path_is_an_io_error(tmp_path, flag):
     path = tmp_path / "t22.json"

@@ -37,10 +37,15 @@ from ivauctions import instances as gen
 from ivauctions.mechanisms import (
     NO_WINNER,
     _as_rule,
+    _entry_table,
     as_table,
     critical_signal_scan,
 )
-from ivauctions.oracle import exact_random_hypergrid_stats, optimal_welfare
+from ivauctions.oracle import (
+    exact_random_hypergrid_counts,
+    exact_random_hypergrid_stats,
+    optimal_welfare,
+)
 
 import reference
 from reference import (
@@ -339,6 +344,29 @@ def test_lazy_chains_counted_evaluations(finite_c_corpus):
             assert counts["rows"] <= len(orders) * (n - 1) * (k + 1), (name, s)
             assert counts["calls"] <= n - 1
             assert batch.tolist() == lazy_winners(v, orders, s, c=c).tolist()
+
+
+def test_entry_table_counted_evaluations(finite_c_corpus):
+    """One call per layer |S| = 1..n-1, carrying exactly sum over non-empty proper S,
+    and j outside S, of (p_j + 1) rows; the counts DP evaluates nothing more."""
+    import random as _random
+
+    rng = _random.Random(44)
+    for name, v, c, _ in finite_c_corpus:
+        counted, counts = _counting(v)
+        n = v.n
+        for _ in range(4):
+            s = tuple(rng.randint(0, kb) for kb in v.space.sizes)
+            rows = sum(
+                s[j] + 1 for S in range(1, 2**n - 1) for j in range(n) if not S >> j & 1
+            )
+            counts["calls"] = counts["rows"] = 0
+            table = _entry_table(counted, np.array(s), c)
+            assert (counts["calls"], counts["rows"]) == (n - 1, rows), (name, s)
+            assert np.array_equal(table, _entry_table(v, np.array(s), c))
+            counts["calls"] = counts["rows"] = 0
+            exact_random_hypergrid_counts(counted, s, c=c)
+            assert (counts["calls"], counts["rows"]) == (n - 1, rows), (name, s)
 
 
 def test_lazy_winner_measures_c_once_per_instance():

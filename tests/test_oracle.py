@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from itertools import islice, permutations, product
 
 import numpy as np
@@ -10,14 +11,17 @@ import pytest
 from ivauctions import (
     AllocationTable,
     CapExceeded,
+    IncompatibleMechanism,
     SignalSpace,
     ValuationInstance,
     best_monotone_ratio,
     check_allocation_monotone,
     compute_c,
+    exact_random_hypergrid_counts,
     exact_random_hypergrid_stats,
     hypergrid_coloring,
     lazy_winner,
+    lazy_winners,
     monte_carlo_random_hypergrid,
     optimal_welfare,
     two_bidder_coloring,
@@ -28,7 +32,7 @@ from ivauctions import oracle
 from ivauctions.model import ValidationError, mean_and_stderr
 from ivauctions.oracle import enumerate_monotone_tables
 
-from reference import closed_form_rand_impossibility
+from reference import closed_form_rand_impossibility, exact_stats_by_chain
 
 REL = 1e-9
 
@@ -206,14 +210,21 @@ def test_exact_stats_single_bidder():
     assert mean == 3.0 and per_pi == {(0,): 3.0}
 
 
+def _with_lone_top_test(finite_c_corpus):
+    """The corpus plus an instance where the chain's |S| c test fires and its c
+    test does not, at 10 of 81 profiles; no corpus profile has that."""
+    v = gen.gen_random_separable(4, 2, 3.0, seed=0)
+    return finite_c_corpus + [("separable_n4_k2_seed0", v, compute_c(v), None)]
+
+
 def test_exact_stats_match_grid_tables(finite_c_corpus):
     """Per-ordering values of the n! oracle equal the materialized grid tables.
 
-    The oracle runs the mechanism's own lazy chain; this ties it to the
-    table builder, which shares no chain code with it.
+    The oracle walks the lazy chain's entry table; this ties it to the table
+    builder, which shares no chain code with it.
     """
     checked = 0
-    for name, v, c, _ in finite_c_corpus:
+    for name, v, c, _ in _with_lone_top_test(finite_c_corpus):
         if v.n > 4:
             continue
         tables = {pi: hypergrid_coloring(v, pi, c=c) for pi in permutations(range(v.n))}
@@ -294,6 +305,77 @@ def test_exact_stats_match_scalar_chain():
         expected = {pi: v.value(lazy_winner(v, pi, s, c=c), s) for pi in permutations(range(5))}
         assert per_pi == expected and list(per_pi) == list(expected)
         assert mean == sum(expected.values()) / len(expected)
+
+
+def _twin_profiles(finite_c_corpus):
+    """Every profile of the finite-c corpus instances with n <= 5 and of the
+    lone-top-test instance, then five seeded profiles of a two-signal random
+    table for each of n = 6, 7, 8."""
+    for name, v, c, _ in _with_lone_top_test(finite_c_corpus):
+        if v.n <= 5:
+            for s in v.space.profiles():
+                yield name, v, c, s
+    rng = random.Random(61)
+    for n in (6, 7, 8):
+        v, c, _ = gen.gen_random_tabulated(n, 1, seed=n)
+        for _ in range(5):
+            yield f"tabulated_n{n}_k1", v, c, tuple(rng.randint(0, 1) for _ in range(n))
+
+
+def test_exact_stats_match_the_chain_twin(finite_c_corpus):
+    """The entry-table walk gives the n! batch's mean, per-ordering values and key order."""
+    checked = 0
+    for name, v, c, s in _twin_profiles(finite_c_corpus):
+        mean, per_pi = exact_random_hypergrid_stats(v, s, c=c)
+        twin_mean, twin = exact_stats_by_chain(v, s, c=c)
+        assert mean == twin_mean and per_pi == twin, (name, s)
+        assert list(per_pi) == list(twin)
+        checked += 1
+    assert checked > 10_000
+
+
+def test_exact_counts_match_the_chain_twin(finite_c_corpus):
+    """The subset DP's counts are the tally of the n! batch's winners."""
+    for name, v, c, s in _twin_profiles(finite_c_corpus):
+        counts = exact_random_hypergrid_counts(v, s, c=c)
+        tally = Counter(lazy_winners(v, list(permutations(range(v.n))), s, c=c).tolist())
+        assert counts.dtype == np.int64 and counts.shape == (v.n,)
+        assert counts.tolist() == [tally[b] for b in range(v.n)], (name, s)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_exact_counts_beyond_factorial_enumeration(n):
+    """Past the n! cap the counts still sum to n!, and their mean is Monte Carlo's."""
+    v = gen.gen_random_separable(n, 1, 2.0, seed=n)
+    c = compute_c(v)
+    rng = random.Random(n)
+    s = tuple(rng.randint(0, 1) for _ in range(n))
+    counts = exact_random_hypergrid_counts(v, s, c=c)
+    assert int(counts.sum()) == math.factorial(n) and counts.min() >= 0
+    exact = float(counts @ v.values_at(s)) / math.factorial(n)
+    mean, se = monte_carlo_random_hypergrid(v, s, samples=4000, seed=n, c=c)
+    assert se > 0 and abs(mean - exact) <= 4 * se
+
+
+def test_exact_counts_edges():
+    v = ValuationInstance(space=SignalSpace((2,)), values=np.array([[0.0, 3.0, 5.0]]))
+    assert exact_random_hypergrid_counts(v, (1,)).tolist() == [1]
+    wide = gen.gen_random_mech_lb(16, 2.0)  # 17 bidders
+    with pytest.raises(CapExceeded):
+        exact_random_hypergrid_counts(wide, (1,) * 17, c=2.0)
+
+
+@pytest.mark.parametrize("oracle_fn", [exact_random_hypergrid_stats, exact_random_hypergrid_counts])
+def test_exact_oracles_reject_unusable_c(oracle_fn):
+    no_c = gen.gen_rand_impossibility(3)
+    with pytest.raises(IncompatibleMechanism):
+        oracle_fn(no_c, (1, 1, 1))
+    v = gen.gen_tight_hypergrid(3, 2.0)
+    with pytest.raises(IncompatibleMechanism):
+        oracle_fn(v, (1, 1, 1), c=math.inf)
+    with pytest.raises(ValidationError) as err:
+        oracle_fn(v, (1, 1, 1), c=0.5)
+    assert err.type is ValidationError
 
 
 def test_random_mech_lb_batch_evaluate_matches_group_reference():
