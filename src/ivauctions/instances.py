@@ -89,10 +89,8 @@ def gen_rand_impossibility(n: int) -> ValuationInstance:
     if n < 2:
         raise ValidationError("n must be >= 2")
     space = SignalSpace((1,) * n)
-    values = np.zeros((n,) + space.shape)
-    for p in space.profiles():
-        for i in range(n):
-            values[(i,) + p] = float(all(p[j] == 1 for j in range(n) if j != i))
+    idx = np.indices(space.shape)
+    values = (idx.sum(axis=0) - idx == n - 1).astype(np.float64)  # every other signal high
     return ValuationInstance(space=space, values=values, name="rand_impossibility")
 
 
@@ -107,11 +105,9 @@ def gen_rand_c_lb(n: int, c: float) -> ValuationInstance:
     if c < 1:
         raise ValidationError("c must be >= 1")
     space = SignalSpace((1,) * n)
-    values = np.zeros((n,) + space.shape)
-    for p in space.profiles():
-        for i in range(n):
-            others_high = all(p[j] == 1 for j in range(n) if j != i)
-            values[(i,) + p] = (1.0 if others_high else 0.0) + (1.0 / c if p[i] == 1 else 0.0)
+    idx = np.indices(space.shape)
+    others_high = idx.sum(axis=0) - idx == n - 1
+    values = np.where(others_high, 1.0, 0.0) + np.where(idx == 1, 1.0 / c, 0.0)
     return ValuationInstance(space=space, values=values, name="rand_c_lb")
 
 
@@ -204,11 +200,11 @@ def gen_tight_hypergrid(n: int, c: float) -> ValuationInstance:
     if c < 1:
         raise ValidationError("c must be >= 1")
     space = SignalSpace((1,) * n)
-    values = np.zeros((n,) + space.shape)
-    for p in space.profiles():
-        high_others = sum(1 for j in range(n) if j != 1 and p[j] == 1)
-        for i in range(n):
-            values[(i,) + p] = c * high_others if i == 1 else float(p[i])
+    idx = np.indices(space.shape)
+    values = idx.astype(np.float64)
+    # c * h in Python, not in int64: c may be an int too large for it
+    worth = np.array([c * h for h in range(n)], dtype=np.float64)
+    values[1] = worth[idx.sum(axis=0) - idx[1]]
     return ValuationInstance(space=space, values=values, name="tight_hypergrid")
 
 
@@ -283,10 +279,8 @@ def gen_random_separable(n: int, k: int, c: float, seed: int) -> ValuationInstan
                 incr[j, i] = rng.uniform(0.0, 1.0, size=k) * c * own[i]
     base = rng.uniform(0.0, 0.5, size=n)
     f = np.concatenate([np.zeros((n, n, 1)), np.cumsum(incr, axis=2)], axis=2)
-    values = np.empty((n,) + space.shape)
-    for p in space.profiles():
-        for j in range(n):
-            values[(j,) + p] = base[j] + sum(f[j, i, p[i]] for i in range(n))
+    idx = np.indices(space.shape)
+    values = base[(slice(None),) + (None,) * n] + sum(f[:, i, idx[i]] for i in range(n))
     return ValuationInstance(space=space, values=values, name="random_separable")
 
 

@@ -178,31 +178,24 @@ def two_bidder_coloring(v: ValuationInstance, c: Optional[float] = None) -> Allo
     return AllocationTable(space=v.space, winner=winner)
 
 
-def high_if_possible(
-    v: ValuationInstance, c: Optional[float] = None, order: str = "lex"
-) -> AllocationTable:
+def high_if_possible(v: ValuationInstance, c: Optional[float] = None) -> AllocationTable:
     """Two-signal mechanism favoring bidders whose signal is already high.
 
     Profiles are processed by increasing number of high signals.  At an
     undetermined profile the best high bidder wins if the overall argmax is
     within a factor c of her value; otherwise the argmax bidder wins and the
     win is propagated to her high-signal neighbor.  High winners need no
-    propagation, which is what keeps the allocation conflict-free.
-
-    ``order`` picks the traversal inside one weight class ("lex" or "revlex");
-    the output must not depend on it since same-weight cells are independent.
+    propagation, which is what keeps the allocation conflict-free.  Profiles
+    of one weight are visited in row-major order; they are independent, so
+    any order inside a weight class gives the same table.
     """
     if any(k != 1 for k in v.space.sizes):
         raise IncompatibleMechanism("high-if-possible needs two signals per bidder")
     c = _required_c(v, c)
     dense = v.tabulated().values
     n = v.n
-    profiles = sorted(
-        v.space.profiles(),
-        key=lambda p: (sum(p), p if order == "lex" else tuple(-x for x in p)),
-    )
     winner = np.full(v.space.shape, NO_WINNER, dtype=np.int32)
-    for p in profiles:
+    for p in sorted(v.space.profiles(), key=sum):
         if winner[p] != NO_WINNER:
             continue
         vals = dense[(slice(None),) + p]
@@ -230,11 +223,12 @@ def hypergrid_coloring(
     """Order-driven grid coloring: a deterministic (n-1)c-approximation.
 
     Bidders enter in the order ``pi``.  The first bidder tentatively wins its
-    whole axis.  When bidder number j enters, its zero layer only re-checks the
-    standing winners (there is nothing to copy from); each higher layer copies
-    the winner from the layer below and reallocates to the entrant whenever the
-    standing winner fails the (j-1)c test against the best of the first j
-    bidders or the c test against the entrant itself.
+    whole axis.  When bidder number j enters, each cell of its zero layer has
+    a standing winner w, and the cell's winner at entrant level s is j iff some
+    level 0..s trips the lazy chain's test ``_reallocates`` against w: the best
+    of the first j bidders beats (j-1)c times w, or the entrant alone beats c
+    times w.  A trigger sticks, since the test against j itself can only pick
+    j again, so this is the chain's rule at every cell.
 
     ``pi`` may order any non-empty subset of the bidders (``lazy_winner``'s
     contract): the others keep their whole axis in every iteration and never
@@ -254,15 +248,10 @@ def hypergrid_coloring(
         ax = sum(a not in later for a in range(j))  # the view keeps its axes in bidder order
         layers = np.moveaxis(winner[sub], ax, 0)
         vals = np.moveaxis(dense[(slice(None),) + sub], ax + 1, 1)
-        top = vals[list(first)].max(axis=0)
-        cells = np.indices(layers.shape[1:], sparse=True)  # with w, picks each cell's winner value
-        thresh = it * c  # iteration number it+1 uses the ((it+1)-1)c test
-        for sj in range(len(layers)):
-            if sj:
-                layers[sj] = layers[sj - 1]
-            w = layers[sj]
-            vw = vals[:, sj][(w, *cells)]
-            layers[sj] = np.where((top[sj] > thresh * vw) | (vals[j, sj] > c * vw), j, w)
+        w = layers[0]
+        vw = np.take_along_axis(vals, w[None, None], axis=0)[0]  # w's value at every level
+        hit = _reallocates(vals[list(first)].max(axis=0), vals[j], vw, it, c)
+        layers[...] = np.where(np.logical_or.accumulate(hit, axis=0), j, w)
     return AllocationTable(space=v.space, winner=winner)
 
 
@@ -330,8 +319,7 @@ def _lazy_chain(v, orders, p, c):
     Bidders outside a row's ordering keep their reports; its entrants after
     the first start at signal 0.  For each entrant j, one ``values_at_batch``
     call evaluates every row at j's levels 0..p_j, and j takes over iff some
-    level trips the reallocation test: the table scans those levels upward
-    and the first trigger wins, so any trigger decides the same winner.
+    level trips the reallocation test.
     """
     B, m = orders.shape
     rows = np.arange(B)

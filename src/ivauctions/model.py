@@ -54,7 +54,10 @@ class SignalSpace:
     profile_cap: int = field(default=DEFAULT_PROFILE_CAP, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(k) for k in self.sizes))
+        try:  # integer types only, as ``validate_profile`` reads signals: 1.5 or "1" is refused
+            object.__setattr__(self, "sizes", tuple(operator.index(k) for k in self.sizes))
+        except TypeError as e:
+            raise ValidationError(f"signal bounds must be integers: {e}") from None
         if len(self.sizes) < 1:
             raise ValidationError("need at least one bidder")
         if any(k < 1 for k in self.sizes):

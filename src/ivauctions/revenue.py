@@ -50,8 +50,6 @@ from .model import (
 
 PROB_TOL = 1e-12
 
-WINNING = "winning"
-
 
 class UndefinedReserve(ValidationError):
     """The conditioning event of a reserve quote has probability zero (or no critical signal)."""
@@ -170,34 +168,24 @@ class ReserveQuote:
 
     price: float
     expected_revenue: float
-    condition: str
-    bidder: int
-    context: tuple[int, ...]
 
 
-def _monopoly_quote(
-    values: np.ndarray, probs: np.ndarray, condition: str, bidder: int, context: tuple[int, ...]
-) -> ReserveQuote:
+def _monopoly_quote(values: np.ndarray, probs: np.ndarray) -> ReserveQuote:
+    """Best support price of ``values`` under the posterior ``probs``; prices
+    ascend, so ``>=`` breaks revenue ties toward the higher price."""
     mass = float(probs.sum())
     if mass <= 0:
-        raise UndefinedReserve(f"conditioning event has zero probability for bidder {bidder}")
+        raise UndefinedReserve("conditioning event has zero probability")
     posterior = probs / mass
     support = sorted({float(values[t]) for t in range(values.size) if posterior[t] > 0})
     best_price = None
     best_rev = -1.0
     for price in support:
-        accept = float(posterior[values >= price].sum())
-        rev = price * accept
-        if rev > best_rev or (rev == best_rev and (best_price is None or price > best_price)):
+        rev = price * float(posterior[values >= price].sum())
+        if rev >= best_rev:
             best_rev = rev
             best_price = price
-    return ReserveQuote(
-        price=best_price,
-        expected_revenue=best_rev,
-        condition=condition,
-        bidder=bidder,
-        context=context,
-    )
+    return ReserveQuote(price=best_price, expected_revenue=best_rev)
 
 
 def _line_values(v: ValuationInstance, i: int, context: tuple[int, ...]) -> np.ndarray:
@@ -224,7 +212,7 @@ def winning_reserve(
         raise UndefinedReserve(f"bidder {i} never wins on line {context}")
     values = _line_values(v, i, context)
     probs = prior.line_probs(i, context)
-    quote = _monopoly_quote(values[b_star:], probs[b_star:], WINNING, i, context)
+    quote = _monopoly_quote(values[b_star:], probs[b_star:])
     assert quote.price >= values[b_star], "reserve must dominate the critical value"
     return quote
 

@@ -8,7 +8,9 @@ literal twins and paper definitions the tests cross-check the package with:
 the per-profile truthfulness sweep, the losing reserve, the evaluator-backed
 sub-market, the worst ratio over sub-markets as a profile-by-subset loop,
 the closed forms of the no-crossing family, and the increments and
-intermediate profiles that define ``c``.
+intermediate profiles that define ``c``.  Last come former package code kept
+as twins: the high-if-possible walk with its choice of order inside a weight
+class, and four generators that fill their tables one profile at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +30,17 @@ from ivauctions import (
     lazy_winners,
 )
 from ivauctions.instances import gen_rand_impossibility
-from ivauctions.mechanisms import REL_TOL, AllocationTable, Rule, critical_signal, outcome
+from ivauctions.mechanisms import (
+    NO_WINNER,
+    REL_TOL,
+    AllocationTable,
+    IncompatibleMechanism,
+    Rule,
+    _argmax_lowest,
+    _required_c,
+    critical_signal,
+    outcome,
+)
 from ivauctions.model import validate_permutation
 from ivauctions.revenue import (
     JointPrior,
@@ -38,8 +50,6 @@ from ivauctions.revenue import (
     _line_values,
     _monopoly_quote,
 )
-
-LOSING = "losing"
 
 
 def lazy_winner(
@@ -191,7 +201,7 @@ def losing_reserve(
         raise UndefinedReserve(f"bidder {i} always wins on line {context}; losing side empty")
     values = _line_values(v, i, context)
     probs = prior.line_probs(i, context)
-    return _monopoly_quote(values[:cutoff], probs[:cutoff], LOSING, i, context)
+    return _monopoly_quote(values[:cutoff], probs[:cutoff])
 
 
 def restrict_bidders(
@@ -297,3 +307,127 @@ def alpha_approximates(
         raise ValidationError("alpha must be nonnegative")
     p = v.space.validate_profile(s)
     return v.value(j, p) <= alpha * v.value(i, p)
+
+
+def high_if_possible_ordered(
+    v: ValuationInstance, c: Optional[float] = None, order: str = "lex"
+) -> AllocationTable:
+    """Two-signal mechanism favoring bidders whose signal is already high.
+
+    Profiles are processed by increasing number of high signals.  At an
+    undetermined profile the best high bidder wins if the overall argmax is
+    within a factor c of her value; otherwise the argmax bidder wins and the
+    win is propagated to her high-signal neighbor.  High winners need no
+    propagation, which is what keeps the allocation conflict-free.
+
+    ``order`` picks the traversal inside one weight class ("lex" or "revlex");
+    the output must not depend on it since same-weight cells are independent.
+    """
+    if any(k != 1 for k in v.space.sizes):
+        raise IncompatibleMechanism("high-if-possible needs two signals per bidder")
+    c = _required_c(v, c)
+    dense = v.tabulated().values
+    n = v.n
+    profiles = sorted(
+        v.space.profiles(),
+        key=lambda p: (sum(p), p if order == "lex" else tuple(-x for x in p)),
+    )
+    winner = np.full(v.space.shape, NO_WINNER, dtype=np.int32)
+    for p in profiles:
+        if winner[p] != NO_WINNER:
+            continue
+        vals = dense[(slice(None),) + p]
+        istar = _argmax_lowest(vals)
+        high = [i for i in range(n) if p[i] == 1]
+        if high:
+            ih = high[int(np.argmax(vals[high]))]
+            if vals[istar] <= c * vals[ih]:
+                winner[p] = ih
+                continue
+        winner[p] = istar
+        assert p[istar] == 0, "argmax with a high signal is itself a high bidder"
+        q = list(p)
+        q[istar] = 1
+        tq = tuple(q)
+        if winner[tq] != NO_WINNER and winner[tq] != istar:
+            raise AssertionError(f"propagation conflict at {tq}")
+        winner[tq] = istar
+    return AllocationTable(space=v.space, winner=winner)
+
+
+def gen_rand_impossibility_by_profile(n: int) -> ValuationInstance:
+    """Two-signal bidders with v_i = prod_{j != i} s_j: value 1 iff everyone else is high."""
+    if n < 2:
+        raise ValidationError("n must be >= 2")
+    space = SignalSpace((1,) * n)
+    values = np.zeros((n,) + space.shape)
+    for p in space.profiles():
+        for i in range(n):
+            values[(i,) + p] = float(all(p[j] == 1 for j in range(n) if j != i))
+    return ValuationInstance(space=space, values=values, name="rand_impossibility")
+
+
+def gen_rand_c_lb_by_profile(n: int, c: float) -> ValuationInstance:
+    """Two-signal family where raising any signal moves the owner by 1/c and rivals by 1.
+
+    v_i is 0 or 1/c while some other bidder is low, and 1 or 1 + 1/c once all
+    other bidders are high.
+    """
+    if n < 2:
+        raise ValidationError("n must be >= 2")
+    if c < 1:
+        raise ValidationError("c must be >= 1")
+    space = SignalSpace((1,) * n)
+    values = np.zeros((n,) + space.shape)
+    for p in space.profiles():
+        for i in range(n):
+            others_high = all(p[j] == 1 for j in range(n) if j != i)
+            values[(i,) + p] = (1.0 if others_high else 0.0) + (1.0 / c if p[i] == 1 else 0.0)
+    return ValuationInstance(space=space, values=values, name="rand_c_lb")
+
+
+def gen_tight_hypergrid_by_profile(n: int, c: float) -> ValuationInstance:
+    """Two-signal instance making the order-driven grid mechanism pay its full (n-1)c.
+
+    Bidders other than the second are worth 1 when their own signal is high;
+    the second bidder is worth c times the number of high rivals.
+    """
+    if n < 3:
+        raise ValidationError("n must be >= 3")
+    if c < 1:
+        raise ValidationError("c must be >= 1")
+    space = SignalSpace((1,) * n)
+    values = np.zeros((n,) + space.shape)
+    for p in space.profiles():
+        high_others = sum(1 for j in range(n) if j != 1 and p[j] == 1)
+        for i in range(n):
+            values[(i,) + p] = c * high_others if i == 1 else float(p[i])
+    return ValuationInstance(space=space, values=values, name="tight_hypergrid")
+
+
+
+def gen_random_separable_by_profile(n: int, k: int, c: float, seed: int) -> ValuationInstance:
+    """Random additively separable instance, guaranteed c-crossing and concave.
+
+    v_j(s) = base_j + sum_i f_ji(s_i) with every cross increment of f_ji drawn
+    at most c times the matching own increment of f_ii.
+    """
+    if n < 1 or k < 1 or c < 1:
+        raise ValidationError("need n >= 1, k >= 1, c >= 1")
+    rng = np.random.default_rng(seed)
+    space = SignalSpace((k,) * n)
+    own = rng.uniform(0.25, 1.0, size=(n, k))  # own[i][t-1]: increment of f_ii at step t
+    incr = np.empty((n, n, k))  # incr[j][i][t-1]: increment of f_ji at step t
+    for j in range(n):
+        for i in range(n):
+            if i == j:
+                incr[j, i] = own[i]
+            else:
+                incr[j, i] = rng.uniform(0.0, 1.0, size=k) * c * own[i]
+    base = rng.uniform(0.0, 0.5, size=n)
+    f = np.concatenate([np.zeros((n, n, 1)), np.cumsum(incr, axis=2)], axis=2)
+    values = np.empty((n,) + space.shape)
+    for p in space.profiles():
+        for j in range(n):
+            values[(j,) + p] = base[j] + sum(f[j, i, p[i]] for i in range(n))
+    return ValuationInstance(space=space, values=values, name="random_separable")

@@ -416,6 +416,10 @@ def test_revenue_malformed_prior_is_a_typed_error(tmp_path, prior):
         {"sizes": [1, 1], "values": [[1.0, 2.0, 3.0, [5]], [1.0, 2.0, 3.0, 4.0]]},
         {"sizes": [1, "b"], "values": [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]]},
         {"sizes": [1], "values": [1.0, 2.0]},
+        # non-integer sizes are refused even where truncating them would fit the rows
+        {"sizes": [1.5, 1], "values": [[1.0, 2.0, 3.0, 4.0]] * 2},
+        {"sizes": ["1", 1], "values": [[1.0, 2.0, 3.0, 4.0]] * 2},
+        {"sizes": [2.0, 1], "values": [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]] * 2},
     ],
 )
 def test_malformed_instance_file_is_a_typed_error(tmp_path, obj):

@@ -13,7 +13,11 @@ from ivauctions import (
 )
 from ivauctions import instances as gen
 
+import reference
+
 REL = 1e-9
+
+C_GRID = (1, 1.5, 2.0, 3.0, 7.3, 10**20)  # an int c beyond int64 must not overflow
 
 
 def test_oil_sc_values():
@@ -173,3 +177,30 @@ def test_generator_parameter_validation():
         gen.gen_tight_hypergrid(2, 2.0)
     with pytest.raises(ValidationError):
         gen.gen_rand_c_lb(1, 2.0)
+
+
+def _same_values(got, want):
+    a, b = got.tabulated().values, want.tabulated().values
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_array_generators_match_profile_loops():
+    """The generators built from ``np.indices`` give the per-profile loops' bytes."""
+    for n in range(2, 9):
+        assert _same_values(gen.gen_rand_impossibility(n),
+                            reference.gen_rand_impossibility_by_profile(n)), n
+        for c in C_GRID:
+            assert _same_values(gen.gen_rand_c_lb(n, c),
+                                reference.gen_rand_c_lb_by_profile(n, c)), (n, c)
+            if n >= 3:
+                assert _same_values(gen.gen_tight_hypergrid(n, c),
+                                    reference.gen_tight_hypergrid_by_profile(n, c)), (n, c)
+    for n in range(1, 7):
+        for k in range(1, 4):
+            if (k + 1) ** n > 5000:
+                continue
+            for seed in range(6):
+                for c in (1, 2.0, 3.5):
+                    got = gen.gen_random_separable(n, k, c, seed)
+                    want = reference.gen_random_separable_by_profile(n, k, c, seed)
+                    assert _same_values(got, want), (n, k, seed, c)

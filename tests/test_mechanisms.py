@@ -174,12 +174,43 @@ def test_high_if_possible_requires_two_signals():
         high_if_possible(gen.gen_oil_sc(3))
 
 
-def test_high_if_possible_order_independent():
-    for seed in range(8):
-        v, c, _ = gen.gen_random_tabulated(4, 1, seed=seed)
-        lex = high_if_possible(v, order="lex")
-        rev = high_if_possible(v, order="revlex")
-        assert np.array_equal(lex.winner, rev.winner), seed
+def _two_signal_cases(finite_c_corpus):
+    cases = [(f"tabulated_seed{seed}", gen.gen_random_tabulated(4, 1, seed=seed)[0])
+             for seed in range(8)]
+    cases += [(name, v) for name, v, _, _ in finite_c_corpus
+              if all(k == 1 for k in v.space.sizes)]
+    return cases
+
+
+def test_high_if_possible_matches_ordered_reference(finite_c_corpus):
+    """The package's row-major walk gives the table of the reference walk in either
+    order inside a weight class ("lex" and "revlex")."""
+    for name, v in _two_signal_cases(finite_c_corpus):
+        table = high_if_possible(v).winner
+        for order in ("lex", "revlex"):
+            want = reference.high_if_possible_ordered(v, order=order).winner
+            assert np.array_equal(table, want), (name, order)
+
+
+def test_high_if_possible_understated_c_fails_like_reference(finite_c_corpus):
+    """With c understated as 1 the walk can hit a propagation conflict; the package
+    and the reference raise on the same instances."""
+    def raises(f):
+        try:
+            f()
+        except AssertionError:
+            return True
+        return False
+
+    failing = []
+    for name, v in _two_signal_cases(finite_c_corpus):
+        got = raises(lambda: high_if_possible(v, c=1.0))
+        for order in ("lex", "revlex"):
+            want = raises(lambda: reference.high_if_possible_ordered(v, c=1.0, order=order))
+            assert want == got, (name, order)
+        if got:
+            failing.append(name)
+    assert failing  # the case is exercised
 
 
 def test_high_if_possible_random_instances():
@@ -306,6 +337,22 @@ def test_lazy_winners_match_scalar_chain(finite_c_corpus):
             expected = [reference.lazy_winner(v, pi, s, c=c) for pi in orders]
             assert lazy_winners(v, orders, s, c=c).tolist() == expected, (name, s)
             assert [lazy_winner(v, pi, s, c=c) for pi in orders] == expected, (name, s)
+
+
+def test_chain_and_table_match_scalar_chain_where_the_set_test_decides():
+    """Every ordering and profile of an instance where the (|S|c) branch of the
+    reallocation test alone decides some step (10 of its 81 profiles): the array
+    chain, one row or a batch, and every cell of the table give the scalar chain's
+    winner.  So a change to either branch of ``_reallocates`` shows here."""
+    v = gen.gen_random_separable(4, 2, 3.0, seed=0)
+    c = compute_c(v)
+    orders = list(permutations(range(v.n)))
+    tables = np.stack([hypergrid_coloring(v, pi, c=c).winner for pi in orders])
+    for s in v.space.profiles():
+        expected = [reference.lazy_winner(v, pi, s, c=c) for pi in orders]
+        assert lazy_winners(v, orders, s, c=c).tolist() == expected, s
+        assert [lazy_winner(v, pi, s, c=c) for pi in orders] == expected, s
+        assert tables[(slice(None),) + s].tolist() == expected, s
 
 
 def _counting(v):
