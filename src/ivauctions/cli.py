@@ -30,6 +30,7 @@ from .mechanisms import (
     NO_WINNER,
     IncompatibleMechanism,
     _ratios,
+    _winner_values,
     generalized_vcg,
     high_if_possible,
     hypergrid_coloring,
@@ -412,10 +413,9 @@ def cmd_evaluate(args) -> dict:
         means = {tuple(row["profile"]): row["expected_value"] for row in per_profile}
         result["expected_welfare"] = sum(ps * means[s] for s, ps in prior.support())
     if prior is not None and table is not None:
-        welfare = 0.0
-        for s, ps in prior.support():
-            w = int(table.winner[s])
-            welfare += ps * (0.0 if w == NO_WINNER else v.value(w, s))
+        support = prior.probs > 0
+        won = _winner_values(v.tabulated().values, table.winner)
+        welfare = float(revenue._sequential_sums(prior.probs[support] * won[support]))
         rev = revenue.expected_payment_revenue(table, v, prior)
         look = revenue.lookahead_benchmark(prior, v, table)
         result["expected_welfare"] = welfare

@@ -10,6 +10,17 @@ offers that winner her reserve under the restricted rule.  Expected revenue
 is evaluated exactly by enumerating profiles, internal branches, subsets, and
 rule realizations whenever that enumeration is small, and by seeded Monte
 Carlo otherwise.
+
+The exact paths settle reserves in one array pass per bidder over the lines
+through the prior's support.  The rules of a mechanism (or of a lookahead)
+are stacked and read at those lines' points, a chunk of rules at a time, and
+the pass finds the critical signal and the winning reserve of every line a
+bidder wins on at a support profile.  Rules and values are read nowhere else,
+so a sparse prior on a large grid costs a few lines, not the grid.  The pass
+sums every probability in the order the one-line quote does, and totals add
+their terms in the support's row-major order, so every float equals the
+one-profile-at-a-time evaluation.  Monte Carlo draws keep lazy rules and
+quote one line at a time with the same quote routine.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ import bisect
 import math
 import random
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from itertools import permutations
 from typing import Iterator, Optional, Sequence, Union
 
@@ -26,6 +38,7 @@ import numpy as np
 # lazy_winner is bound here, as in ``oracle``: sampled grid rules and the
 # benchmark's tracer reach the lazy chain through this module's namespace.
 from .mechanisms import (
+    NO_WINNER,
     AllocationTable,
     IncompatibleMechanism,
     Rule,
@@ -38,9 +51,9 @@ from .mechanisms import (
     high_if_possible,
     hypergrid_coloring,
     lazy_winner,
-    outcome,
 )
 from .model import (
+    _TABULATE_CHUNK,
     SignalSpace,
     ValidationError,
     ValuationInstance,
@@ -170,28 +183,219 @@ class ReserveQuote:
     expected_revenue: float
 
 
-def _monopoly_quote(values: np.ndarray, probs: np.ndarray) -> ReserveQuote:
-    """Best support price of ``values`` under the posterior ``probs``; prices
-    ascend, so ``>=`` breaks revenue ties toward the higher price."""
-    mass = float(probs.sum())
-    if mass <= 0:
-        raise UndefinedReserve("conditioning event has zero probability")
-    posterior = probs / mass
-    support = sorted({float(values[t]) for t in range(values.size) if posterior[t] > 0})
-    best_price = None
-    best_rev = -1.0
-    for price in support:
-        rev = price * float(posterior[values >= price].sum())
-        if rev >= best_rev:
-            best_rev = rev
-            best_price = price
-    return ReserveQuote(price=best_price, expected_revenue=best_rev)
+#: Cells one chunk of an array pass may hold: a quote chunk's (candidate
+#: price, line entry) block, or a rule chunk's winners at the lines' points.
+_CHUNK_CELLS = 1 << 20
+
+def _row_sums(entries: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.sum`` of each row of a ragged array, bit for bit.
+
+    Row r is the next ``counts[r]`` entries of ``entries``.  The rows of one
+    length are gathered into one C-contiguous block and summed along its
+    rows, which NumPy does exactly as it sums each row as a 1-D array.  When
+    few rows share a length (one line's candidate prices), each row is
+    summed as its own slice instead, which takes fewer NumPy calls.
+    """
+    lengths = np.flatnonzero(np.bincount(counts))
+    if counts.size <= 4 * lengths.size:
+        sums, end = [], 0
+        for c in counts.tolist():
+            sums.append(entries[end : end + c].sum())
+            end += c
+        return np.array(sums)
+    starts = np.cumsum(counts) - counts
+    sums = np.empty(counts.size)
+    for c in lengths:
+        rows = np.flatnonzero(counts == c)
+        sums[rows] = entries[starts[rows, None] + np.arange(c)].sum(axis=1)
+    return sums
 
 
-def _line_values(v: ValuationInstance, i: int, context: tuple[int, ...]) -> np.ndarray:
-    return np.array(
-        [v.value(i, context[:i] + (t,) + context[i:]) for t in range(v.space.sizes[i] + 1)]
-    )
+def _sequential_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row's total as a Python loop adds it: ``0.0 + t[0] + t[1] + ...``."""
+    return 0.0 + np.cumsum(terms, axis=-1)[..., -1]
+
+
+def _monopoly_quotes(
+    values: np.ndarray, probs: np.ndarray, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Winning reserves of many lines at once: (price, expected revenue) per row.
+
+    Row r quotes the line ``values[r]`` under the joint probabilities
+    ``probs[r]``, conditioned on the own signal being at least ``start[r]``
+    (a signal of the line).  The price is the support value of the posterior
+    that maximizes price times acceptance probability; prices ascend, so
+    revenue ties go to the higher price.  The price always sits on a value of
+    the line.  NaN marks a conditioning event of probability zero.  Each mass
+    and each acceptance probability sums the same entries in the same order
+    as ``np.sum`` over the row's suffix, so every float equals the one-line
+    loop's.
+    """
+    m, width = values.shape
+    price, gain = np.full((2, m), np.nan)
+    step = max(1, _CHUNK_CELLS // (width * width))
+    for lo in range(0, m, step):
+        vals, joint, first = values[lo : lo + step], probs[lo : lo + step], start[lo : lo + step]
+        on = np.arange(width) >= first[:, None]
+        mass = _row_sums(joint[on], width - first)
+        rows = np.flatnonzero(mass > 0)
+        if rows.size < mass.size:  # drop the undefined quotes
+            vals, joint, on, mass = vals[rows], joint[rows], on[rows], mass[rows]
+        posterior = joint / mass[:, None]
+        line, t = np.nonzero(on & (posterior > 0))  # each candidate price, by line
+        offer = vals[line, t]
+        accepts = np.where(on, vals, -np.inf)[line] >= offer[:, None]
+        rev = np.full(vals.shape, -np.inf)
+        rev[line, t] = offer * _row_sums(posterior[line][accepts], accepts.sum(axis=1))
+        best = rev.max(axis=1)
+        price[lo + rows] = np.where(rev == best[:, None], vals, -np.inf).max(axis=1)
+        gain[lo + rows] = best
+    return price, gain
+
+
+def _critical_signals(wins: np.ndarray) -> np.ndarray:
+    """``critical_signal`` on each row of a (lines, k + 1) win matrix; -1 for None.
+
+    The same bisection with one gather per probe over every line: the top
+    signal, then ceil(log2(k + 1)) halvings, so a non-monotone row gets the
+    signal ``critical_signal`` returns, not its first win.
+    """
+    rows = np.arange(len(wins))
+    k = wins.shape[1] - 1
+    top = wins[:, k]
+    lo = np.zeros(len(wins), dtype=np.intp)
+    hi = np.full(len(wins), k)
+    for _ in range(k.bit_length()):
+        mid = (lo + hi) // 2
+        won = wins[rows, mid]
+        live = lo < hi
+        hi = np.where(live & won, mid, hi)
+        lo = np.where(live & ~won, mid + 1, lo)
+    return np.where(top, lo, -1)
+
+
+def _distinct(flat: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a 1-D integer array.
+
+    A sort and a neighbour comparison: ``np.unique`` without an inverse takes
+    a hashing path that is several times slower on these arrays.
+    """
+    flat = np.sort(flat)
+    return flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+
+
+class _SupportLines:
+    """Every line through the support of a prior, for each bidder.
+
+    A bidder's line is her own signal's axis at fixed others' signals.  The
+    exact paths read rules and values only at the points of these lines (the
+    whole grid under a full-support prior, a few lines under a sparse one).
+    Each bidder's lines are numbered after the previous bidder's, and
+    ``column[i, j]`` is the number of bidder i's line through the j-th
+    support profile.
+    """
+
+    def __init__(self, prior: JointPrior, v: ValuationInstance):
+        shape = v.space.shape
+        self.support = np.flatnonzero(prior.probs > 0)  # flat grid indices, row-major
+        signals = np.unravel_index(self.support, shape)
+        self.strides = [math.prod(shape[i + 1 :]) for i in range(len(shape))]  # flat steps
+        firsts, columns, points = [], [], []
+        self.count = 0
+        for i, (width, stride) in enumerate(zip(shape, self.strides)):
+            starts = self.support - signals[i] * stride
+            heads = _distinct(starts)
+            firsts.append(self.count)
+            columns.append(self.count + np.searchsorted(heads, starts))
+            points.append(heads[:, None] + stride * np.arange(width))
+            self.count += len(heads)
+        self.column = np.stack(columns)
+        self.near = _distinct(np.concatenate([p.ravel() for p in points]))
+        self.at_support = np.searchsorted(self.near, self.support)
+        values = v.values_at_batch(np.stack(np.unravel_index(self.near, shape), axis=1))
+        self.values = values[self.at_support]  # (support, n)
+        flat_probs = prior.probs.reshape(-1)
+        # per bidder: her first line's number, then per line its points' places in
+        # ``near``, her values and the joint probabilities
+        self.bidders = []
+        for i, (first, at) in enumerate(zip(firsts, points)):
+            near_at = np.searchsorted(self.near, at)
+            self.bidders.append((first, near_at, values[near_at, i], flat_probs[at]))
+
+    def read(self, per_line: np.ndarray, winners: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Each rule's ``per_line`` entry on its winner's line through the support profiles ``at``.
+
+        ``per_line`` is (R, lines) and ``winners`` (R, len(at)); NaN where no one wins.
+        """
+        lines = self.column[winners, at]  # a missing winner reads the last bidder's line, then NaN
+        rules = np.arange(len(per_line))[:, None]
+        return np.where(winners != NO_WINNER, per_line[rules, lines], np.nan)
+
+
+def _called_at(rule: Rule, v: ValuationInstance, flat: np.ndarray) -> np.ndarray:
+    """A winner function called at the flat grid indices ``flat``, NO_WINNER for None."""
+    out = np.empty(flat.size, dtype=np.int32)
+    for lo in range(0, flat.size, _TABULATE_CHUNK):
+        block = np.stack(np.unravel_index(flat[lo : lo + _TABULATE_CHUNK], v.space.shape), axis=1)
+        winners = map(rule, map(tuple, block.tolist()))
+        out[lo : lo + len(block)] = [NO_WINNER if w is None else w for w in winners]
+    return out
+
+
+def _winners_near(rules: Sequence, v: ValuationInstance, lines: _SupportLines) -> np.ndarray:
+    """Each rule's winner at the points of the support's lines, as an (R, len(near)) array.
+
+    A table is read by lookup.  A function is called at the support
+    profiles, then off the support only on the lines of each profile's
+    winner, as ``critical_signal`` would probe them; the points no line of
+    the pass reads stay NO_WINNER.
+    """
+    near, at = lines.near, lines.at_support
+    out = np.full((len(rules), near.size), NO_WINNER, dtype=np.int32)
+    for r, rule in enumerate(rules):
+        table = rule if isinstance(rule, AllocationTable) else getattr(rule, "__self__", None)
+        if isinstance(table, AllocationTable):
+            out[r] = table.winner.reshape(-1)[near]
+            continue
+        out[r, at] = _called_at(rule, v, lines.support)
+        probe = np.zeros(near.size, dtype=bool)
+        for i, (first, points, _, _) in enumerate(lines.bidders):
+            probe[points[lines.column[i, out[r, at] == i] - first]] = True
+        probe[at] = False
+        out[r, probe] = _called_at(rule, v, near[probe])
+    return out
+
+
+def _line_quotes(
+    lines: _SupportLines, v: ValuationInstance, rules: Sequence, quote: bool = True
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Critical values and winning reserves of R rules, one pass per bidder and chunk of rules.
+
+    Each line of a bidder on which she wins at a support profile is settled
+    once, for every rule of the chunk together.  Yields, per chunk of rules
+    in order, the rules' winners at the support profiles (chunk, support)
+    and a (3, chunk, lines) array: per line, the value at the bidder's
+    critical signal, then (if ``quote``) her winning reserve's price and
+    expected revenue.  NaN marks a line no rule settles, a bidder without a
+    critical signal, and (for the quote) a conditioning event of probability
+    zero.  Every quote's price is checked to dominate the critical value.
+    """
+    step = max(1, _CHUNK_CELLS // lines.near.size)
+    for lo in range(0, len(rules), step):
+        winners = _winners_near(rules[lo : lo + step], v, lines)
+        per_line = np.full((3, len(winners), lines.count), np.nan)
+        for i, (first, points, values, joint) in enumerate(lines.bidders):
+            count, width = points.shape
+            wins = winners[:, points] == i  # (chunk, lines, k + 1)
+            reached = np.flatnonzero((wins & (joint > 0)).any(axis=-1))
+            crit = _critical_signals(wins.reshape(-1, width)[reached])
+            rows, crit = reached[crit >= 0], crit[crit >= 0]
+            rule, line = np.divmod(rows, count)
+            per_line[0, rule, first + line] = values[line, crit]
+            if quote:
+                per_line[1:, rule, first + line] = _monopoly_quotes(values[line], joint[line], crit)
+        assert not np.any(per_line[1] < per_line[0]), "reserve must dominate the critical value"
+        yield winners[:, lines.at_support], per_line
 
 
 def winning_reserve(
@@ -204,41 +408,23 @@ def winning_reserve(
     """Monopoly price for bidder i given others at s_minus_i and s_i at least critical.
 
     The quote's price always dominates the bidder's value at her critical
-    signal, so posting it preserves truthfulness of the underlying rule.
+    signal, so posting it preserves truthfulness of the underlying rule.  It
+    reads the rule through ``critical_signal`` and the line's values with one
+    ``values_at_batch`` call, so a lazy rule stays lazy.
     """
     context = tuple(int(x) for x in s_minus_i)
     b_star = critical_signal(rule, v, i, context)
     if b_star is None:
         raise UndefinedReserve(f"bidder {i} never wins on line {context}")
-    values = _line_values(v, i, context)
-    probs = prior.line_probs(i, context)
-    quote = _monopoly_quote(values[b_star:], probs[b_star:])
-    assert quote.price >= values[b_star], "reserve must dominate the critical value"
-    return quote
-
-
-def _quote(
-    cache: dict,
-    prior: JointPrior,
-    v: ValuationInstance,
-    rule: Rule,
-    i: int,
-    context: tuple[int, ...],
-) -> Optional[ReserveQuote]:
-    """Winning reserve of bidder i on one line, computed once per (rule, i, line).
-
-    The quote depends only on the rule, the bidder and the others' signals, so
-    every profile on the line shares it.  ``None`` marks an undefined reserve.
-    The cache holds the rule itself as part of the key, so a rule's id cannot
-    be reused while its quotes are stored.
-    """
-    key = (rule, i, context)
-    if key not in cache:
-        try:
-            cache[key] = winning_reserve(prior, v, rule, i, context)
-        except UndefinedReserve:
-            cache[key] = None
-    return cache[key]
+    line = [context[:i] + (t,) + context[i:] for t in range(v.space.sizes[i] + 1)]
+    values = v.values_at_batch(np.array(line))[:, i]
+    [price], [gain] = _monopoly_quotes(
+        values[None], prior.line_probs(i, context)[None], np.array([b_star])
+    )
+    if math.isnan(price):
+        raise UndefinedReserve("conditioning event has zero probability")
+    assert price >= values[b_star], "reserve must dominate the critical value"
+    return ReserveQuote(price=float(price), expected_revenue=float(gain))
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +586,19 @@ class RevenueEvent:
     branch: str
 
 
+def _offer(prob: float, branch: str, buyer: int, price: float, value: float) -> RevenueEvent:
+    """The buyer is offered ``price`` and buys iff her value reaches it."""
+    sold = value >= price
+    return RevenueEvent(
+        prob=prob,
+        revenue=price if sold else 0.0,
+        buyer=buyer if sold else None,
+        price=price,
+        buyer_value=value,
+        branch=branch,
+    )
+
+
 @dataclass(frozen=True)
 class ReserveBackedMechanism:
     """Black-box welfare-to-revenue reduction around a rule family.
@@ -421,8 +620,8 @@ class ReserveBackedMechanism:
     alpha: float
     d: float
     p: float = 1.0
-    # Winning-reserve quotes per (rule, bidder, line), shared by every profile
-    # and Monte Carlo draw that posts on the same line.
+    # Winning-reserve quotes per (rule, bidder, line), shared by every Monte
+    # Carlo draw and off-support profile that posts on the same line.
     _quotes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -436,38 +635,80 @@ class ReserveBackedMechanism:
         return (a * a + 1.0) / (a * a + 4.0 * a * d / (p * p) + 1.0)
 
     def _posted(self, rule: Rule, s: tuple[int, ...], branch: str, prob: float) -> RevenueEvent:
+        """One branch quoted line by line: the rule's winner, quoted once per (rule, bidder, line)."""
         i = rule(s)
         if i is None:
             return RevenueEvent(prob, 0.0, None, None, None, branch)
         context = tuple(x for b, x in enumerate(s) if b != i)
-        quote = _quote(self._quotes, self.prior, self.v, rule, i, context)
+        key = (rule, i, context)  # holding the rule keeps its id from being reused
+        if key not in self._quotes:
+            try:
+                self._quotes[key] = winning_reserve(self.prior, self.v, rule, i, context)
+            except UndefinedReserve:
+                self._quotes[key] = None
+        quote = self._quotes[key]
         if quote is None:
             return RevenueEvent(prob, 0.0, None, None, None, branch)
-        value = self.v.value(i, s)
-        sold = value >= quote.price
-        return RevenueEvent(
-            prob=prob,
-            revenue=quote.price if sold else 0.0,
-            buyer=i if sold else None,
-            price=quote.price,
-            buyer_value=value,
-            branch=branch,
-        )
+        return _offer(prob, branch, i, quote.price, self.v.value(i, s))
 
-    def profile_events(self, s: Sequence[int]) -> list[RevenueEvent]:
-        """Exact enumeration of every internal branch at one reported profile."""
-        s = self.v.space.validate_profile(s)
+    @cached_property
+    def _branches(self) -> tuple:
+        """Every exact branch with its rule's row in one stacked pass over the support's lines.
+
+        Branches follow ``profile_events``: the full market's realizations,
+        the empty subset (no rule), then each subset's realizations.  A rule
+        that serves several branches (the full market is also a subset) is
+        one row, so each (rule, bidder, line) is quoted once.  Kept per row:
+        the winner at each support profile and the reserve price on each
+        line; both are built at first use.
+        """
         n = self.v.n
         qa = self.branch_a_prob
-        events = []
-        for pr, rule in self.family.realizations(tuple(range(n))):
-            events.append(self._posted(rule, s, "full", qa * pr))
         qb = (1.0 - qa) / 2**n
-        events.append(RevenueEvent(qb, 0.0, None, None, None, "subset"))  # the empty subset
+        branches = [(qa * pr, "full", rule) for pr, rule in self.family.realizations(tuple(range(n)))]
+        branches.append((qb, "subset", None))
         for mask in range(1, 2**n):
             keep = tuple(b for b in range(n) if mask >> b & 1)
-            for pr, rule in self.family.realizations(keep):
-                events.append(self._posted(rule, s, "subset", qb * pr))
+            branches += [(qb * pr, "subset", rule) for pr, rule in self.family.realizations(keep)]
+        rows: dict = {}
+        heads = [
+            (prob, branch, rule, None if rule is None else rows.setdefault(rule, len(rows)))
+            for prob, branch, rule in branches
+        ]
+        lines = _SupportLines(self.prior, self.v)
+        winners, prices = [], []
+        for won, per_line in _line_quotes(lines, self.v, list(rows)):
+            winners.append(won.astype(np.min_scalar_type(-n)))
+            prices.append(per_line[1])
+        lines.bidders.clear()  # each line's points, values and probabilities serve the pass only
+        return heads, lines, np.concatenate(winners), np.concatenate(prices)
+
+    def profile_events(self, s: Sequence[int]) -> list[RevenueEvent]:
+        """Exact enumeration of every internal branch at one reported profile.
+
+        A support profile reads the stacked pass; any other profile quotes its
+        lines one at a time, as a Monte Carlo draw does.
+        """
+        s = self.v.space.validate_profile(s)
+        heads, lines, winners, prices = self._branches
+        flat = sum(x * stride for x, stride in zip(s, lines.strides))
+        at = int(lines.support.searchsorted(flat))
+        if at == lines.support.size or lines.support[at] != flat:
+            return [
+                RevenueEvent(prob, 0.0, None, None, None, branch)
+                if rule is None
+                else self._posted(rule, s, branch, prob)
+                for prob, branch, rule, _ in heads
+            ]
+        winner = winners[:, [at]]
+        costs = lines.read(prices, winner, np.array([at]))[:, 0].tolist()
+        winner, values = winner[:, 0].tolist(), lines.values[at].tolist()
+        events = []
+        for prob, branch, _, r in heads:
+            if r is None or math.isnan(costs[r]):  # no winner, or her reserve is undefined
+                events.append(RevenueEvent(prob, 0.0, None, None, None, branch))
+            else:
+                events.append(_offer(prob, branch, winner[r], costs[r], values[winner[r]]))
         return events
 
     def profile_outcomes(self, s: Sequence[int]) -> list[tuple[float, float]]:
@@ -536,6 +777,31 @@ def expected_revenue(
     return mean_and_stderr(draws())
 
 
+def _lookahead_totals(prior: JointPrior, v: ValuationInstance, rules: Sequence) -> np.ndarray:
+    """Lookahead of each of R rules, summed over the support in row-major order.
+
+    The runner-up is read from each support profile's two highest values,
+    the second one when the rule's winner holds the first, so no array
+    grows with R beyond one chunk of rules.
+    """
+    lines = _SupportLines(prior, v)
+    probs = prior.probs.reshape(-1)[lines.support]
+    at = np.arange(lines.support.size)
+    top = lines.values.argmax(axis=1)
+    first = lines.values[at, top]
+    rivals = lines.values.copy()
+    rivals[at, top] = -np.inf
+    second = rivals.max(axis=1)
+    second[second == -np.inf] = 0.0  # a lone bidder's win has no rival
+    totals = []
+    for winners, per_line in _line_quotes(lines, v, rules):
+        gain = lines.read(per_line[2], winners, at)
+        reserve = np.where(np.isnan(gain), 0.0, gain)  # undefined reserves earn nothing
+        runner = np.where(winners == top, second, first)
+        totals.append(_sequential_sums(probs * (reserve + runner)))
+    return np.concatenate(totals)
+
+
 def lookahead_benchmark(
     prior: JointPrior, v: ValuationInstance, rule: Union[Rule, AllocationTable]
 ) -> float:
@@ -543,34 +809,24 @@ def lookahead_benchmark(
 
     Per profile: the winner's winning-reserve expected revenue on her line plus
     the highest-valued non-winner's value, averaged over the prior.  Undefined
-    reserves (possible only off the support) contribute zero.
+    reserves (possible only off the support) contribute zero.  The rule is
+    read only on the lines through the support.
     """
-    win = _as_rule(rule)
-    quotes: dict = {}
-    total = 0.0
-    for s, ps in prior.support():
-        vals = v.values_at(s)
-        w = win(s)
-        if w is None:
-            runner = float(vals.max())
-            reserve_rev = 0.0
-        else:
-            runner = max((float(vals[j]) for j in range(v.n) if j != w), default=0.0)
-            context = tuple(x for b, x in enumerate(s) if b != w)
-            # keyed on ``win``: a table holds an array, so it is not hashable
-            quote = _quote(quotes, prior, v, win, w, context)
-            reserve_rev = 0.0 if quote is None else quote.expected_revenue
-        total += ps * (reserve_rev + runner)
-    return total
+    return float(_lookahead_totals(prior, v, [rule])[0])
 
 
 def lookahead_benchmark_family(
     prior: JointPrior, v: ValuationInstance, family: RuleFamily
 ) -> float:
-    """Lookahead averaged over the family's full-market rule realizations."""
+    """Lookahead averaged over the family's full-market rule realizations.
+
+    The realizations are settled together, one pass per bidder.
+    """
+    realizations = family.realizations(tuple(range(v.n)))
+    looks = _lookahead_totals(prior, v, [rule for _, rule in realizations]).tolist()
     total = 0.0
-    for prob, rule in family.realizations(tuple(range(v.n))):
-        total += prob * lookahead_benchmark(prior, v, rule)
+    for (prob, _), look in zip(realizations, looks):
+        total += prob * look
     return total
 
 
@@ -580,17 +836,13 @@ def expected_payment_revenue(
     """Expected critical-signal payment revenue of a rule under truthful play.
 
     The winner's payment depends only on her line, so it is settled once per
-    (winner, others' signals); profiles without a winner pay nothing.
+    (winner, others' signals) line the support reaches; profiles without a
+    winner pay nothing.
     """
-    win = _as_rule(rule)
-    payments: dict[tuple[int, tuple[int, ...]], float] = {}
-    total = 0.0
-    for s, ps in prior.support():
-        w = win(s)
-        if w is None:
-            continue
-        line = (w, tuple(x for b, x in enumerate(s) if b != w))
-        if line not in payments:
-            payments[line] = outcome(rule, v, s).payment
-        total += ps * payments[line]
-    return total
+    lines = _SupportLines(prior, v)
+    [(winners, per_line)] = _line_quotes(lines, v, [rule], quote=False)
+    paid = lines.read(per_line[0], winners, np.arange(lines.support.size))[0]
+    won = winners[0] != NO_WINNER
+    assert not np.isnan(paid[won]).any(), "winner must have a critical signal on her own line"
+    probs = prior.probs.reshape(-1)[lines.support]
+    return float(_sequential_sums(probs * np.where(won, paid, 0.0)))

@@ -5,12 +5,14 @@ mechanism's chain written one profile and one signal level at a time, the
 way the paper states it; ``ivauctions.lazy_winner`` and ``lazy_winners`` run
 the same chain as array passes and are tested against it.  The rest are the
 literal twins and paper definitions the tests cross-check the package with:
-the per-profile truthfulness sweep, the losing reserve, the evaluator-backed
-sub-market, the worst ratio over sub-markets as a profile-by-subset loop,
-the closed forms of the no-crossing family, and the increments and
-intermediate profiles that define ``c``.  Last come former package code kept
-as twins: the high-if-possible walk with its choice of order inside a weight
-class, and four generators that fill their tables one profile at a time.
+the per-profile truthfulness sweep, the one-line winning reserve (former
+package code, with its scalar price loop) and the losing reserve that shares
+its loop, the evaluator-backed sub-market, the worst ratio over sub-markets
+as a profile-by-subset loop, the closed forms of the no-crossing family, and
+the increments and intermediate profiles that define ``c``.  Last come more
+former package code kept as twins: the high-if-possible walk with its choice
+of order inside a weight class, and four generators that fill their tables
+one profile at a time.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ from ivauctions.revenue import (
     ReserveQuote,
     RuleFamily,
     UndefinedReserve,
-    _line_values,
-    _monopoly_quote,
 )
 
 
@@ -179,6 +179,53 @@ def check_expost_truthful_literal(
                 if u_dev > u_truth + tol:
                     violations.append((p, i, b, u_truth, u_dev))
     return violations
+
+
+def _monopoly_quote(values: np.ndarray, probs: np.ndarray) -> ReserveQuote:
+    """Best support price of ``values`` under the posterior ``probs``; prices
+    ascend, so ``>=`` breaks revenue ties toward the higher price."""
+    mass = float(probs.sum())
+    if mass <= 0:
+        raise UndefinedReserve("conditioning event has zero probability")
+    posterior = probs / mass
+    support = sorted({float(values[t]) for t in range(values.size) if posterior[t] > 0})
+    best_price = None
+    best_rev = -1.0
+    for price in support:
+        rev = price * float(posterior[values >= price].sum())
+        if rev >= best_rev:
+            best_rev = rev
+            best_price = price
+    return ReserveQuote(price=best_price, expected_revenue=best_rev)
+
+
+def _line_values(v: ValuationInstance, i: int, context: tuple[int, ...]) -> np.ndarray:
+    return np.array(
+        [v.value(i, context[:i] + (t,) + context[i:]) for t in range(v.space.sizes[i] + 1)]
+    )
+
+
+def winning_reserve(
+    prior: JointPrior,
+    v: ValuationInstance,
+    rule: Union[Rule, AllocationTable],
+    i: int,
+    s_minus_i: Sequence[int],
+) -> ReserveQuote:
+    """Monopoly price for bidder i given others at s_minus_i and s_i at least critical.
+
+    The quote's price always dominates the bidder's value at her critical
+    signal, so posting it preserves truthfulness of the underlying rule.
+    """
+    context = tuple(int(x) for x in s_minus_i)
+    b_star = critical_signal(rule, v, i, context)
+    if b_star is None:
+        raise UndefinedReserve(f"bidder {i} never wins on line {context}")
+    values = _line_values(v, i, context)
+    probs = prior.line_probs(i, context)
+    quote = _monopoly_quote(values[b_star:], probs[b_star:])
+    assert quote.price >= values[b_star], "reserve must dominate the critical value"
+    return quote
 
 
 def losing_reserve(

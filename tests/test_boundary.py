@@ -21,6 +21,8 @@ MOVED = (
     "lazy_winner_trace",
     "check_hypergrid_internal_chain",
     "exact_stats_by_chain",
+    "_monopoly_quote",
+    "_line_values",
 )
 
 

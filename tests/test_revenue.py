@@ -1,13 +1,16 @@
 """Reserves, the reserve-backed mechanism, and the revenue bound."""
 
+import collections
 import math
 import random
+import re
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 from ivauctions import (
+    CapExceeded,
     SignalSpace,
     ValidationError,
     ValuationInstance,
@@ -16,6 +19,8 @@ from ivauctions import (
     hypergrid_coloring,
 )
 from ivauctions import instances as gen
+from ivauctions import mechanisms as mechanisms_module
+from ivauctions import model as model_module
 from ivauctions import revenue as revenue_module
 from ivauctions.mechanisms import (
     IncompatibleMechanism,
@@ -267,6 +272,68 @@ def test_reserve_price_is_support_attained():
     for price in line[b:]:
         rev = price * sum(prior.prob((t, 1)) for t in range(b, 2) if line[t] >= price) / mass
         assert rev <= q.expected_revenue + 1e-15
+
+
+def _quote_rows(rng, length, count):
+    """Seeded quote rows of one length: repeated and dipping values, zeros in the probabilities."""
+    values = rng.uniform(0.0, 10.0, size=(count, length))
+    values[0::4] = np.sort(values[0::4], axis=1)  # monotone lines
+    values[1::4] = rng.choice(values[1, : max(1, length // 3)], size=values[1::4].shape)  # repeats
+    probs = rng.uniform(0.0, 1.0, size=(count, length)) ** 3
+    probs[rng.uniform(size=probs.shape) < 0.3] = 0.0  # partly zero posteriors
+    probs[2::4, length // 2 :] = 0.0  # zero mass on the upper half
+    probs /= max(1.0, float(probs.sum()))
+    start = rng.integers(0, length, size=count)
+    start[:2] = 0  # the whole line
+    start[2::4] = length - 1 - length // 4  # inside the zero upper half when it is wide enough
+    return values, probs, start
+
+
+def test_batched_quotes_equal_the_scalar_loop():
+    """Every batched quote equals the one-line loop exactly, lengths 1-300 (every
+    pairwise-sum regime); every third call has enough rows per length that its
+    sums run in length-grouped blocks, the others mostly slice by slice."""
+    rng = np.random.default_rng(2024)
+    checked = undefined = 0
+    for length in range(1, 301):
+        values, probs, start = _quote_rows(rng, length, 24 if length % 3 == 0 else 8)
+        price, gain = revenue_module._monopoly_quotes(values, probs, start)
+        for r in range(len(start)):
+            try:
+                want = reference._monopoly_quote(values[r, start[r] :], probs[r, start[r] :])
+            except UndefinedReserve:
+                assert math.isnan(price[r]) and math.isnan(gain[r])
+                undefined += 1
+                continue
+            assert (price[r], gain[r]) == (want.price, want.expected_revenue), (length, r)
+            checked += 1
+    assert checked > 1500 and undefined > 300
+    # exact three-way revenue ties (1 * 1 = 2 * 0.5 = 4 * 0.25) go to the highest price
+    values = np.array([[1.0, 2.0, 4.0], [4.0, 2.0, 1.0]])
+    probs = np.array([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5]])
+    price, gain = revenue_module._monopoly_quotes(values, probs, np.zeros(2, dtype=int))
+    for r in range(2):
+        want = reference._monopoly_quote(values[r], probs[r])
+        assert (price[r], gain[r]) == (want.price, want.expected_revenue) == (4.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_winning_reserve_equals_reference(seed):
+    """The package's one-line quote equals the former scalar quote, including its refusals."""
+    v = gen.gen_random_separable(3, 3, 1.5, seed=80 + seed)
+    c = compute_c(v)
+    rules = [hypergrid_coloring(v, (2, 0, 1)), lambda p: lazy_winner(v, (1, 0, 2), p, c=c)]
+    for prior in _priors(v.space, seed):
+        for rule in rules:
+            for i in range(3):
+                for ctx in SignalSpace(v.space.sizes[:i] + v.space.sizes[i + 1 :]).profiles():
+                    try:
+                        want = reference.winning_reserve(prior, v, rule, i, ctx)
+                    except UndefinedReserve as e:
+                        with pytest.raises(UndefinedReserve, match=re.escape(str(e))):
+                            winning_reserve(prior, v, rule, i, ctx)
+                        continue
+                    assert winning_reserve(prior, v, rule, i, ctx) == want
 
 
 def test_losing_reserve_constant_value():
@@ -629,7 +696,7 @@ def test_posted_truthfulness_of_branch_a():
 
 
 def _ref_lookahead(prior, v, rule):
-    """Per-profile lookahead: one fresh reserve quote at every profile."""
+    """Per-profile lookahead: one fresh reference reserve quote at every profile."""
     win = rule.winner_at if hasattr(rule, "winner_at") else rule
     total = 0.0
     for s, ps in prior.support():
@@ -642,7 +709,7 @@ def _ref_lookahead(prior, v, rule):
             runner = max((float(vals[j]) for j in range(v.n) if j != w), default=0.0)
             ctx = tuple(x for b, x in enumerate(s) if b != w)
             try:
-                reserve_rev = winning_reserve(prior, v, rule, w, ctx).expected_revenue
+                reserve_rev = reference.winning_reserve(prior, v, rule, w, ctx).expected_revenue
             except UndefinedReserve:
                 reserve_rev = 0.0
         total += ps * (reserve_rev + runner)
@@ -657,7 +724,10 @@ def _ref_payment_revenue(rule, v, prior):
 
 
 def _ref_realizations(v, kind, c, keep):
-    """Fresh, uncached sub-market rules: ``kind`` is "high", "random" or a fixed ordering."""
+    """Fresh, uncached sub-market rules: ``kind`` is "high", "random", a fixed
+    ordering, or a family object whose rules are read as they are."""
+    if isinstance(kind, RuleFamily):
+        return kind.realizations(keep)
     if kind == "high":
         def rule(profile):
             table = high_if_possible(restrict_bidders(v, keep, profile), c=c)
@@ -674,29 +744,38 @@ def _ref_realizations(v, kind, c, keep):
     ]
 
 
-def _ref_exact_revenue(mech, kind, c):
-    """Exact revenue summed event by event in the mechanism's order, quoting afresh."""
+def _ref_events(mech, kind, c, s):
+    """(probability, revenue) of every branch at one profile in the mechanism's
+    order, quoting afresh with the reference quote at every event."""
     v, prior, n = mech.v, mech.prior, mech.v.n
     qa = mech.branch_a_prob
     qb = (1.0 - qa) / 2**n
+    branches = [(qa * pr, rule) for pr, rule in _ref_realizations(v, kind, c, tuple(range(n)))]
+    branches.append((qb, None))
+    for mask in range(1, 2**n):
+        keep = tuple(b for b in range(n) if mask >> b & 1)
+        branches += [(qb * pr, rule) for pr, rule in _ref_realizations(v, kind, c, keep)]
+    events = []
+    for prob, rule in branches:
+        rev = 0.0
+        i = None if rule is None else rule(s)
+        if i is not None:
+            ctx = tuple(x for b, x in enumerate(s) if b != i)
+            try:
+                quote = reference.winning_reserve(prior, v, rule, i, ctx)
+            except UndefinedReserve:
+                quote = None
+            if quote is not None and v.value(i, s) >= quote.price:
+                rev = quote.price
+        events.append((prob, rev))
+    return events
+
+
+def _ref_exact_revenue(mech, kind, c):
+    """Exact revenue summed event by event in the mechanism's order, quoting afresh."""
     total = 0.0
-    for s, ps in prior.support():
-        branches = [(qa * pr, rule) for pr, rule in _ref_realizations(v, kind, c, tuple(range(n)))]
-        branches.append((qb, None))
-        for mask in range(1, 2**n):
-            keep = tuple(b for b in range(n) if mask >> b & 1)
-            branches += [(qb * pr, rule) for pr, rule in _ref_realizations(v, kind, c, keep)]
-        for prob, rule in branches:
-            rev = 0.0
-            i = None if rule is None else rule(s)
-            if i is not None:
-                ctx = tuple(x for b, x in enumerate(s) if b != i)
-                try:
-                    quote = winning_reserve(prior, v, rule, i, ctx)
-                except UndefinedReserve:
-                    quote = None
-                if quote is not None and v.value(i, s) >= quote.price:
-                    rev = quote.price
+    for s, ps in mech.prior.support():
+        for prob, rev in _ref_events(mech, kind, c, s):
             total += ps * prob * rev
     return total
 
@@ -795,6 +874,161 @@ def test_cached_mechanism_skips_undefined_reserves_and_empty_wins():
     assert expected_revenue(mech) == (0.0, 0.0)
 
 
+def _bidder_zero_wins_at(signals):
+    """A non-monotone rule: bidder 0 wins iff her signal is in ``signals``, else bidder 1."""
+    return lambda p: 0 if p[0] in signals else 1
+
+
+class _SignalSetFamily(RuleFamily):
+    """Non-monotone test family: the first kept bidder wins iff her signal is in
+    ``signals``; otherwise the second kept bidder, if there is one."""
+
+    def __init__(self, v, signals):
+        super().__init__(v)
+        self.signals = signals
+
+    def realizations(self, bidders):
+        keep = tuple(bidders)
+        if keep not in self._rules:
+            first, rest = keep[0], keep[1:]
+            self._rules[keep] = lambda p: first if p[first] in self.signals else (
+                rest[0] if rest else None
+            )
+        return [(1.0, self._rules[keep])]
+
+
+@pytest.mark.parametrize("signals", [(0, 2), (0,)])
+def test_non_monotone_rules_follow_the_bisection(signals):
+    """On a k=2 line the bisection finds 2 for a rule winning at {0, 2} and None for
+    one winning at {0}, where the first win is 0; every sum follows the bisection."""
+    v = gen.gen_random_separable(2, 2, 1.5, seed=76)
+    rule = _bidder_zero_wins_at(signals)
+    assert critical_signal(rule, v, 0, (1,)) == (2 if signals == (0, 2) else None)
+    assert critical_signal_scan(rule, v, 0, (1,)) == 0
+
+    def payments(total, prior):
+        try:
+            return total(rule, v, prior)
+        except AssertionError as e:  # a support winner without a critical signal
+            return str(e)
+
+    for prior in _priors(v.space, 76):
+        assert lookahead_benchmark(prior, v, rule) == _ref_lookahead(prior, v, rule)
+        got = payments(expected_payment_revenue, prior)
+        assert got == payments(_ref_payment_revenue, prior)
+        if signals == (0,) and prior.prob((0, 1)) > 0:
+            assert got == "winner must have a critical signal on her own line"
+        mech = ReserveBackedMechanism(
+            v=v, prior=prior, family=_SignalSetFamily(v, signals), alpha=2.0, d=1.0, p=0.5
+        )
+        got, se = expected_revenue(mech)
+        assert se == 0.0
+        assert got == _ref_exact_revenue(mech, _SignalSetFamily(v, signals), None)
+
+
+class _HighestSignalFamily(RuleFamily):
+    """A monotone family that reads no values: the kept bidder with the highest
+    signal wins, ties going to the lower index."""
+
+    def realizations(self, bidders):
+        keep = tuple(bidders)
+        if keep not in self._rules:
+            self._rules[keep] = lambda p: max(keep, key=lambda b: (p[b], -b))
+        return [(1.0, self._rules[keep])]
+
+
+def test_exact_paths_read_only_the_lines_through_a_sparse_support(monkeypatch):
+    """Under a sparse prior the exact paths evaluate values and rules only on the
+    support's lines, so a grid too large to tabulate still gets every exact sum."""
+    dense = gen.gen_random_separable(3, 20, 1.5, seed=77)
+    evaluated = []
+
+    def batch_evaluate(P):
+        evaluated.extend(map(tuple, P.tolist()))
+        return dense.values_at_batch(P)
+
+    v = ValuationInstance(space=dense.space, batch_evaluate=batch_evaluate)
+    monkeypatch.setattr(model_module, "DEFAULT_PROFILE_CAP", 1000)
+    with pytest.raises(CapExceeded):
+        v.tabulated()  # 9,261 profiles
+    prior = _random_sparse_prior(v.space, 77, 4)
+    on_lines = {
+        s[:i] + (t,) + s[i + 1 :] for s, _ in prior.support() for i in range(3) for t in range(21)
+    }
+    family = _HighestSignalFamily(v)
+    [(_, rule)] = family.realizations((0, 1, 2))
+    called = []
+    counted = lambda p: called.append(p) or rule(p)
+    mech = ReserveBackedMechanism(v=v, prior=prior, family=family, alpha=2.0, d=1.0, p=0.5)
+    look = lookahead_benchmark(prior, v, counted)
+    paid = expected_payment_revenue(counted, v, prior)
+    got, se = expected_revenue(mech)
+    assert 0 < len(set(evaluated)) <= len(on_lines) < 300
+    assert set(evaluated) <= on_lines
+    # the function rule is probed only along each support profile's winner's line
+    winner_lines = {
+        s[:w] + (t,) + s[w + 1 :] for s, _ in prior.support() for w in [rule(s)] for t in range(21)
+    }
+    assert set(called) <= winner_lines < on_lines
+    assert look == _ref_lookahead(prior, v, rule)
+    assert paid == _ref_payment_revenue(rule, v, prior)
+    assert se == 0.0 and got == _ref_exact_revenue(mech, _HighestSignalFamily(v), None)
+    # a profile off the support is quoted one line at a time, as a draw is
+    for s in [(0, 0, 0), (20, 3, 11)]:
+        assert prior.prob(s) == 0.0
+        assert mech.profile_outcomes(s) == _ref_events(mech, _HighestSignalFamily(v), None, s)
+
+
+def test_chunks_of_rules_and_quotes_change_no_float(monkeypatch):
+    """With room for two rules and a few quote rows per chunk, every sum is unchanged."""
+    v = gen.gen_random_separable(3, 2, 1.5, seed=78)
+    c, d = compute_c(v), compute_d(v)
+    prior = _random_product_prior(v.space, 78)
+
+    def sums():
+        fam = HypergridFamily(v, c=c)
+        mech = ReserveBackedMechanism(v=v, prior=prior, family=fam, alpha=2 * c, d=d, p=0.5)
+        table = hypergrid_coloring(v, (1, 2, 0))
+        return (
+            expected_revenue(mech),
+            lookahead_benchmark_family(prior, v, fam),
+            expected_payment_revenue(table, v, prior),
+        )
+
+    whole = sums()
+    monkeypatch.setattr(revenue_module, "_CHUNK_CELLS", 2 * v.space.profile_count)
+    assert sums() == whole
+    fam = HypergridFamily(v, c=c)
+    mech = ReserveBackedMechanism(v=v, prior=prior, family=fam, alpha=2 * c, d=d, p=0.5)
+    assert whole[0] == (_ref_exact_revenue(mech, "random", c), 0.0)
+
+
+class _CountedReads(np.ndarray):
+    """A win matrix that counts how often it is indexed."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        type(self).reads += 1
+        return np.asarray(super().__getitem__(key))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 20, 64])
+def test_critical_signals_make_one_gather_per_probe(k):
+    """The stacked bisection reads the win matrix ceil(log2(k+1)) + 1 times, the bound
+    the benchmark's tracer checks on ``critical_signal``, and agrees with it per row."""
+    rng = np.random.default_rng(k)
+    wins = rng.uniform(size=(40, k + 1)) < 0.5  # non-monotone rows
+    wins[:20] = np.arange(k + 1) >= rng.integers(0, k + 2, size=(20, 1))  # monotone rows
+    _CountedReads.reads = 0
+    got = revenue_module._critical_signals(wins.view(_CountedReads))
+    assert _CountedReads.reads == k.bit_length() + 1 == math.ceil(math.log2(k + 1)) + 1
+    v = ValuationInstance(space=SignalSpace((k, 1)), values=np.zeros((2, k + 1, 2)))
+    for row, b in zip(wins, got.tolist()):
+        want = critical_signal(lambda p, row=row: 0 if row[p[0]] else 1, v, 0, (0,))
+        assert b == (-1 if want is None else want)
+
+
 def _count_calls(monkeypatch, name):
     """Wrap ``revenue.<name>`` and record every call's arguments."""
     calls = []
@@ -808,25 +1042,69 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_quote_rows(monkeypatch):
+    """Record every row the batched quote routine prices: (values, probs, start)."""
+    rows = []
+    orig = revenue_module._monopoly_quotes
+
+    def wrapped(values, probs, start):
+        rows.extend(
+            (tuple(values[r].tolist()), tuple(probs[r].tolist()), int(start[r]))
+            for r in range(len(start))
+        )
+        return orig(values, probs, start)
+
+    monkeypatch.setattr(revenue_module, "_monopoly_quotes", wrapped)
+    return rows
+
+
+def _count_scalar_calls(monkeypatch):
+    """Record calls of the one-line quote and payment functions wherever revenue can reach them."""
+    calls = []
+    for module in (revenue_module, mechanisms_module):
+        for name in ("winning_reserve", "outcome", "critical_signal"):
+            if hasattr(module, name):
+                orig = getattr(module, name)
+                wrapped = lambda *a, _orig=orig, _name=name: calls.append(_name) or _orig(*a)
+                monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def _expected_rows(prior, v, keys):
+    """The quote row of each (rule, bidder, line) key whose bidder has a critical signal."""
+    rows = collections.Counter()
+    for rule, i, ctx in keys:
+        b = critical_signal(rule, v, i, ctx)
+        if b is not None:
+            line = [v.value(i, ctx[:i] + (t,) + ctx[i:]) for t in range(v.space.sizes[i] + 1)]
+            rows[(tuple(line), tuple(prior.line_probs(i, ctx).tolist()), b)] += 1
+    return rows
+
+
 def test_one_reserve_quote_per_line_in_lookahead(monkeypatch):
+    """Each line the support reaches is quoted once per call, with no one-line quote."""
     v = gen.gen_random_separable(3, 2, 1.5, seed=73)
-    prior = _random_product_prior(v.space, 73)
+    prior = _random_sparse_prior(v.space, 73, 12)
     table = hypergrid_coloring(v, (0, 1, 2))
-    lines = set()
+    keys = set()
     for s, _ in prior.support():
         w = table.winner_at(s)
-        lines.add((w, tuple(x for b, x in enumerate(s) if b != w)))
-    calls = _count_calls(monkeypatch, "winning_reserve")
+        keys.add((table.winner_at, w, tuple(x for b, x in enumerate(s) if b != w)))
+    want = _expected_rows(prior, v, keys)
+    rows = _count_quote_rows(monkeypatch)
+    calls = _count_scalar_calls(monkeypatch)
     lookahead_benchmark(prior, v, table)
-    assert len(calls) == len(lines) < sum(1 for _ in prior.support())
-    assert {(i, ctx) for _, _, _, i, ctx in calls} == lines
-    calls.clear()
+    assert collections.Counter(rows) == want
+    assert len(rows) == len(keys) < sum(1 for _ in prior.support())
+    assert calls == []
+    rows.clear()
     lookahead_benchmark(prior, v, table)  # a second call quotes afresh
-    assert len(calls) == len(lines)
+    assert collections.Counter(rows) == want
 
 
 @pytest.mark.parametrize("pi", (None, (1, 0, 2)))
 def test_one_reserve_quote_per_rule_and_line_in_exact_revenue(monkeypatch, pi):
+    """Exact revenue quotes each (rule, bidder, line) once, all in the stacked pass."""
     v = gen.gen_random_separable(3, 2, 1.5, seed=74)
     prior = uniform_product_prior(v.space)
     fam = HypergridFamily(v, pi=pi)
@@ -839,13 +1117,30 @@ def test_one_reserve_quote_per_rule_and_line_in_exact_revenue(monkeypatch, pi):
                 i = rule(s)
                 if i is not None:
                     keys.add((rule, i, tuple(x for b, x in enumerate(s) if b != i)))
-    calls = _count_calls(monkeypatch, "winning_reserve")
+    want = _expected_rows(prior, v, keys)
+    rows = _count_quote_rows(monkeypatch)
+    calls = _count_scalar_calls(monkeypatch)
     expected_revenue(mech)
-    assert len(calls) == len(keys)
-    assert {(rule, i, ctx) for _, _, rule, i, ctx in calls} == keys
+    assert collections.Counter(rows) == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("pi", (None, (1, 0, 2)))
+def test_sampled_revenue_quotes_once_per_rule_and_line(monkeypatch, pi):
+    """A Monte Carlo run quotes each drawn (rule, bidder, line) once, one line at a time."""
+    v = gen.gen_random_separable(3, 2, 1.5, seed=74)
+    prior = uniform_product_prior(v.space)
+    fam = HypergridFamily(v, pi=pi)
+    mech = ReserveBackedMechanism(v=v, prior=prior, family=fam, alpha=3.0, d=1.0, p=0.5)
+    calls = _count_calls(monkeypatch, "winning_reserve")
+    rows = _count_quote_rows(monkeypatch)
+    expected_revenue(mech, cap=1, samples=2000, seed=9)
+    keys = {(rule, i, ctx) for _, _, rule, i, ctx in calls}
+    assert 0 < len(calls) == len(keys) == len(rows)
 
 
 def test_one_payment_per_line(monkeypatch):
+    """Payments settle each reached line's critical signal once, with no per-profile outcome."""
     v = gen.gen_random_separable(3, 2, 1.5, seed=75)
     prior = uniform_product_prior(v.space)
     table = hypergrid_coloring(v, (2, 1, 0))
@@ -854,9 +1149,16 @@ def test_one_payment_per_line(monkeypatch):
         for s in v.space.profiles()
         for w in [table.winner_at(s)]
     }
-    calls = _count_calls(monkeypatch, "outcome")
+    searched = []
+    orig = revenue_module._critical_signals
+    monkeypatch.setattr(
+        revenue_module, "_critical_signals", lambda wins: searched.append(len(wins)) or orig(wins)
+    )
+    rows = _count_quote_rows(monkeypatch)
+    calls = _count_scalar_calls(monkeypatch)
     expected_payment_revenue(table, v, prior)
-    assert len(calls) == len(lines) < v.space.profile_count
+    assert sum(searched) == len(lines) < v.space.profile_count
+    assert rows == [] and calls == []
 
 
 def test_high_if_possible_tables_built_once_per_submarket(monkeypatch):
