@@ -409,19 +409,20 @@ def cmd_evaluate(args) -> dict:
     except (ValidationError, CapExceeded) as e:
         raise CliError("evaluate", str(e))
     result = {"mechanism": name, "worst_ratio": _num(worst), "per_profile": per_profile}
-    if prior is not None and table is None:
-        means = {tuple(row["profile"]): row["expected_value"] for row in per_profile}
-        result["expected_welfare"] = sum(ps * means[s] for s, ps in prior.support())
-    if prior is not None and table is not None:
+    if prior is not None:
         support = prior.probs > 0
-        won = _winner_values(v.tabulated().values, table.winner)
-        welfare = float(revenue._sequential_sums(prior.probs[support] * won[support]))
-        rev = revenue.expected_payment_revenue(table, v, prior)
-        look = revenue.lookahead_benchmark(prior, v, table)
-        result["expected_welfare"] = welfare
-        result["expected_revenue"] = rev
-        result["lookahead"] = look
-        result["revenue_ratio"] = _num(look / rev) if rev > 0 else "INFINITE"
+        if table is None:
+            won = np.array(means).reshape(v.space.shape)
+        else:
+            won = _winner_values(v.tabulated().values, table.winner)
+        welfare = revenue._sequential_sums(prior.probs[support] * won[support])
+        result["expected_welfare"] = float(welfare)
+        if table is not None:
+            rev = revenue.expected_payment_revenue(table, v, prior)
+            look = revenue.lookahead_benchmark(prior, v, table)
+            result["expected_revenue"] = rev
+            result["lookahead"] = look
+            result["revenue_ratio"] = _num(look / rev) if rev > 0 else "INFINITE"
     if args.format == "csv":
         cols = ["profile", "winner" if table is not None else "expected_value", "ratio"]
         _emit_csv(per_profile, cols, args.out)

@@ -102,7 +102,7 @@ def gen_rand_c_lb(n: int, c: float) -> ValuationInstance:
     """
     if n < 2:
         raise ValidationError("n must be >= 2")
-    if c < 1:
+    if not c >= 1:  # NaN fails too
         raise ValidationError("c must be >= 1")
     space = SignalSpace((1,) * n)
     idx = np.indices(space.shape)
@@ -197,7 +197,7 @@ def gen_tight_hypergrid(n: int, c: float) -> ValuationInstance:
     """
     if n < 3:
         raise ValidationError("n must be >= 3")
-    if c < 1:
+    if not c >= 1:  # NaN fails too
         raise ValidationError("c must be >= 1")
     space = SignalSpace((1,) * n)
     idx = np.indices(space.shape)
@@ -236,7 +236,7 @@ def gen_random_mech_lb(n: int, c: float) -> ValuationInstance:
     root = math.isqrt(n)
     if root * root != n:
         raise ValidationError("n must be a perfect square")
-    if c < 1:
+    if not c >= 1:  # NaN fails too
         raise ValidationError("c must be >= 1")
     groups = rand_mech_lb_groups(n)
     bounds = [(members[0], members[-1] + 1) for members in groups]  # contiguous by construction
@@ -265,8 +265,8 @@ def gen_random_separable(n: int, k: int, c: float, seed: int) -> ValuationInstan
     v_j(s) = base_j + sum_i f_ji(s_i) with every cross increment of f_ji drawn
     at most c times the matching own increment of f_ii.
     """
-    if n < 1 or k < 1 or c < 1:
-        raise ValidationError("need n >= 1, k >= 1, c >= 1")
+    if n < 1 or k < 1 or not c >= 1 or seed < 0:  # NaN fails c >= 1; NumPy refuses seed < 0
+        raise ValidationError("need n >= 1, k >= 1, c >= 1, seed >= 0")
     rng = np.random.default_rng(seed)
     space = SignalSpace((k,) * n)
     own = rng.uniform(0.25, 1.0, size=(n, k))  # own[i][t-1]: increment of f_ii at step t
@@ -290,8 +290,8 @@ def gen_random_tabulated(n: int, k: int, seed: int) -> tuple[ValuationInstance, 
     Returns the instance with its measured crossing and concavity constants so
     tests can parameterize by what was actually drawn.
     """
-    if n < 1 or k < 1:
-        raise ValidationError("need n >= 1, k >= 1")
+    if n < 1 or k < 1 or seed < 0:  # NumPy refuses seed < 0 with a bare ValueError
+        raise ValidationError("need n >= 1, k >= 1, seed >= 0")
     rng = np.random.default_rng(seed)
     space = SignalSpace((k,) * n)
     noise = rng.uniform(0.01, 1.0, size=(n,) + space.shape)

@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .model import (
+    _TABULATE_CHUNK,
     INFINITE,
     SignalSpace,
     ValidationError,
@@ -181,40 +182,40 @@ def two_bidder_coloring(v: ValuationInstance, c: Optional[float] = None) -> Allo
 def high_if_possible(v: ValuationInstance, c: Optional[float] = None) -> AllocationTable:
     """Two-signal mechanism favoring bidders whose signal is already high.
 
-    Profiles are processed by increasing number of high signals.  At an
+    Profiles are settled by increasing number of high signals.  At an
     undetermined profile the best high bidder wins if the overall argmax is
     within a factor c of her value; otherwise the argmax bidder wins and the
     win is propagated to her high-signal neighbor.  High winners need no
     propagation, which is what keeps the allocation conflict-free.  Profiles
-    of one weight are visited in row-major order; they are independent, so
-    any order inside a weight class gives the same table.
+    of one weight are independent (each writes only itself and profiles of
+    the next weight), so each weight class is one array pass; two of them
+    propagating to one profile raise the walk's conflict.
     """
     if any(k != 1 for k in v.space.sizes):
         raise IncompatibleMechanism("high-if-possible needs two signals per bidder")
     c = _required_c(v, c)
-    dense = v.tabulated().values
     n = v.n
-    winner = np.full(v.space.shape, NO_WINNER, dtype=np.int32)
-    for p in sorted(v.space.profiles(), key=sum):
-        if winner[p] != NO_WINNER:
-            continue
-        vals = dense[(slice(None),) + p]
-        istar = _argmax_lowest(vals)
-        high = [i for i in range(n) if p[i] == 1]
-        if high:
-            ih = high[int(np.argmax(vals[high]))]
-            if vals[istar] <= c * vals[ih]:
-                winner[p] = ih
-                continue
-        winner[p] = istar
-        assert p[istar] == 0, "argmax with a high signal is itself a high bidder"
-        q = list(p)
-        q[istar] = 1
-        tq = tuple(q)
-        if winner[tq] != NO_WINNER and winner[tq] != istar:
-            raise AssertionError(f"propagation conflict at {tq}")
-        winner[tq] = istar
-    return AllocationTable(space=v.space, winner=winner)
+    vals = v.tabulated().values.reshape(n, -1).T  # (profiles, n), row-major
+    high = np.indices(v.space.shape).reshape(n, -1).T == 1
+    istar = vals.argmax(axis=1)  # ties to the lowest bidder, as for ih
+    rivals = np.where(high, vals, -np.inf)  # without a high bidder the argmax wins
+    ih = rivals.argmax(axis=1)
+    keeps = vals.max(axis=1) <= c * rivals.max(axis=1)
+    winner = np.full(len(vals), NO_WINNER, dtype=np.int32)
+    weight = high.sum(axis=1)
+    for w in range(n + 1):
+        free = np.flatnonzero((weight == w) & (winner == NO_WINNER))
+        winner[free] = np.where(keeps[free], ih[free], istar[free])
+        moved = free[~keeps[free]]
+        assert not high[moved, istar[moved]].any(), "argmax with a high signal is itself a high bidder"
+        to = moved + (1 << (n - 1 - istar[moved]))  # the argmax bidder's high neighbor
+        order = np.argsort(to, kind="stable")
+        repeats = order[1:][to[order[1:]] == to[order[:-1]]]
+        if repeats.size:  # the walk meets the first repeat in row-major order
+            q = np.unravel_index(to[repeats.min()], v.space.shape)
+            raise AssertionError(f"propagation conflict at {tuple(int(x) for x in q)}")
+        winner[to] = istar[moved]
+    return AllocationTable(space=v.space, winner=winner.reshape(v.space.shape))
 
 
 def hypergrid_coloring(
@@ -400,27 +401,43 @@ def critical_signal(
 ) -> Optional[int]:
     """Smallest own signal at which bidder i wins, or None if she never does.
 
-    Binary search over the line, valid because winning is upward closed for a
-    monotone rule.
+    ``_critical_signals`` on the one line, valid because winning is upward
+    closed for a monotone rule: at most ceil(log2(k + 1)) + 1 rule calls.
     """
     win = _as_rule(rule)
     line = list(v.space.validate_line(i, s_minus_i))
-    k = v.space.sizes[i]
 
-    def at(b: int) -> Optional[int]:
-        p = line[:i] + [b] + line[i:]
-        return win(tuple(p))
+    def won_at(_, signals):
+        return [win(tuple(line[:i] + [b] + line[i:])) == i for b in signals.tolist()]
 
-    if at(k) != i:
-        return None
-    lo, hi = 0, k
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if at(mid) == i:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    [b] = _critical_signals(won_at, v.space.sizes[i]).tolist()
+    return None if b < 0 else b
+
+
+def _critical_signals(won_at: Callable, k: int) -> np.ndarray:
+    """The critical signal of each of many lines by one bisection; -1 where she never wins.
+
+    ``won_at(lines, signals)`` says whether each listed line's bidder wins at
+    the paired own signal (two integer arrays).  It is called once at every
+    line's top signal (``lines`` a full slice, ``signals`` the array ``[k]``),
+    then once per halving, ceil(log2(k + 1)) of them, with only the lines
+    still open (possibly none): a line costs one probe per step it is open,
+    and a non-monotone line gets the signal the bisection lands on, not its
+    first win.
+    """
+    top = np.asarray(won_at(slice(None), np.full(1, k)), dtype=bool).reshape(-1)
+    lines = np.flatnonzero(top)
+    lo = np.zeros(lines.size, dtype=np.intp)
+    hi = np.full(lines.size, k, dtype=np.intp)
+    for _ in range(k.bit_length()):
+        live = np.flatnonzero(lo < hi)
+        mid = (lo[live] + hi[live]) // 2
+        won = np.asarray(won_at(lines[live], mid), dtype=bool)
+        hi[live] = np.where(won, mid, hi[live])
+        lo[live] = np.where(won, lo[live], mid + 1)
+    out = np.full(top.size, -1, dtype=np.intp)
+    out[lines] = lo
+    return out
 
 
 def critical_signal_scan(
@@ -577,14 +594,22 @@ def _as_rule(rule: Union[Rule, AllocationTable]) -> Rule:
 def as_table(rule: Union[Rule, AllocationTable], v: ValuationInstance) -> AllocationTable:
     """Materialize a winner function over the whole grid (subject to the profile cap).
 
-    A table, or the lookup ``_as_rule`` made of one, is returned as it is.
+    A table, or the lookup ``_as_rule`` made of one, is returned as it is; a
+    function is called at every profile in row-major order by ``_called_at``.
     """
     if isinstance(rule, AllocationTable):
         return rule
     if getattr(rule, "__func__", None) is AllocationTable._lookup:
         return rule.__self__
-    winner = np.full(v.space.shape, NO_WINNER, dtype=np.int32)
-    for p in v.space.profiles():
-        w = rule(p)
-        winner[p] = NO_WINNER if w is None else w
-    return AllocationTable(space=v.space, winner=winner)
+    winner = _called_at(rule, v, np.arange(v.space.profile_count))
+    return AllocationTable(space=v.space, winner=winner.reshape(v.space.shape))
+
+
+def _called_at(rule: Rule, v: ValuationInstance, flat: np.ndarray) -> np.ndarray:
+    """A winner function called at the flat grid indices ``flat``, NO_WINNER for None."""
+    out = np.empty(flat.size, dtype=np.int32)
+    for lo in range(0, flat.size, _TABULATE_CHUNK):
+        signals = np.unravel_index(flat[lo : lo + _TABULATE_CHUNK], v.space.shape)
+        winners = map(rule, zip(*(s.tolist() for s in signals)))  # profiles as tuples of ints
+        out[lo : lo + signals[0].size] = [NO_WINNER if w is None else w for w in winners]
+    return out

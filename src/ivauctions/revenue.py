@@ -43,6 +43,8 @@ from .mechanisms import (
     IncompatibleMechanism,
     Rule,
     _as_rule,
+    _called_at,
+    _critical_signals,
     _ratios,
     _required_c,
     _winner_values,
@@ -53,7 +55,6 @@ from .mechanisms import (
     lazy_winner,
 )
 from .model import (
-    _TABULATE_CHUNK,
     SignalSpace,
     ValidationError,
     ValuationInstance,
@@ -75,8 +76,8 @@ class JointPrior:
     Built from either per-bidder ``marginals`` (a product prior) or an explicit
     sparse ``atoms`` mapping, and stored as one read-only dense array ``probs``
     over the grid: marginals multiplied in bidder order, repeated atoms summed
-    in insertion order.  Probabilities must be nonnegative and sum to 1 within
-    1e-12.  Priors compare by identity.
+    in insertion order.  Probabilities must be nonnegative (not NaN) and sum
+    to 1 within 1e-12.  Priors compare by identity.
     """
 
     space: SignalSpace
@@ -98,7 +99,7 @@ class JointPrior:
                     raise ValidationError(
                         f"marginal {i} must have {self.space.sizes[i] + 1} entries"
                     )
-                if np.any(arr < 0):
+                if not np.all(arr >= 0):  # NaN fails too
                     raise ValidationError("probabilities must be nonnegative")
                 if abs(float(arr.sum()) - 1.0) > PROB_TOL:
                     raise ValidationError(f"marginal {i} sums to {arr.sum()}, not 1")
@@ -110,7 +111,7 @@ class JointPrior:
             total = 0.0
             for profile, p in atoms.items():
                 profile = self.space.validate_profile(profile)
-                if p < 0:
+                if not p >= 0:  # NaN fails too
                     raise ValidationError("probabilities must be nonnegative")
                 probs[profile] += float(p)
                 total += float(p)
@@ -253,27 +254,6 @@ def _monopoly_quotes(
     return price, gain
 
 
-def _critical_signals(wins: np.ndarray) -> np.ndarray:
-    """``critical_signal`` on each row of a (lines, k + 1) win matrix; -1 for None.
-
-    The same bisection with one gather per probe over every line: the top
-    signal, then ceil(log2(k + 1)) halvings, so a non-monotone row gets the
-    signal ``critical_signal`` returns, not its first win.
-    """
-    rows = np.arange(len(wins))
-    k = wins.shape[1] - 1
-    top = wins[:, k]
-    lo = np.zeros(len(wins), dtype=np.intp)
-    hi = np.full(len(wins), k)
-    for _ in range(k.bit_length()):
-        mid = (lo + hi) // 2
-        won = wins[rows, mid]
-        live = lo < hi
-        hi = np.where(live & won, mid, hi)
-        lo = np.where(live & ~won, mid + 1, lo)
-    return np.where(top, lo, -1)
-
-
 def _distinct(flat: np.ndarray) -> np.ndarray:
     """The sorted distinct entries of a 1-D integer array.
 
@@ -332,16 +312,6 @@ class _SupportLines:
         return np.where(winners != NO_WINNER, per_line[rules, lines], np.nan)
 
 
-def _called_at(rule: Rule, v: ValuationInstance, flat: np.ndarray) -> np.ndarray:
-    """A winner function called at the flat grid indices ``flat``, NO_WINNER for None."""
-    out = np.empty(flat.size, dtype=np.int32)
-    for lo in range(0, flat.size, _TABULATE_CHUNK):
-        block = np.stack(np.unravel_index(flat[lo : lo + _TABULATE_CHUNK], v.space.shape), axis=1)
-        winners = map(rule, map(tuple, block.tolist()))
-        out[lo : lo + len(block)] = [NO_WINNER if w is None else w for w in winners]
-    return out
-
-
 def _winners_near(rules: Sequence, v: ValuationInstance, lines: _SupportLines) -> np.ndarray:
     """Each rule's winner at the points of the support's lines, as an (R, len(near)) array.
 
@@ -388,7 +358,8 @@ def _line_quotes(
             count, width = points.shape
             wins = winners[:, points] == i  # (chunk, lines, k + 1)
             reached = np.flatnonzero((wins & (joint > 0)).any(axis=-1))
-            crit = _critical_signals(wins.reshape(-1, width)[reached])
+            won = wins.reshape(-1, width)[reached]
+            crit = _critical_signals(lambda rows, signals: won[rows, signals], width - 1)
             rows, crit = reached[crit >= 0], crit[crit >= 0]
             rule, line = np.divmod(rows, count)
             per_line[0, rule, first + line] = values[line, crit]
@@ -822,12 +793,8 @@ def lookahead_benchmark_family(
 
     The realizations are settled together, one pass per bidder.
     """
-    realizations = family.realizations(tuple(range(v.n)))
-    looks = _lookahead_totals(prior, v, [rule for _, rule in realizations]).tolist()
-    total = 0.0
-    for (prob, _), look in zip(realizations, looks):
-        total += prob * look
-    return total
+    probs, rules = zip(*family.realizations(tuple(range(v.n))))
+    return float(_sequential_sums(np.array(probs) * _lookahead_totals(prior, v, rules)))
 
 
 def expected_payment_revenue(

@@ -361,7 +361,8 @@ def high_if_possible_ordered(
 ) -> AllocationTable:
     """Two-signal mechanism favoring bidders whose signal is already high.
 
-    Profiles are processed by increasing number of high signals.  At an
+    The per-profile twin of ``high_if_possible``'s one array pass per weight
+    class.  Profiles are processed by increasing number of high signals.  At an
     undetermined profile the best high bidder wins if the overall argmax is
     within a factor c of her value; otherwise the argmax bidder wins and the
     win is propagated to her high-signal neighbor.  High winners need no

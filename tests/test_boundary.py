@@ -6,6 +6,7 @@ import pkgutil
 from pathlib import Path
 
 import ivauctions
+from ivauctions import mechanisms, revenue
 
 PACKAGE = Path(ivauctions.__file__).parent
 
@@ -23,6 +24,7 @@ MOVED = (
     "exact_stats_by_chain",
     "_monopoly_quote",
     "_line_values",
+    "high_if_possible_ordered",
 )
 
 
@@ -55,3 +57,10 @@ def test_moved_helpers_are_not_package_attributes():
     for module in modules:
         for name in MOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_revenue_reuses_the_mechanisms_bisection_and_reader():
+    """One critical-signal bisection and one winner-function reader: ``revenue``
+    binds the ``mechanisms`` objects instead of keeping copies."""
+    assert revenue._critical_signals is mechanisms._critical_signals
+    assert revenue._called_at is mechanisms._called_at

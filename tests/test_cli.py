@@ -394,10 +394,14 @@ def test_revenue_non_finite_parameter_is_a_typed_error(tmp_path, prior_file, fla
         {"kind": "product"},
         {"kind": "sparse", "atoms": [{"profile": [0, 0]}]},
         {"kind": "sparse", "atoms": [{"p": 1.0}]},
+        {"kind": "sparse",
+         "atoms": [{"profile": [0, 0], "p": float("nan")}, {"profile": [1, 1], "p": 1.0}]},
+        {"kind": "product", "marginals": [[float("nan"), 1.0], [0.5, 0.5]]},
     ],
 )
 def test_revenue_malformed_prior_is_a_typed_error(tmp_path, prior):
-    """A prior file with a missing key yields a JSON error, not a traceback."""
+    """A prior file with a missing key or a NaN probability yields a JSON error, not
+    a traceback or numbers from the rest of the prior."""
     path = tmp_path / "t22.json"
     run_cli("generate", "two_by_two_tight", "--params", "c=2", "--out", str(path))
     prior_path = tmp_path / "bad_prior.json"
@@ -456,6 +460,41 @@ def test_generate_unknown_params_error():
     code, _, err = run_cli("generate", "oil_sc", "--params", "bogus=3")
     assert code == 1
     assert json.loads(err)["error"]["type"] == "generate"
+
+
+@pytest.mark.parametrize(
+    "name, params, said",
+    [
+        ("random_separable", ["n=2", "k=1", "c=2", "seed=-1"], "seed >= 0"),
+        ("random_tabulated", ["n=2", "k=1", "seed=-1"], "seed >= 0"),
+        ("random_separable", ["n=2", "k=1", "c=nan", "seed=1"], "c >= 1"),
+        ("random_mech_lb", ["n=4", "c=nan"], "c must be >= 1"),
+        ("tight_hypergrid", ["n=3", "c=nan"], "c must be >= 1"),
+        ("rand_c_lb", ["n=2", "c=nan"], "c must be >= 1"),
+    ],
+)
+def test_generate_out_of_range_params_error(name, params, said):
+    """A negative seed or a NaN c is refused by the generator itself, with no traceback."""
+    code, out, err = run_cli("generate", name, "--params", *params)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "generate" and said in error["message"]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("random_separable", {"n": 2, "k": 1, "c": 2, "seed": -1}),
+        ("random_tabulated", {"n": 2, "k": 1, "seed": -1}),
+    ],
+)
+def test_negative_seed_in_a_generator_stanza_is_a_typed_error(tmp_path, name, params):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"generator": name, "params": params}))
+    code, out, err = run_cli("check", "--instance", str(path))
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "instance" and "seed" in error["message"]
 
 
 def test_generate_oracle_backed_writes_generator_form(tmp_path):

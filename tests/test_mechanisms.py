@@ -183,8 +183,8 @@ def _two_signal_cases(finite_c_corpus):
 
 
 def test_high_if_possible_matches_ordered_reference(finite_c_corpus):
-    """The package's row-major walk gives the table of the reference walk in either
-    order inside a weight class ("lex" and "revlex")."""
+    """The package's weight-class pass gives the table of the reference walk in
+    either order inside a weight class ("lex" and "revlex")."""
     for name, v in _two_signal_cases(finite_c_corpus):
         table = high_if_possible(v).winner
         for order in ("lex", "revlex"):
@@ -211,6 +211,30 @@ def test_high_if_possible_understated_c_fails_like_reference(finite_c_corpus):
         if got:
             failing.append(name)
     assert failing  # the case is exercised
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_high_if_possible_array_pass_matches_the_walk_on_random_tables(n):
+    """On 60 random tables per n, with the measured c and with c understated as 1,
+    the weight-class pass gives the reference walk's table or raises its conflict."""
+    def built(f):
+        try:
+            return f().winner
+        except AssertionError as e:
+            return str(e)
+
+    conflicts = 0
+    for seed in range(60):
+        v, c, _ = gen.gen_random_tabulated(n, 1, seed=seed)
+        for cc in (c, 1.0):
+            got = built(lambda: high_if_possible(v, c=cc))
+            want = built(lambda: reference.high_if_possible_ordered(v, c=cc))
+            if isinstance(want, str):
+                conflicts += 1
+                assert got == want, (seed, cc)  # the same conflict profile
+            else:
+                assert np.array_equal(got, want), (seed, cc)
+    assert conflicts > 0 or n == 2
 
 
 def test_high_if_possible_random_instances():

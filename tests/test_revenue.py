@@ -65,6 +65,10 @@ def test_prior_validation():
         JointPrior(space=sp, atoms={(0, 0): 0.5, (1, 1): 0.4})
     with pytest.raises(ValidationError):
         JointPrior(space=sp, marginals=(np.array([0.5, 0.5]),))
+    with pytest.raises(ValidationError):  # NaN is neither negative nor off by more than 1e-12
+        JointPrior(space=sp, marginals=(np.array([np.nan, 1.0]), np.array([0.5, 0.5])))
+    with pytest.raises(ValidationError):
+        JointPrior(space=sp, atoms={(0, 0): np.nan, (1, 1): 1.0})
     prior = JointPrior(space=sp, atoms={(0, 0): 0.25, (1, 1): 0.75})
     assert prior.prob((0, 0)) == 0.25 and prior.prob((1, 0)) == 0.0
     assert list(prior.support()) == [((0, 0), 0.25), ((1, 1), 0.75)]
@@ -1021,7 +1025,8 @@ def test_critical_signals_make_one_gather_per_probe(k):
     wins = rng.uniform(size=(40, k + 1)) < 0.5  # non-monotone rows
     wins[:20] = np.arange(k + 1) >= rng.integers(0, k + 2, size=(20, 1))  # monotone rows
     _CountedReads.reads = 0
-    got = revenue_module._critical_signals(wins.view(_CountedReads))
+    counted = wins.view(_CountedReads)
+    got = revenue_module._critical_signals(lambda rows, signals: counted[rows, signals], k)
     assert _CountedReads.reads == k.bit_length() + 1 == math.ceil(math.log2(k + 1)) + 1
     v = ValuationInstance(space=SignalSpace((k, 1)), values=np.zeros((2, k + 1, 2)))
     for row, b in zip(wins, got.tolist()):
@@ -1151,9 +1156,13 @@ def test_one_payment_per_line(monkeypatch):
     }
     searched = []
     orig = revenue_module._critical_signals
-    monkeypatch.setattr(
-        revenue_module, "_critical_signals", lambda wins: searched.append(len(wins)) or orig(wins)
-    )
+
+    def bisect_lines(won_at, k):
+        crit = orig(won_at, k)
+        searched.append(len(crit))
+        return crit
+
+    monkeypatch.setattr(revenue_module, "_critical_signals", bisect_lines)
     rows = _count_quote_rows(monkeypatch)
     calls = _count_scalar_calls(monkeypatch)
     expected_payment_revenue(table, v, prior)
