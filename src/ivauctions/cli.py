@@ -415,8 +415,7 @@ def cmd_evaluate(args) -> dict:
             won = np.array(means).reshape(v.space.shape)
         else:
             won = _winner_values(v.tabulated().values, table.winner)
-        welfare = revenue._sequential_sums(prior.probs[support] * won[support])
-        result["expected_welfare"] = float(welfare)
+        result["expected_welfare"] = float(revenue._sequential_sums(prior.probs[support] * won[support]))
         if table is not None:
             rev = revenue.expected_payment_revenue(table, v, prior)
             look = revenue.lookahead_benchmark(prior, v, table)

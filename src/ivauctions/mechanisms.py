@@ -116,10 +116,6 @@ def random_permutation(n: int, seed: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _argmax_lowest(values: np.ndarray) -> int:
-    return int(np.argmax(values))  # argmax returns the first maximizer
-
-
 def _required_c(v: ValuationInstance, c: Optional[float]) -> float:
     c = compute_c(v) if c is None else float(c)
     if not math.isfinite(c):
@@ -166,7 +162,7 @@ def two_bidder_coloring(v: ValuationInstance, c: Optional[float] = None) -> Allo
     winner = np.full(v.space.shape, NO_WINNER, dtype=np.int32)
     s = [0, 0]
     while s[0] <= k1 and s[1] <= k2:
-        i = _argmax_lowest(dense[:, s[0], s[1]])
+        i = int(np.argmax(dense[:, s[0], s[1]]))  # the first maximizer
         j = 1 - i
         if i == 0:
             ray = winner[s[0] :, s[1]]
@@ -186,36 +182,46 @@ def high_if_possible(v: ValuationInstance, c: Optional[float] = None) -> Allocat
     undetermined profile the best high bidder wins if the overall argmax is
     within a factor c of her value; otherwise the argmax bidder wins and the
     win is propagated to her high-signal neighbor.  High winners need no
-    propagation, which is what keeps the allocation conflict-free.  Profiles
-    of one weight are independent (each writes only itself and profiles of
-    the next weight), so each weight class is one array pass; two of them
-    propagating to one profile raise the walk's conflict.
+    propagation, which is what keeps the allocation conflict-free.
     """
     if any(k != 1 for k in v.space.sizes):
         raise IncompatibleMechanism("high-if-possible needs two signals per bidder")
     c = _required_c(v, c)
-    n = v.n
-    vals = v.tabulated().values.reshape(n, -1).T  # (profiles, n), row-major
-    high = np.indices(v.space.shape).reshape(n, -1).T == 1
-    istar = vals.argmax(axis=1)  # ties to the lowest bidder, as for ih
-    rivals = np.where(high, vals, -np.inf)  # without a high bidder the argmax wins
-    ih = rivals.argmax(axis=1)
-    keeps = vals.max(axis=1) <= c * rivals.max(axis=1)
-    winner = np.full(len(vals), NO_WINNER, dtype=np.int32)
-    weight = high.sum(axis=1)
-    for w in range(n + 1):
-        free = np.flatnonzero((weight == w) & (winner == NO_WINNER))
-        winner[free] = np.where(keeps[free], ih[free], istar[free])
-        moved = free[~keeps[free]]
-        assert not high[moved, istar[moved]].any(), "argmax with a high signal is itself a high bidder"
-        to = moved + (1 << (n - 1 - istar[moved]))  # the argmax bidder's high neighbor
-        order = np.argsort(to, kind="stable")
-        repeats = order[1:][to[order[1:]] == to[order[:-1]]]
-        if repeats.size:  # the walk meets the first repeat in row-major order
-            q = np.unravel_index(to[repeats.min()], v.space.shape)
-            raise AssertionError(f"propagation conflict at {tuple(int(x) for x in q)}")
-        winner[to] = istar[moved]
-    return AllocationTable(space=v.space, winner=winner.reshape(v.space.shape))
+    return AllocationTable(space=v.space, winner=_high_if_possible_winners(v.tabulated().values, c))
+
+
+def _high_if_possible_winners(values: np.ndarray, c: float) -> np.ndarray:
+    """``high_if_possible``'s winners on an (n, 2, ..., 2) value array, without an instance.
+
+    Every profile's own choice is settled at once, then the propagations, one
+    array step per weight class (profiles of one weight write only themselves
+    and the next weight); two reaching one profile raise the walk's conflict.
+    Besides the values it keeps one bool per (bidder, profile) and a few per profile.
+    """
+    n, shape = len(values), values.shape[1:]
+    vals = values.reshape(n, -1)  # (n, profiles), a row-major view
+    high = np.indices(shape, dtype=bool).reshape(n, -1)
+    best, ih = np.full(vals.shape[1], -np.inf), np.zeros(vals.shape[1], dtype=np.intp)
+    for i in range(n):
+        better = high[i] & (vals[i] > best)  # ties stay with the lowest; -inf without one
+        best = np.where(better, vals[i], best)
+        ih = np.where(better, i, ih)
+    top = vals.max(axis=0)
+    istar = (vals == top).argmax(axis=0)  # vals.argmax(axis=0) would copy vals
+    moves = top > c * best  # never with a high argmax bidder, as c >= 1
+    winner = np.where(moves, istar, ih)
+    weight = high.sum(axis=0)
+    for w in range(n):
+        src = np.flatnonzero(moves & (weight == w))
+        i = istar[src]
+        to = src + (1 << (n - 1 - i))  # the argmax bidder's high neighbour, in row-major order
+        moves[to] = False  # settled by the propagation
+        winner[to] = i
+        clash = to[winner[to] != i]  # two sources of one profile differ in their argmax
+        if clash.size:
+            q = tuple(int(x) for x in np.unravel_index(clash[0], shape))
+            raise AssertionError(f"propagation conflict at {q}")
+    return winner.reshape(shape)
 
 
 def hypergrid_coloring(
@@ -420,23 +426,25 @@ def _critical_signals(won_at: Callable, k: int) -> np.ndarray:
     ``won_at(lines, signals)`` says whether each listed line's bidder wins at
     the paired own signal (two integer arrays).  It is called once at every
     line's top signal (``lines`` a full slice, ``signals`` the array ``[k]``),
-    then once per halving, ceil(log2(k + 1)) of them, with only the lines
-    still open (possibly none): a line costs one probe per step it is open,
-    and a non-monotone line gets the signal the bisection lands on, not its
-    first win.
+    then once per halving while some line is open, at most ceil(log2(k + 1))
+    of them, with only the lines still open: a line costs one probe per step
+    it is open, and a non-monotone line gets the signal the bisection lands
+    on, not its first win.
     """
     top = np.asarray(won_at(slice(None), np.full(1, k)), dtype=bool).reshape(-1)
-    lines = np.flatnonzero(top)
-    lo = np.zeros(lines.size, dtype=np.intp)
-    hi = np.full(lines.size, k, dtype=np.intp)
+    out = np.where(top, k, -1)
+    lines = np.flatnonzero(top)  # the open lines, with their bounds lo..hi
+    lo, hi = np.zeros_like(lines), out[lines]
     for _ in range(k.bit_length()):
-        live = np.flatnonzero(lo < hi)
-        mid = (lo[live] + hi[live]) // 2
-        won = np.asarray(won_at(lines[live], mid), dtype=bool)
-        hi[live] = np.where(won, mid, hi[live])
-        lo[live] = np.where(won, lo[live], mid + 1)
-    out = np.full(top.size, -1, dtype=np.intp)
-    out[lines] = lo
+        if not lines.size:
+            break
+        mid = (lo + hi) // 2
+        won = np.asarray(won_at(lines, mid), dtype=bool)
+        hi = np.where(won, mid, hi)
+        lo = np.where(won, lo, mid + 1)
+        out[lines] = lo  # final for the lines that close at this step
+        live = lo < hi
+        lines, lo, hi = lines[live], lo[live], hi[live]
     return out
 
 

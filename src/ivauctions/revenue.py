@@ -45,12 +45,12 @@ from .mechanisms import (
     _as_rule,
     _called_at,
     _critical_signals,
+    _high_if_possible_winners,
     _ratios,
     _required_c,
     _winner_values,
     as_table,
     critical_signal,
-    high_if_possible,
     hypergrid_coloring,
     lazy_winner,
 )
@@ -496,27 +496,26 @@ class HighIfPossibleFamily(RuleFamily):
     def _subset_rule(self, keep: tuple[int, ...]) -> Rule:
         """The sub-market rule; its table is built once per dropped bidders' signals.
 
-        Each table is ``high_if_possible`` of the slice of ``v`` at those signals,
-        read with one ``values_at_batch`` call: only the slices a caller reaches
-        are evaluated.
+        Each table is ``high_if_possible``'s winner array of the slice of ``v``
+        at those signals, read with one ``values_at_batch`` call and checked as
+        an instance's values are: only the slices a caller reaches are evaluated.
         """
         v = self.v
         dropped = tuple(b for b in range(v.n) if b not in keep)
-        space = SignalSpace(tuple(v.space.sizes[b] for b in keep), profile_cap=v.space.profile_cap)
-        cols = list(keep)
-        grid = np.indices(space.shape).reshape(len(cols), -1).T  # sub-profiles, row-major
-        lookups: dict[tuple[int, ...], Rule] = {}
+        shape = (2,) * len(keep)
+        on = np.array([b in keep for b in range(v.n)])
+        grid = np.indices(np.where(on, 2, 1)).reshape(v.n, -1).T  # sub-profiles, row-major
+        tables: dict[tuple[int, ...], np.ndarray] = {}
 
         def rule(profile: tuple[int, ...]) -> Optional[int]:
             fixed = tuple(profile[b] for b in dropped)
-            if fixed not in lookups:
-                full = np.tile(np.asarray(profile), (len(grid), 1))
-                full[:, cols] = grid
-                values = v.values_at_batch(full)[:, cols].T.reshape((len(cols),) + space.shape)
-                sub = ValuationInstance(space=space, values=values)
-                lookups[fixed] = _as_rule(high_if_possible(sub, c=self.c))
-            w = lookups[fixed](tuple(profile[b] for b in keep))
-            return None if w is None else keep[w]
+            if fixed not in tables:
+                full = np.where(on, grid, profile)  # the slice's profiles
+                values = v.values_at_batch(full)[:, keep].T.reshape((len(keep),) + shape)
+                if not (values.min() >= 0 and values.max() < np.inf):  # NaN fails too
+                    raise ValidationError("values must be finite and nonnegative")
+                tables[fixed] = _high_if_possible_winners(values, self.c)
+            return keep[tables[fixed][tuple(profile[b] for b in keep)]]
 
         return rule
 

@@ -38,7 +38,6 @@ from ivauctions.mechanisms import (
     AllocationTable,
     IncompatibleMechanism,
     Rule,
-    _argmax_lowest,
     _required_c,
     critical_signal,
     outcome,
@@ -385,7 +384,7 @@ def high_if_possible_ordered(
         if winner[p] != NO_WINNER:
             continue
         vals = dense[(slice(None),) + p]
-        istar = _argmax_lowest(vals)
+        istar = int(np.argmax(vals))  # the first maximizer
         high = [i for i in range(n) if p[i] == 1]
         if high:
             ih = high[int(np.argmax(vals[high]))]

@@ -60,7 +60,9 @@ def test_moved_helpers_are_not_package_attributes():
 
 
 def test_revenue_reuses_the_mechanisms_bisection_and_reader():
-    """One critical-signal bisection and one winner-function reader: ``revenue``
-    binds the ``mechanisms`` objects instead of keeping copies."""
+    """One critical-signal bisection, one winner-function reader and one
+    high-if-possible pass: ``revenue`` binds the ``mechanisms`` objects
+    instead of keeping copies."""
     assert revenue._critical_signals is mechanisms._critical_signals
     assert revenue._called_at is mechanisms._called_at
+    assert revenue._high_if_possible_winners is mechanisms._high_if_possible_winners

@@ -216,12 +216,14 @@ def test_high_if_possible_understated_c_fails_like_reference(finite_c_corpus):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_high_if_possible_array_pass_matches_the_walk_on_random_tables(n):
     """On 60 random tables per n, with the measured c and with c understated as 1,
-    the weight-class pass gives the reference walk's table or raises its conflict."""
+    the weight-class pass gives the reference walk's table, or raises a
+    propagation conflict where the walk does."""
     def built(f):
         try:
             return f().winner
         except AssertionError as e:
-            return str(e)
+            assert str(e).startswith("propagation conflict at ")
+            return None
 
     conflicts = 0
     for seed in range(60):
@@ -229,9 +231,9 @@ def test_high_if_possible_array_pass_matches_the_walk_on_random_tables(n):
         for cc in (c, 1.0):
             got = built(lambda: high_if_possible(v, c=cc))
             want = built(lambda: reference.high_if_possible_ordered(v, c=cc))
-            if isinstance(want, str):
+            if want is None:
                 conflicts += 1
-                assert got == want, (seed, cc)  # the same conflict profile
+                assert got is None, (seed, cc)
             else:
                 assert np.array_equal(got, want), (seed, cc)
     assert conflicts > 0 or n == 2

@@ -652,6 +652,23 @@ def test_high_if_possible_family_evaluates_only_the_slices_it_reads():
     assert rows == [8, 8]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_high_if_possible_family_refuses_bad_evaluator_values(bad):
+    """An evaluator's values reach a slice's table unchecked by ``values_at_batch``;
+    the family refuses them as a sub-instance built from them would."""
+    dense = gen.gen_random_separable(3, 1, 2.0, seed=32)
+
+    def batch_evaluate(profiles):
+        out = dense.values_at_batch(profiles).copy()
+        out[:, 0] = bad
+        return out
+
+    v = ValuationInstance(space=dense.space, batch_evaluate=batch_evaluate)
+    rule = HighIfPossibleFamily(v, c=2.0).realizations((0, 1))[0][1]
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        rule((0, 0, 1))
+
+
 def test_family_worst_ratio_equals_literal_loop(finite_c_corpus):
     """The array pass per sub-market equals the profile-by-subset loop exactly."""
     for name, v, c, _ in finite_c_corpus:
@@ -1177,7 +1194,7 @@ def test_high_if_possible_tables_built_once_per_submarket(monkeypatch):
     mech = ReserveBackedMechanism(
         v=v, prior=prior, family=HighIfPossibleFamily(v), alpha=2.0, d=compute_d(v)
     )
-    calls = _count_calls(monkeypatch, "high_if_possible")
+    calls = _count_calls(monkeypatch, "_high_if_possible_winners")
     got = expected_revenue(mech)
     # subsets of size m leave 3 - m two-signal bidders to fix: 1 + 3*2 + 3*4 keys
     assert len(calls) <= 19
