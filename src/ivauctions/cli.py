@@ -604,6 +604,8 @@ def _apply_config(args):
 def _error_type(e: Exception) -> str:
     if isinstance(e, CliError):
         return e.kind
+    if isinstance(e, CapExceeded):
+        return "cap"
     return "incompatible" if isinstance(e, IncompatibleMechanism) else "validation"
 
 

@@ -7,9 +7,8 @@ her critical signal on the line.  The reserve-backed mechanism offers the
 base rule's winner her winning reserve with one probability, and otherwise
 draws a uniform bidder subset, reruns the base rule restricted to it, and
 offers that winner her reserve under the restricted rule.  Expected revenue
-is evaluated exactly by enumerating profiles, internal branches, subsets, and
-rule realizations whenever that enumeration is small, and by seeded Monte
-Carlo otherwise.
+is exact whenever support profiles times branches (the internal branch,
+subsets and rule realizations) is small, and seeded Monte Carlo otherwise.
 
 The exact paths settle reserves in one array pass per bidder over the lines
 through the prior's support.  The rules of a mechanism (or of a lookahead)
@@ -19,8 +18,9 @@ bidder wins on at a support profile.  Rules and values are read nowhere else,
 so a sparse prior on a large grid costs a few lines, not the grid.  The pass
 sums every probability in the order the one-line quote does, and totals add
 their terms in the support's row-major order, so every float equals the
-one-profile-at-a-time evaluation.  Monte Carlo draws keep lazy rules and
-quote one line at a time with the same quote routine.
+one-profile-at-a-time evaluation.  Exact revenue is one array sum over the
+offered prices; events are objects only when ``profile_events`` asks.  Monte
+Carlo draws keep lazy rules and quote one line at a time the same way.
 """
 
 from __future__ import annotations
@@ -140,14 +140,14 @@ class JointPrior:
         try:
             kind = obj.get("kind")
             if kind == "product":
-                marginals = [np.asarray(m, dtype=np.float64) for m in obj["marginals"]]
+                marginals = [np.array([_json_prob(x) for x in m]) for m in obj["marginals"]]
                 sp = space or SignalSpace(tuple(len(m) - 1 for m in marginals))
                 return JointPrior(space=sp, marginals=tuple(marginals))
             if kind == "sparse":
                 atoms: dict[tuple, float] = {}
                 for a in obj["atoms"]:  # a repeated profile sums its atoms in file order
                     key = tuple(a["profile"])
-                    atoms[key] = atoms.get(key, 0.0) + float(a["p"])
+                    atoms[key] = atoms.get(key, 0.0) + _json_prob(a["p"])
                 if space is None:
                     if not atoms:
                         raise ValidationError("a sparse prior without a signal space needs an atom")
@@ -162,6 +162,13 @@ class JointPrior:
         except (AttributeError, TypeError, ValueError) as e:
             raise ValidationError(f"malformed prior: {e}") from e
         raise ValidationError(f"unknown prior kind {kind!r}")
+
+
+def _json_prob(p) -> float:
+    """A probability of the wire form: a JSON number, not a string or a bool."""
+    if isinstance(p, bool) or not isinstance(p, (int, float)):
+        raise ValidationError(f"probability {p!r} is not a number")
+    return float(p)
 
 
 def uniform_product_prior(space: SignalSpace) -> JointPrior:
@@ -279,10 +286,10 @@ class _SupportLines:
         shape = v.space.shape
         self.support = np.flatnonzero(prior.probs > 0)  # flat grid indices, row-major
         signals = np.unravel_index(self.support, shape)
-        self.strides = [math.prod(shape[i + 1 :]) for i in range(len(shape))]  # flat steps
+        strides = [math.prod(shape[i + 1 :]) for i in range(len(shape))]  # flat steps
         firsts, columns, points = [], [], []
         self.count = 0
-        for i, (width, stride) in enumerate(zip(shape, self.strides)):
+        for i, (width, stride) in enumerate(zip(shape, strides)):
             starts = self.support - signals[i] * stride
             heads = _distinct(starts)
             firsts.append(self.count)
@@ -628,9 +635,10 @@ class ReserveBackedMechanism:
         Branches follow ``profile_events``: the full market's realizations,
         the empty subset (no rule), then each subset's realizations.  A rule
         that serves several branches (the full market is also a subset) is
-        one row, so each (rule, bidder, line) is quoted once.  Kept per row:
-        the winner at each support profile and the reserve price on each
-        line; both are built at first use.
+        one row, so each (rule, bidder, line) is quoted once; row 0 offers no
+        one a price.  Kept, from first use: the branches, the support's flat
+        indices and values, and per (row, support profile) the winner and her
+        offered price, NaN for no offer.
         """
         n = self.v.n
         qa = self.branch_a_prob
@@ -640,49 +648,42 @@ class ReserveBackedMechanism:
         for mask in range(1, 2**n):
             keep = tuple(b for b in range(n) if mask >> b & 1)
             branches += [(qb * pr, "subset", rule) for pr, rule in self.family.realizations(keep)]
-        rows: dict = {}
-        heads = [
-            (prob, branch, rule, None if rule is None else rows.setdefault(rule, len(rows)))
-            for prob, branch, rule in branches
-        ]
+        rows: dict = {None: 0}
+        heads = [(*branch, rows.setdefault(branch[2], len(rows))) for branch in branches]
         lines = _SupportLines(self.prior, self.v)
-        winners, prices = [], []
-        for won, per_line in _line_quotes(lines, self.v, list(rows)):
-            winners.append(won.astype(np.min_scalar_type(-n)))
-            prices.append(per_line[1])
-        lines.bidders.clear()  # each line's points, values and probabilities serve the pass only
-        return heads, lines, np.concatenate(winners), np.concatenate(prices)
+        at = np.arange(lines.support.size)
+        small = np.min_scalar_type(-n)
+        winners, prices = [np.full((1, at.size), NO_WINNER, small)], [np.full((1, at.size), np.nan)]
+        for won, per_line in _line_quotes(lines, self.v, list(rows)[1:]):
+            winners.append(won.astype(small))
+            prices.append(lines.read(per_line[1], won, at))
+        return heads, lines.support, lines.values, np.concatenate(winners), np.concatenate(prices)
 
     def profile_events(self, s: Sequence[int]) -> list[RevenueEvent]:
-        """Exact enumeration of every internal branch at one reported profile.
+        """Every internal branch at one reported profile as an event object.
 
-        A support profile reads the stacked pass; any other profile quotes its
-        lines one at a time, as a Monte Carlo draw does.
+        A support profile reads one column of the stacked pass; any other
+        profile quotes its lines one at a time, as a Monte Carlo draw does.
         """
         s = self.v.space.validate_profile(s)
-        heads, lines, winners, prices = self._branches
-        flat = sum(x * stride for x, stride in zip(s, lines.strides))
-        at = int(lines.support.searchsorted(flat))
-        if at == lines.support.size or lines.support[at] != flat:
+        heads, support, values, winners, prices = self._branches
+        flat = self.v.space.index_of(s)
+        at = int(support.searchsorted(flat))
+        if at == support.size or support[at] != flat:
             return [
                 RevenueEvent(prob, 0.0, None, None, None, branch)
                 if rule is None
                 else self._posted(rule, s, branch, prob)
                 for prob, branch, rule, _ in heads
             ]
-        winner = winners[:, [at]]
-        costs = lines.read(prices, winner, np.array([at]))[:, 0].tolist()
-        winner, values = winner[:, 0].tolist(), lines.values[at].tolist()
+        winner, price, value = winners[:, at].tolist(), prices[:, at].tolist(), values[at].tolist()
         events = []
         for prob, branch, _, r in heads:
-            if r is None or math.isnan(costs[r]):  # no winner, or her reserve is undefined
+            if math.isnan(price[r]):  # no winner, or her reserve is undefined
                 events.append(RevenueEvent(prob, 0.0, None, None, None, branch))
             else:
-                events.append(_offer(prob, branch, winner[r], costs[r], values[winner[r]]))
+                events.append(_offer(prob, branch, winner[r], price[r], value[winner[r]]))
         return events
-
-    def profile_outcomes(self, s: Sequence[int]) -> list[tuple[float, float]]:
-        return [(e.prob, e.revenue) for e in self.profile_events(s)]
 
     def enumeration_size(self) -> int:
         n = self.v.n
@@ -707,36 +708,36 @@ class ReserveBackedMechanism:
 
 
 def expected_revenue(
-    mechanism,
-    prior: Optional[JointPrior] = None,
+    mechanism: ReserveBackedMechanism,
     cap: int = 1_000_000,
     samples: int = 100_000,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Expected revenue with its standard error (zero when computed exactly).
 
-    ``mechanism`` provides per-profile exact branch enumeration through
-    ``profile_outcomes`` (and its prior, unless one is passed explicitly).
-    When profiles times branches stays under the cap the expectation is an
-    exact sum; otherwise profiles are drawn from the prior with a seeded
+    Under the cap on support profiles times branches it is exact: one
+    sequential sum of ``ps * prob * sale`` over the stacked pass, profiles
+    row-major and branches in ``profile_events`` order, as an event loop adds
+    them.  The sale is the offered price where the winner's value reaches
+    it, else 0.  Otherwise profiles are drawn from the prior with a seeded
     generator and internal branches are sampled through ``sample_event``.
     """
-    prior = prior if prior is not None else mechanism.prior
-    sizer = getattr(mechanism, "enumeration_size", None)
-    size = sizer() if sizer is not None else sum(
-        len(mechanism.profile_outcomes(s)) for s, _ in prior.support()
-    )
-    if size <= cap:
-        total = 0.0
-        for s, ps in prior.support():
-            branch_probs = 0.0
-            for prob, rev in mechanism.profile_outcomes(s):
-                total += ps * prob * rev
-                branch_probs += prob
-            assert abs(branch_probs - 1.0) < 1e-9, "branch probabilities must sum to 1"
+    if mechanism.enumeration_size() <= cap:
+        heads, support, values, winners, prices = mechanism._branches
+        probs = np.array([prob for prob, *_ in heads])
+        assert abs(_sequential_sums(probs) - 1.0) < 1e-9, "branch probabilities must sum to 1"
+        rows = [r for *_, r in heads]
+        ps = mechanism.prior.probs.reshape(-1)[support]
+        total, step = 0.0, max(1, _CHUNK_CELLS // len(heads))
+        for lo in range(0, support.size, step):
+            at = np.arange(lo, min(lo + step, support.size))
+            price = prices[:, at]
+            sale = np.where(values[at, winners[:, at]] >= price, price, 0.0)  # NaN: no offer
+            terms = ps[at, None] * probs * sale[rows].T
+            total = float(_sequential_sums(np.concatenate(([total], terms.ravel()))))
         return total, 0.0
     rng = random.Random(seed)
-    support = list(prior.support())
+    support = list(mechanism.prior.support())
     cum = list(np.cumsum([p for _, p in support]))
 
     def draws():

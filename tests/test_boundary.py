@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -66,3 +67,11 @@ def test_revenue_reuses_the_mechanisms_bisection_and_reader():
     assert revenue._critical_signals is mechanisms._critical_signals
     assert revenue._called_at is mechanisms._called_at
     assert revenue._high_if_possible_winners is mechanisms._high_if_possible_winners
+
+
+def test_exact_revenue_has_one_path():
+    """Exact revenue is one array sum over the mechanism's stacked pass: no
+    per-profile outcomes protocol and no prior override."""
+    assert not hasattr(revenue.ReserveBackedMechanism, "profile_outcomes")
+    params = list(inspect.signature(revenue.expected_revenue).parameters)
+    assert params == ["mechanism", "cap", "samples", "seed"]

@@ -508,6 +508,20 @@ def test_generate_oracle_backed_writes_generator_form(tmp_path):
     assert "values" not in obj
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["run", "--mechanism", "hypergrid", "--profile", ",".join(["0"] * 65)]],
+)
+def test_untabulable_instance_is_a_cap_error(tmp_path, argv):
+    """A command that must tabulate 2^65 profiles reports a cap hit, as ``search`` does."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"generator": "random_mech_lb", "params": {"n": 64, "c": 2.0}}))
+    code, out, err = run_cli(*argv, "--instance", str(path))
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "cap" and "cannot tabulate" in error["message"]
+
+
 def test_deterministic_output_bytes(tight_file):
     first = run_cli("evaluate", "--instance", tight_file, "--mechanism", "hypergrid")
     second = run_cli("evaluate", "--instance", tight_file, "--mechanism", "hypergrid")

@@ -97,6 +97,11 @@ def test_prior_json_roundtrip():
         {"kind": "sparse", "atoms": []},
         {"kind": "sparse"},
         [],
+        # probabilities must be JSON numbers: no strings, no bools
+        {"kind": "sparse", "atoms": [{"profile": [0, 1], "p": "0.5"}, {"profile": [1, 1], "p": 0.5}]},
+        {"kind": "sparse", "atoms": [{"profile": [0, 1], "p": True}]},
+        {"kind": "product", "marginals": [["0.5", "0.5"], [0.5, 0.5]]},
+        {"kind": "product", "marginals": [[True, False], [0.5, 0.5]]},
     ],
 )
 def test_prior_json_malformed_is_a_validation_error(obj):
@@ -427,31 +432,6 @@ def test_sales_price_dominates_critical_value(finite_c_corpus):
         )
         for s, _ in prior.support():
             mech.profile_events(s)  # the dominance assert lives in winning_reserve
-
-
-def test_expected_revenue_posted_price():
-    class PostedPrice:
-        def __init__(self, price):
-            self.price = price
-
-        def profile_outcomes(self, s):
-            return [(1.0, self.price)]
-
-    sp = SignalSpace((1,))
-    prior = uniform_product_prior(sp)
-    value, se = expected_revenue(PostedPrice(3.25), prior=prior)
-    assert value == pytest.approx(3.25) and se == 0.0
-
-
-def test_expected_revenue_linearity_over_branches():
-    class TwoBranch:
-        def profile_outcomes(self, s):
-            return [(0.25, 8.0), (0.75, 2.0)]
-
-    sp = SignalSpace((1,))
-    prior = uniform_product_prior(sp)
-    value, _ = expected_revenue(TwoBranch(), prior=prior)
-    assert value == pytest.approx(0.25 * 8.0 + 0.75 * 2.0)
 
 
 def test_exact_revenue_matches_hand_enumeration():
@@ -859,6 +839,7 @@ def test_lookahead_undefined_reserve_line_contributes_zero():
         (lambda s: gen.gen_random_separable(3, 1, 2.0, seed=s), "high"),
         (lambda s: gen.gen_random_separable(3, 2, 1.5, seed=s), "random"),
         (lambda s: gen.gen_random_separable(3, 2, 1.5, seed=s), (2, 0, 1)),
+        pytest.param(lambda s: gen.gen_random_separable(4, 1, 2.0, seed=s), "random", id="n4"),
     ],
 )
 @pytest.mark.parametrize("seed", (70, 71))
@@ -997,11 +978,13 @@ def test_exact_paths_read_only_the_lines_through_a_sparse_support(monkeypatch):
     # a profile off the support is quoted one line at a time, as a draw is
     for s in [(0, 0, 0), (20, 3, 11)]:
         assert prior.prob(s) == 0.0
-        assert mech.profile_outcomes(s) == _ref_events(mech, _HighestSignalFamily(v), None, s)
+        events = [(e.prob, e.revenue) for e in mech.profile_events(s)]
+        assert events == _ref_events(mech, _HighestSignalFamily(v), None, s)
 
 
 def test_chunks_of_rules_and_quotes_change_no_float(monkeypatch):
-    """With room for two rules and a few quote rows per chunk, every sum is unchanged."""
+    """With room for two rules, a few quote rows and two support profiles' branches
+    per chunk, and then for one of each, every sum is unchanged."""
     v = gen.gen_random_separable(3, 2, 1.5, seed=78)
     c, d = compute_c(v), compute_d(v)
     prior = _random_product_prior(v.space, 78)
@@ -1017,10 +1000,13 @@ def test_chunks_of_rules_and_quotes_change_no_float(monkeypatch):
         )
 
     whole = sums()
-    monkeypatch.setattr(revenue_module, "_CHUNK_CELLS", 2 * v.space.profile_count)
-    assert sums() == whole
     fam = HypergridFamily(v, c=c)
     mech = ReserveBackedMechanism(v=v, prior=prior, family=fam, alpha=2 * c, d=d, p=0.5)
+    branches = len(mech._branches[0])
+    for cells in (2 * v.space.profile_count, 1):
+        monkeypatch.setattr(revenue_module, "_CHUNK_CELLS", cells)
+        assert max(1, cells // branches) <= 2 < v.space.profile_count  # the sum spans chunks
+        assert sums() == whole
     assert whole[0] == (_ref_exact_revenue(mech, "random", c), 0.0)
 
 
