@@ -19,8 +19,8 @@ so a sparse prior on a large grid costs a few lines, not the grid.  The pass
 sums every probability in the order the one-line quote does, and totals add
 their terms in the support's row-major order, so every float equals the
 one-profile-at-a-time evaluation.  Exact revenue is one array sum over the
-offered prices; events are objects only when ``profile_events`` asks.  Monte
-Carlo draws keep lazy rules and quote one line at a time the same way.
+offered prices.  ``profile_events`` and Monte Carlo draws keep lazy rules and
+quote one line at a time the same way.
 """
 
 from __future__ import annotations
@@ -611,9 +611,12 @@ class ReserveBackedMechanism:
         a, d, p = self.alpha, self.d, self.p
         return (a * a + 1.0) / (a * a + 4.0 * a * d / (p * p) + 1.0)
 
-    def _posted(self, rule: Rule, s: tuple[int, ...], branch: str, prob: float) -> RevenueEvent:
-        """One branch quoted line by line: the rule's winner, quoted once per (rule, bidder, line)."""
-        i = rule(s)
+    def _posted(
+        self, rule: Optional[Rule], s: tuple[int, ...], branch: str, prob: float
+    ) -> RevenueEvent:
+        """One branch quoted line by line: the rule's winner (none without a rule), quoted once
+        per (rule, bidder, line)."""
+        i = None if rule is None else rule(s)
         if i is None:
             return RevenueEvent(prob, 0.0, None, None, None, branch)
         context = tuple(x for b, x in enumerate(s) if b != i)
@@ -629,16 +632,12 @@ class ReserveBackedMechanism:
         return _offer(prob, branch, i, quote.price, self.v.value(i, s))
 
     @cached_property
-    def _branches(self) -> tuple:
-        """Every exact branch with its rule's row in one stacked pass over the support's lines.
+    def _heads(self) -> list:
+        """Every internal branch as (prob, branch, rule, row), in ``profile_events`` order.
 
-        Branches follow ``profile_events``: the full market's realizations,
-        the empty subset (no rule), then each subset's realizations.  A rule
-        that serves several branches (the full market is also a subset) is
-        one row, so each (rule, bidder, line) is quoted once; row 0 offers no
-        one a price.  Kept, from first use: the branches, the support's flat
-        indices and values, and per (row, support profile) the winner and her
-        offered price, NaN for no offer.
+        The full market's realizations, the empty subset (no rule, row 0),
+        then each subset's realizations.  A rule that serves several branches
+        (the full market is also a subset) has one row of the stacked pass.
         """
         n = self.v.n
         qa = self.branch_a_prob
@@ -649,41 +648,37 @@ class ReserveBackedMechanism:
             keep = tuple(b for b in range(n) if mask >> b & 1)
             branches += [(qb * pr, "subset", rule) for pr, rule in self.family.realizations(keep)]
         rows: dict = {None: 0}
-        heads = [(*branch, rows.setdefault(branch[2], len(rows))) for branch in branches]
+        return [(*branch, rows.setdefault(branch[2], len(rows))) for branch in branches]
+
+    @cached_property
+    def _branches(self) -> tuple:
+        """One stacked pass over the support's lines for the rows of ``_heads``.
+
+        Each (rule, bidder, line) is quoted once; row 0 offers no one a price.
+        Kept, from first use: the support's flat indices and values, and per
+        (row, support profile) the winner and her offered price, NaN for no
+        offer.
+        """
+        rules = {r: rule for *_, rule, r in self._heads}
         lines = _SupportLines(self.prior, self.v)
         at = np.arange(lines.support.size)
-        small = np.min_scalar_type(-n)
-        winners, prices = [np.full((1, at.size), NO_WINNER, small)], [np.full((1, at.size), np.nan)]
-        for won, per_line in _line_quotes(lines, self.v, list(rows)[1:]):
-            winners.append(won.astype(small))
-            prices.append(lines.read(per_line[1], won, at))
-        return heads, lines.support, lines.values, np.concatenate(winners), np.concatenate(prices)
+        # filled row by row as the pass yields, so pages are touched as they are needed
+        winners = np.empty((len(rules), at.size), np.min_scalar_type(-self.v.n))
+        prices = np.empty(winners.shape)
+        winners[0], prices[0], lo = NO_WINNER, np.nan, 1
+        for won, per_line in _line_quotes(lines, self.v, [rules[r] for r in range(1, len(rules))]):
+            winners[lo : lo + len(won)] = won
+            prices[lo : lo + len(won)] = lines.read(per_line[1], won, at)
+            lo += len(won)
+        return lines.support, lines.values, winners, prices
 
     def profile_events(self, s: Sequence[int]) -> list[RevenueEvent]:
         """Every internal branch at one reported profile as an event object.
 
-        A support profile reads one column of the stacked pass; any other
-        profile quotes its lines one at a time, as a Monte Carlo draw does.
+        Each branch's rule is quoted line by line, as a Monte Carlo draw is.
         """
         s = self.v.space.validate_profile(s)
-        heads, support, values, winners, prices = self._branches
-        flat = self.v.space.index_of(s)
-        at = int(support.searchsorted(flat))
-        if at == support.size or support[at] != flat:
-            return [
-                RevenueEvent(prob, 0.0, None, None, None, branch)
-                if rule is None
-                else self._posted(rule, s, branch, prob)
-                for prob, branch, rule, _ in heads
-            ]
-        winner, price, value = winners[:, at].tolist(), prices[:, at].tolist(), values[at].tolist()
-        events = []
-        for prob, branch, _, r in heads:
-            if math.isnan(price[r]):  # no winner, or her reserve is undefined
-                events.append(RevenueEvent(prob, 0.0, None, None, None, branch))
-            else:
-                events.append(_offer(prob, branch, winner[r], price[r], value[winner[r]]))
-        return events
+        return [self._posted(rule, s, branch, prob) for prob, branch, rule, _ in self._heads]
 
     def enumeration_size(self) -> int:
         n = self.v.n
@@ -701,9 +696,7 @@ class ReserveBackedMechanism:
             rule = self.family.sample_rule(tuple(range(n)), rng)
             return self._posted(rule, s, "full", 1.0)
         keep = tuple(b for b in range(n) if rng.random() < 0.5)
-        if not keep:
-            return RevenueEvent(1.0, 0.0, None, None, None, "subset")
-        rule = self.family.sample_rule(keep, rng)
+        rule = self.family.sample_rule(keep, rng) if keep else None
         return self._posted(rule, s, "subset", 1.0)
 
 
@@ -723,7 +716,8 @@ def expected_revenue(
     generator and internal branches are sampled through ``sample_event``.
     """
     if mechanism.enumeration_size() <= cap:
-        heads, support, values, winners, prices = mechanism._branches
+        heads = mechanism._heads
+        support, values, winners, prices = mechanism._branches
         probs = np.array([prob for prob, *_ in heads])
         assert abs(_sequential_sums(probs) - 1.0) < 1e-9, "branch probabilities must sum to 1"
         rows = [r for *_, r in heads]

@@ -975,9 +975,10 @@ def test_exact_paths_read_only_the_lines_through_a_sparse_support(monkeypatch):
     assert look == _ref_lookahead(prior, v, rule)
     assert paid == _ref_payment_revenue(rule, v, prior)
     assert se == 0.0 and got == _ref_exact_revenue(mech, _HighestSignalFamily(v), None)
-    # a profile off the support is quoted one line at a time, as a draw is
-    for s in [(0, 0, 0), (20, 3, 11)]:
-        assert prior.prob(s) == 0.0
+    # every profile, on the support or off it, is quoted one line at a time, as a draw is
+    off = [(0, 0, 0), (20, 3, 11)]
+    assert all(prior.prob(s) == 0.0 for s in off)
+    for s in [s for s, _ in prior.support()] + off:
         events = [(e.prob, e.revenue) for e in mech.profile_events(s)]
         assert events == _ref_events(mech, _HighestSignalFamily(v), None, s)
 
