@@ -45,6 +45,7 @@ from .model import (
     DEFAULT_PROFILE_CAP,
     CapExceeded,
     ValidationError,
+    _sequential_sums,
     compute_c,
     compute_d,
     check_value_monotone,
@@ -415,7 +416,7 @@ def cmd_evaluate(args) -> dict:
             won = np.array(means).reshape(v.space.shape)
         else:
             won = _winner_values(v.tabulated().values, table.winner)
-        result["expected_welfare"] = float(revenue._sequential_sums(prior.probs[support] * won[support]))
+        result["expected_welfare"] = float(_sequential_sums(prior.probs[support] * won[support]))
         if table is not None:
             rev = revenue.expected_payment_revenue(table, v, prior)
             look = revenue.lookahead_benchmark(prior, v, table)
@@ -509,7 +510,7 @@ def _default_cap() -> int:
         if cap < 1:
             raise CliError("usage", f"MECHLIB_CAP must be at least 1, got {env!r}")
         return cap
-    return 10_000_000
+    return DEFAULT_PROFILE_CAP
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -118,13 +118,13 @@ def random_permutation(n: int, seed: int) -> tuple[int, ...]:
 
 def _required_c(v: ValuationInstance, c: Optional[float]) -> float:
     c = compute_c(v) if c is None else float(c)
-    if not math.isfinite(c):
+    if not c >= 1:  # NaN fails too
+        raise ValidationError("c must be >= 1")
+    if c == math.inf:
         raise IncompatibleMechanism(
             "instance has an infinite crossing constant; no approximation "
             "mechanism applies"
         )
-    if c < 1:
-        raise ValidationError("c must be >= 1")
     return c
 
 

@@ -31,7 +31,8 @@ import numpy as np
 
 INFINITE = math.inf
 
-#: Default bound on the number of grid points a dense instance may have.
+#: The one default cap: grid points a dense instance may have, terms an exact
+#: revenue sum may add and monotone tables the exhaustive search may visit.
 DEFAULT_PROFILE_CAP = 10_000_000
 
 #: Profiles per batched call when tabulating an evaluator-backed instance.
@@ -241,6 +242,11 @@ def mean_and_stderr(draws: Iterable[float]) -> tuple[float, float]:
         return mean, 0.0
     var = max(0.0, (total_sq - count * mean * mean) / (count - 1))
     return mean, math.sqrt(var / count)
+
+
+def _sequential_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row's total as a Python loop adds it: ``0.0 + t[0] + t[1] + ...``."""
+    return 0.0 + np.cumsum(terms, axis=-1)[..., -1]
 
 
 def check_value_monotone(v: ValuationInstance) -> list[tuple[int, int, tuple[int, ...], float, float]]:

@@ -30,15 +30,15 @@ from .mechanisms import (  # noqa: F401
     lazy_winners,
 )
 from .model import (
+    DEFAULT_PROFILE_CAP,
     INFINITE,
     CapExceeded,
     ValidationError,
     ValuationInstance,
+    _sequential_sums,
     compute_c,
     mean_and_stderr,
 )
-
-DEFAULT_TABLE_CAP = 10_000_000
 
 #: Orderings evaluated per batch by the Monte Carlo path; bounds its memory.
 MC_CHUNK = 4096
@@ -147,7 +147,7 @@ def _monotone_tables(
         yield tables, worst
 
 
-def enumerate_monotone_tables(v: ValuationInstance, cap: int = DEFAULT_TABLE_CAP) -> Iterator[np.ndarray]:
+def enumerate_monotone_tables(v: ValuationInstance, cap: int = DEFAULT_PROFILE_CAP) -> Iterator[np.ndarray]:
     """Yield a copy of every fully-assigned monotone winner table (flat, row-major, int32).
 
     Tables come in lexicographic order, bidder 0 first at each cell.
@@ -157,7 +157,7 @@ def enumerate_monotone_tables(v: ValuationInstance, cap: int = DEFAULT_TABLE_CAP
             yield table.astype(np.int32)
 
 
-def best_monotone_ratio(v: ValuationInstance, cap: int = DEFAULT_TABLE_CAP) -> SearchReport:
+def best_monotone_ratio(v: ValuationInstance, cap: int = DEFAULT_PROFILE_CAP) -> SearchReport:
     """Minimum worst-case welfare ratio over all monotone full-support tables.
 
     The monotone-table search with each cell's welfare ratio as its cost, so
@@ -215,8 +215,9 @@ def exact_random_hypergrid_stats(
         mask, w = np.repeat(mask, n - d), np.repeat(w, n - d)
         w = T[mask, w, rest]
         mask |= 1 << rest
-    per_pi = dict(zip(permutations(range(n)), v.values_at(p)[w].tolist()))
-    mean = sum(per_pi.values()) / len(per_pi)
+    won = v.values_at(p)[w]
+    per_pi = dict(zip(permutations(range(n)), won.tolist()))
+    mean = float(_sequential_sums(won)) / len(per_pi)  # left to right: 3.12's sum() compensates
     return mean, per_pi
 
 

@@ -19,13 +19,12 @@ so a sparse prior on a large grid costs a few lines, not the grid.  The pass
 sums every probability in the order the one-line quote does, and totals add
 their terms in the support's row-major order, so every float equals the
 one-profile-at-a-time evaluation.  Exact revenue is one array sum over the
-offered prices.  ``profile_events`` and Monte Carlo draws keep lazy rules and
-quote one line at a time the same way.
+sales kept per rule row and support profile.  ``profile_events`` and Monte
+Carlo draws keep lazy rules and quote one line at a time the same way.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import InitVar, dataclass, field
@@ -55,9 +54,11 @@ from .mechanisms import (
     lazy_winner,
 )
 from .model import (
+    DEFAULT_PROFILE_CAP,
     SignalSpace,
     ValidationError,
     ValuationInstance,
+    _sequential_sums,
     mean_and_stderr,
     validate_permutation,
 )
@@ -75,16 +76,15 @@ class JointPrior:
 
     Built from either per-bidder ``marginals`` (a product prior) or an explicit
     sparse ``atoms`` mapping, and stored as one read-only dense array ``probs``
-    over the grid: marginals multiplied in bidder order, repeated atoms summed
-    in insertion order.  Probabilities must be nonnegative (not NaN) and sum
-    to 1 within 1e-12.  Priors compare by identity.
+    over the grid, and nothing else: marginals multiplied in bidder order,
+    repeated atoms summed in insertion order.  Probabilities must be
+    nonnegative (not NaN) and sum to 1 within 1e-12.  Priors compare by identity.
     """
 
     space: SignalSpace
     marginals: InitVar[Optional[Sequence[np.ndarray]]] = None
     atoms: InitVar[Optional[dict[tuple[int, ...], float]]] = None
     probs: np.ndarray = field(init=False, repr=False)
-    _support: tuple = field(init=False, repr=False)
 
     def __post_init__(self, marginals, atoms):
         if (marginals is None) == (atoms is None):
@@ -119,15 +119,14 @@ class JointPrior:
                 raise ValidationError(f"atom probabilities sum to {total}, not 1")
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-        support = [tuple(p) for p in np.argwhere(probs > 0).tolist()]  # row-major
-        object.__setattr__(self, "_support", tuple((p, float(probs[p])) for p in support))
 
     def prob(self, profile: Sequence[int]) -> float:
         return float(self.probs[self.space.validate_profile(profile)])
 
     def support(self) -> Iterator[tuple[tuple[int, ...], float]]:
-        """Profiles with positive probability, in row-major order."""
-        return iter(self._support)
+        """(profile, probability) for each profile with positive probability, row-major."""
+        on = self.probs > 0
+        return zip(map(tuple, np.argwhere(on).tolist()), self.probs[on].tolist())
 
     def line_probs(self, i: int, s_minus_i: Sequence[int]) -> np.ndarray:
         """Joint probabilities along bidder i's line at fixed s_minus_i (a read-only view)."""
@@ -152,6 +151,8 @@ class JointPrior:
                     if not atoms:
                         raise ValidationError("a sparse prior without a signal space needs an atom")
                     n = len(next(iter(atoms)))
+                    if any(len(p) != n for p in atoms):
+                        raise ValidationError("sparse prior profiles differ in length")
                     sizes = tuple(max(1, max(p[i] for p in atoms)) for i in range(n))
                     space = SignalSpace(sizes)
                 return JointPrior(space=space, atoms=atoms)
@@ -217,11 +218,6 @@ def _row_sums(entries: np.ndarray, counts: np.ndarray) -> np.ndarray:
         rows = np.flatnonzero(counts == c)
         sums[rows] = entries[starts[rows, None] + np.arange(c)].sum(axis=1)
     return sums
-
-
-def _sequential_sums(terms: np.ndarray) -> np.ndarray:
-    """Each row's total as a Python loop adds it: ``0.0 + t[0] + t[1] + ...``."""
-    return 0.0 + np.cumsum(terms, axis=-1)[..., -1]
 
 
 def _monopoly_quotes(
@@ -655,22 +651,22 @@ class ReserveBackedMechanism:
         """One stacked pass over the support's lines for the rows of ``_heads``.
 
         Each (rule, bidder, line) is quoted once; row 0 offers no one a price.
-        Kept, from first use: the support's flat indices and values, and per
-        (row, support profile) the winner and her offered price, NaN for no
-        offer.
+        Kept, from first use: the support's flat indices and, per (row,
+        support profile), the sale: the offered price where the winner's value
+        reaches it, else 0 (a NaN price is no offer).
         """
         rules = {r: rule for *_, rule, r in self._heads}
         lines = _SupportLines(self.prior, self.v)
         at = np.arange(lines.support.size)
         # filled row by row as the pass yields, so pages are touched as they are needed
-        winners = np.empty((len(rules), at.size), np.min_scalar_type(-self.v.n))
-        prices = np.empty(winners.shape)
-        winners[0], prices[0], lo = NO_WINNER, np.nan, 1
+        sale = np.empty((len(rules), at.size))
+        sale[0], lo = 0.0, 1
         for won, per_line in _line_quotes(lines, self.v, [rules[r] for r in range(1, len(rules))]):
-            winners[lo : lo + len(won)] = won
-            prices[lo : lo + len(won)] = lines.read(per_line[1], won, at)
+            offer = sale[lo : lo + len(won)]
+            offer[...] = lines.read(per_line[1], won, at)
+            offer[~(lines.values[at, won] >= offer)] = 0.0
             lo += len(won)
-        return lines.support, lines.values, winners, prices
+        return lines.support, sale
 
     def profile_events(self, s: Sequence[int]) -> list[RevenueEvent]:
         """Every internal branch at one reported profile as an event object.
@@ -686,7 +682,7 @@ class ReserveBackedMechanism:
             math.comb(n, m) * self.family.realization_count(m) for m in range(n + 1)
         )
         per_profile = self.family.realization_count(n) + subset_realizations
-        return sum(1 for _ in self.prior.support()) * per_profile
+        return int(np.count_nonzero(self.prior.probs)) * per_profile
 
     def sample_event(self, s: Sequence[int], rng: random.Random) -> RevenueEvent:
         """One internal-randomness draw at one reported profile."""
@@ -702,7 +698,7 @@ class ReserveBackedMechanism:
 
 def expected_revenue(
     mechanism: ReserveBackedMechanism,
-    cap: int = 1_000_000,
+    cap: int = DEFAULT_PROFILE_CAP,
     samples: int = 100_000,
     seed: int = 0,
 ) -> tuple[float, float]:
@@ -711,33 +707,34 @@ def expected_revenue(
     Under the cap on support profiles times branches it is exact: one
     sequential sum of ``ps * prob * sale`` over the stacked pass, profiles
     row-major and branches in ``profile_events`` order, as an event loop adds
-    them.  The sale is the offered price where the winner's value reaches
-    it, else 0.  Otherwise profiles are drawn from the prior with a seeded
-    generator and internal branches are sampled through ``sample_event``.
+    them; each chunk's terms carry the running total and are summed in place.
+    Otherwise profiles are drawn by a seeded search of the prior's cumulative
+    probabilities, and internal branches through ``sample_event``.
     """
     if mechanism.enumeration_size() <= cap:
         heads = mechanism._heads
-        support, values, winners, prices = mechanism._branches
+        support, sale = mechanism._branches
         probs = np.array([prob for prob, *_ in heads])
         assert abs(_sequential_sums(probs) - 1.0) < 1e-9, "branch probabilities must sum to 1"
         rows = [r for *_, r in heads]
         ps = mechanism.prior.probs.reshape(-1)[support]
         total, step = 0.0, max(1, _CHUNK_CELLS // len(heads))
         for lo in range(0, support.size, step):
-            at = np.arange(lo, min(lo + step, support.size))
-            price = prices[:, at]
-            sale = np.where(values[at, winners[:, at]] >= price, price, 0.0)  # NaN: no offer
-            terms = ps[at, None] * probs * sale[rows].T
-            total = float(_sequential_sums(np.concatenate(([total], terms.ravel()))))
+            terms = ps[lo : lo + step, None] * probs
+            terms *= sale[rows, lo : lo + step].T
+            terms = terms.reshape(-1)
+            terms[0] += total
+            total = 0.0 + float(np.cumsum(terms, out=terms)[-1])
         return total, 0.0
     rng = random.Random(seed)
-    support = list(mechanism.prior.support())
-    cum = list(np.cumsum([p for _, p in support]))
+    support = np.flatnonzero(mechanism.prior.probs)  # row-major
+    cum = np.cumsum(mechanism.prior.probs.reshape(-1)[support])
 
     def draws():
         for _ in range(samples):
-            idx = min(bisect.bisect_left(cum, rng.random() * cum[-1]), len(support) - 1)
-            yield mechanism.sample_event(support[idx][0], rng).revenue
+            idx = min(int(np.searchsorted(cum, rng.random() * cum[-1])), support.size - 1)
+            s = np.unravel_index(support[idx], mechanism.v.space.shape)
+            yield mechanism.sample_event(s, rng).revenue
 
     return mean_and_stderr(draws())
 

@@ -1,13 +1,14 @@
 """The package stands alone: test-side reference code stays out of ``src/``."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 from pathlib import Path
 
 import ivauctions
-from ivauctions import mechanisms, revenue
+from ivauctions import cli, mechanisms, revenue
 
 PACKAGE = Path(ivauctions.__file__).parent
 
@@ -75,3 +76,21 @@ def test_exact_revenue_has_one_path():
     assert not hasattr(revenue.ReserveBackedMechanism, "profile_outcomes")
     params = list(inspect.signature(revenue.expected_revenue).parameters)
     assert params == ["mechanism", "cap", "samples", "seed"]
+
+
+def test_a_prior_keeps_only_its_array():
+    """A prior is its space and one probability array; no per-profile tuples."""
+    assert [f.name for f in dataclasses.fields(revenue.JointPrior)] == ["space", "probs"]
+
+
+def test_revenue_does_not_import_bisect():
+    """Monte Carlo profiles are drawn by ``np.searchsorted`` on the support's cumsum."""
+    tree = ast.parse(Path(revenue.__file__).read_text())
+    assert "bisect" not in set(_imported_names(tree))
+
+
+def test_one_cap_default(monkeypatch):
+    """The library's exact-revenue cap is the CLI's default cap."""
+    monkeypatch.delenv("MECHLIB_CAP", raising=False)
+    cap = inspect.signature(revenue.expected_revenue).parameters["cap"].default
+    assert cap == cli._default_cap()

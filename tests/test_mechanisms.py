@@ -46,6 +46,7 @@ from ivauctions.oracle import (
     exact_random_hypergrid_stats,
     optimal_welfare,
 )
+from ivauctions.revenue import HypergridFamily
 
 import reference
 from reference import (
@@ -167,6 +168,24 @@ def test_high_if_possible_all_zero_values():
     worst, _ = welfare_ratio(table, v)
     assert worst == 1.0
     assert check_allocation_monotone(table) == []
+
+
+@pytest.mark.parametrize("c", [math.nan, -math.inf])
+def test_unusable_c_is_a_validation_error(c):
+    """A NaN or negative ``c=`` is refused as the generators refuse it, not taken
+    for an infinite crossing constant."""
+    v = gen.gen_tight_hypergrid(3, 2.0)
+    two = gen.gen_random_tabulated(3, 1, seed=1)[0]
+    calls = [
+        lambda: lazy_winner(v, (0, 1, 2), (1, 1, 1), c=c),
+        lambda: hypergrid_coloring(v, (0, 1, 2), c=c),
+        lambda: high_if_possible(two, c=c),
+        lambda: HypergridFamily(v, c=c),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.type is ValidationError
 
 
 def test_high_if_possible_requires_two_signals():

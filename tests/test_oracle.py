@@ -245,6 +245,18 @@ def test_exact_stats_separable_bound():
             assert mean >= optimal_welfare(v, s) / (2 * c) * (1 - REL)
 
 
+def test_exact_stats_mean_is_the_sequential_sum():
+    """The n! mean adds the per-ordering values left to right on every Python
+    version (3.12's ``sum`` of floats is compensated)."""
+    v = gen.gen_random_separable(7, 1, 2.0, seed=3)
+    mean, per_pi = exact_random_hypergrid_stats(v, (1, 0, 1, 1, 0, 1, 1))
+    total = 0.0
+    for x in per_pi.values():
+        total += x
+    assert len(per_pi) == math.factorial(7)
+    assert mean == total / math.factorial(7)
+
+
 def test_monte_carlo_agrees_with_exact():
     v = gen.gen_tight_hypergrid(5, 2.0)
     s = (1, 1, 1, 1, 1)

@@ -4,6 +4,7 @@ import collections
 import math
 import random
 import re
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -102,6 +103,8 @@ def test_prior_json_roundtrip():
         {"kind": "sparse", "atoms": [{"profile": [0, 1], "p": True}]},
         {"kind": "product", "marginals": [["0.5", "0.5"], [0.5, 0.5]]},
         {"kind": "product", "marginals": [[True, False], [0.5, 0.5]]},
+        # sparse profiles of different lengths, with no space to check them against
+        {"kind": "sparse", "atoms": [{"profile": [0, 0], "p": 0.5}, {"profile": [1], "p": 0.5}]},
     ],
 )
 def test_prior_json_malformed_is_a_validation_error(obj):
@@ -156,6 +159,18 @@ def test_dense_prior_equals_per_point_reference(seed):
     assert len(ref) < len(wire)
     assert all(sparse.prob(p) == sparse.probs[p] == ref.get(p, 0.0) for p in sp.profiles())
     assert list(sparse.support()) == [(p, ref[p]) for p in sorted(ref) if ref[p] > 0]
+
+
+def test_a_prior_is_its_probability_array():
+    """Building a uniform prior on a 250,000-profile grid allocates little beyond
+    ``probs``: no per-profile objects."""
+    tracemalloc.start()
+    try:
+        prior = uniform_product_prior(SignalSpace((499, 499)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * prior.probs.nbytes
 
 
 @pytest.mark.parametrize(
