@@ -23,10 +23,13 @@ import numpy as np
 
 from .model import (
     _TABULATE_CHUNK,
+    DEFAULT_PROFILE_CAP,
     INFINITE,
+    CapExceeded,
     SignalSpace,
     ValidationError,
     ValuationInstance,
+    _bidders,
     _context_profile,
     compute_c,
 )
@@ -36,6 +39,7 @@ NO_WINNER = -1
 #: Utility slack of the truthfulness sweep, relative to the largest value (at least 1).
 REL_TOL = 1e-9
 
+#: A winner function of a profile (None: the item is kept); an ``AllocationTable`` is one.
 Rule = Callable[[tuple[int, ...]], Optional[int]]
 
 
@@ -43,9 +47,12 @@ class IncompatibleMechanism(ValidationError):
     """Mechanism preconditions (bidder count, signal sizes, finite c) not met."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AllocationTable:
-    """Winner for every profile of the grid; NO_WINNER entries mean the item is kept."""
+    """Winner for every profile of the grid; NO_WINNER entries mean the item is kept.
+
+    A table is a ``Rule`` (calling it checks the profile) and is hashed by identity.
+    """
 
     space: SignalSpace
     winner: np.ndarray
@@ -60,11 +67,13 @@ class AllocationTable:
         arr.flags.writeable = False
         object.__setattr__(self, "winner", arr)
 
-    def winner_at(self, profile: Sequence[int]) -> Optional[int]:
+    def __call__(self, profile: Sequence[int]) -> Optional[int]:
         return self._lookup(self.space.validate_profile(profile))
 
+    winner_at = __call__
+
     def _lookup(self, profile: tuple[int, ...]) -> Optional[int]:
-        """``winner_at`` for a profile already checked to lie on the grid."""
+        """The table's winner at a profile already checked to lie on the grid."""
         w = int(self.winner[profile])
         return None if w == NO_WINNER else w
 
@@ -77,10 +86,19 @@ class AllocationTable:
 
     @staticmethod
     def from_json(obj: dict) -> "AllocationTable":
+        """Parse the wire form: ``sizes``, and one row-major ``winner`` per profile,
+        a JSON integer 1..n or null.  Anything else raises ``ValidationError``."""
+        if not all(isinstance(obj.get(key), list) for key in ("sizes", "winner")):
+            raise ValidationError("table JSON needs the lists 'sizes' and 'winner'")
         space = SignalSpace(tuple(obj["sizes"]))
-        flat = [NO_WINNER if w is None else int(w) - 1 for w in obj["winner"]]
-        arr = np.asarray(flat, dtype=np.int32).reshape(space.shape)
-        return AllocationTable(space=space, winner=arr)
+        flat = obj["winner"]
+        if len(flat) != space.profile_count:
+            raise ValidationError(f"expected {space.profile_count} winners, got {len(flat)}")
+        for w in flat:
+            if w is not None and (type(w) is not int or not 1 <= w <= space.n):
+                raise ValidationError(f"winner {w!r} is not null or a bidder 1..{space.n}")
+        arr = np.array([NO_WINNER if w is None else w - 1 for w in flat], dtype=np.int32)
+        return AllocationTable(space=space, winner=arr.reshape(space.shape))
 
 
 @dataclass(frozen=True)
@@ -302,7 +320,7 @@ def lazy_winners(
 
 def _validate_order(pi: Sequence[int], n: int) -> tuple[int, ...]:
     """An ordering of a non-empty subset of the bidders 0..n-1."""
-    order = tuple(int(x) for x in pi)
+    order = _bidders(pi)
     if not order or len(set(order)) != len(order) or not all(0 <= b < n for b in order):
         raise ValidationError(f"{order} is not an ordering of distinct bidders in 0..{n - 1}")
     return order
@@ -400,7 +418,7 @@ def _entry_table(v, p, c):
 
 
 def critical_signal(
-    rule: Union[Rule, AllocationTable],
+    rule: Rule,
     v: ValuationInstance,
     i: int,
     s_minus_i: Sequence[int],
@@ -410,7 +428,7 @@ def critical_signal(
     ``_critical_signals`` on the one line, valid because winning is upward
     closed for a monotone rule: at most ceil(log2(k + 1)) + 1 rule calls.
     """
-    win = _as_rule(rule)
+    win = _trusted(rule, v)
     line = list(v.space.validate_line(i, s_minus_i))
 
     def won_at(_, signals):
@@ -449,13 +467,13 @@ def _critical_signals(won_at: Callable, k: int) -> np.ndarray:
 
 
 def critical_signal_scan(
-    rule: Union[Rule, AllocationTable],
+    rule: Rule,
     v: ValuationInstance,
     i: int,
     s_minus_i: Sequence[int],
 ) -> Optional[int]:
     """Linear-scan twin of critical_signal: first winning signal from below."""
-    win = _as_rule(rule)
+    win = _trusted(rule, v)
     line = list(v.space.validate_line(i, s_minus_i))
     for b in range(v.space.sizes[i] + 1):
         p = line[:i] + [b] + line[i:]
@@ -464,11 +482,9 @@ def critical_signal_scan(
     return None
 
 
-def outcome(
-    rule: Union[Rule, AllocationTable], v: ValuationInstance, s: Sequence[int]
-) -> Outcome:
+def outcome(rule: Rule, v: ValuationInstance, s: Sequence[int]) -> Outcome:
     """Winner and critical-signal payment at one reported profile."""
-    win = _as_rule(rule)
+    win = _trusted(rule, v)
     p = v.space.validate_profile(s)
     w = win(p)
     if w is None:
@@ -514,9 +530,7 @@ def check_allocation_monotone(table: AllocationTable) -> list[tuple[int, tuple[i
     return violations
 
 
-def welfare_ratio(
-    rule: Union[Rule, AllocationTable], v: ValuationInstance
-) -> tuple[float, np.ndarray]:
+def welfare_ratio(rule: Rule, v: ValuationInstance) -> tuple[float, np.ndarray]:
     """Per-profile max value over winner value, and the worst ratio.
 
     Conventions: 0/0 is 1; a positive max with a zero-valued (or absent)
@@ -541,7 +555,7 @@ def _ratios(top: np.ndarray, won: np.ndarray) -> np.ndarray:
 
 
 def check_expost_truthful(
-    rule: Union[Rule, AllocationTable],
+    rule: Rule,
     v: ValuationInstance,
     payment: Union[str, Callable[[int, tuple[int, ...]], float]] = "critical",
 ) -> list[tuple[tuple[int, ...], int, int, float, float]]:
@@ -592,24 +606,34 @@ def check_expost_truthful(
     return violations
 
 
-def _as_rule(rule: Union[Rule, AllocationTable]) -> Rule:
-    """A table becomes its unchecked lookup: callers pass only profiles on the grid."""
+def _on_grid(space: SignalSpace, v: ValuationInstance, what: str) -> None:
+    """Refuse a table, prior or family whose grid is not ``v``'s."""
+    if space != v.space:
+        raise ValidationError(f"{what} lies on grid {space.sizes}, the instance on {v.space.sizes}")
+
+
+def _trusted(rule: Rule, v: ValuationInstance) -> Rule:
+    """``rule`` for profiles already checked to lie on ``v``'s grid: a table's unchecked lookup."""
     if isinstance(rule, AllocationTable):
+        _on_grid(rule.space, v, "table")
         return rule._lookup
     return rule
 
 
-def as_table(rule: Union[Rule, AllocationTable], v: ValuationInstance) -> AllocationTable:
+def as_table(rule: Rule, v: ValuationInstance) -> AllocationTable:
     """Materialize a winner function over the whole grid (subject to the profile cap).
 
-    A table, or the lookup ``_as_rule`` made of one, is returned as it is; a
-    function is called at every profile in row-major order by ``_called_at``.
+    A table on ``v``'s grid is returned as it is; a function is called at
+    every profile in row-major order by ``_called_at``, and above the cap
+    refused with ``CapExceeded``, as ``tabulated`` refuses.
     """
+    win = _trusted(rule, v)
     if isinstance(rule, AllocationTable):
         return rule
-    if getattr(rule, "__func__", None) is AllocationTable._lookup:
-        return rule.__self__
-    winner = _called_at(rule, v, np.arange(v.space.profile_count))
+    count = v.space.profile_count
+    if count > DEFAULT_PROFILE_CAP:
+        raise CapExceeded(f"cannot tabulate a rule on {count} profiles (cap {DEFAULT_PROFILE_CAP})")
+    winner = _called_at(win, v, np.arange(count))
     return AllocationTable(space=v.space, winner=winner.reshape(v.space.shape))
 
 

@@ -458,8 +458,16 @@ def compute_d(v: ValuationInstance) -> float:
     return concavity_report(v).d
 
 
+def _bidders(pi: Sequence[int]) -> tuple[int, ...]:
+    """``pi``'s bidders as ints, read as ``validate_profile`` reads signals: 1.5 is refused."""
+    try:
+        return tuple(operator.index(b) for b in pi)
+    except TypeError as e:
+        raise ValidationError(f"bidders must be integers: {e}") from None
+
+
 def validate_permutation(pi: Sequence[int], n: int) -> tuple[int, ...]:
-    order = tuple(int(x) for x in pi)
+    order = _bidders(pi)
     if sorted(order) != list(range(n)):
         raise ValidationError(f"{order} is not a permutation of 0..{n - 1}")
     return order

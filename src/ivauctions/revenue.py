@@ -30,7 +30,7 @@ import random
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import permutations
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,12 +41,13 @@ from .mechanisms import (
     AllocationTable,
     IncompatibleMechanism,
     Rule,
-    _as_rule,
     _called_at,
     _critical_signals,
     _high_if_possible_winners,
+    _on_grid,
     _ratios,
     _required_c,
+    _trusted,
     _winner_values,
     as_table,
     critical_signal,
@@ -279,6 +280,7 @@ class _SupportLines:
     """
 
     def __init__(self, prior: JointPrior, v: ValuationInstance):
+        _on_grid(prior.space, v, "prior")
         shape = v.space.shape
         self.support = np.flatnonzero(prior.probs > 0)  # flat grid indices, row-major
         signals = np.unravel_index(self.support, shape)
@@ -318,24 +320,24 @@ class _SupportLines:
 def _winners_near(rules: Sequence, v: ValuationInstance, lines: _SupportLines) -> np.ndarray:
     """Each rule's winner at the points of the support's lines, as an (R, len(near)) array.
 
-    A table is read by lookup.  A function is called at the support
-    profiles, then off the support only on the lines of each profile's
-    winner, as ``critical_signal`` would probe them; the points no line of
-    the pass reads stay NO_WINNER.
+    A table's winners are gathered from its array.  A function is called at
+    the support profiles, then off the support only on the lines of each
+    profile's winner, as ``critical_signal`` would probe them; the points no
+    line of the pass reads stay NO_WINNER.
     """
     near, at = lines.near, lines.at_support
     out = np.full((len(rules), near.size), NO_WINNER, dtype=np.int32)
     for r, rule in enumerate(rules):
-        table = rule if isinstance(rule, AllocationTable) else getattr(rule, "__self__", None)
-        if isinstance(table, AllocationTable):
-            out[r] = table.winner.reshape(-1)[near]
+        win = _trusted(rule, v)
+        if isinstance(rule, AllocationTable):
+            out[r] = rule.winner.reshape(-1)[near]
             continue
-        out[r, at] = _called_at(rule, v, lines.support)
+        out[r, at] = _called_at(win, v, lines.support)
         probe = np.zeros(near.size, dtype=bool)
         for i, (first, points, _, _) in enumerate(lines.bidders):
             probe[points[lines.column[i, out[r, at] == i] - first]] = True
         probe[at] = False
-        out[r, probe] = _called_at(rule, v, near[probe])
+        out[r, probe] = _called_at(win, v, near[probe])
     return out
 
 
@@ -375,7 +377,7 @@ def _line_quotes(
 def winning_reserve(
     prior: JointPrior,
     v: ValuationInstance,
-    rule: Union[Rule, AllocationTable],
+    rule: Rule,
     i: int,
     s_minus_i: Sequence[int],
 ) -> ReserveQuote:
@@ -386,6 +388,7 @@ def winning_reserve(
     reads the rule through ``critical_signal`` and the line's values with one
     ``values_at_batch`` call, so a lazy rule stays lazy.
     """
+    _on_grid(prior.space, v, "prior")
     context = tuple(int(x) for x in s_minus_i)
     b_star = critical_signal(rule, v, i, context)
     if b_star is None:
@@ -410,10 +413,10 @@ class RuleFamily:
     """A monotone allocation rule defined for every sub-market of an instance.
 
     ``realizations(Z)`` yields (probability, rule) pairs covering the family's
-    internal randomness for a non-empty bidder subset Z; each rule maps a full
-    reported profile to a winner in Z.  Restricted rules rerun the same
-    algorithm over the bidders in Z, with the other bidders' reported signals
-    held fixed inside every valuation evaluation and excluded from winning.
+    internal randomness for a non-empty bidder subset Z; each rule (a function
+    or a table on ``v``'s grid) maps a full reported profile to a winner in Z.
+    Restricted rules rerun the same algorithm over the bidders in Z, with the
+    others' reported signals held fixed in every evaluation and never winning.
     """
 
     def __init__(self, v: ValuationInstance):
@@ -442,8 +445,8 @@ class HypergridFamily(RuleFamily):
     coloring of the full instance for the ordering of the subset alone; no
     sub-instance is built.  The exact enumeration reads every ordering at every
     support profile, so there each rule is the ordering's ``hypergrid_coloring``
-    table; a sampled draw reads one profile's lines, so there it is the lazy
-    chain, which keeps nothing grid-sized per ordering.
+    table itself; a sampled draw reads one profile's lines, so there it is the
+    lazy chain, which keeps nothing grid-sized per ordering.
     """
 
     def __init__(
@@ -457,7 +460,7 @@ class HypergridFamily(RuleFamily):
         key = (order, table)
         if key not in self._rules:
             if table:
-                self._rules[key] = _as_rule(hypergrid_coloring(self.v, order, c=self.c))
+                self._rules[key] = hypergrid_coloring(self.v, order, c=self.c)
             else:
                 self._rules[key] = lambda profile: lazy_winner(self.v, order, profile, c=self.c)
         return self._rules[key]
@@ -531,6 +534,7 @@ def family_worst_ratio(family: RuleFamily, v: ValuationInstance) -> float:
     sub-market at every profile.  Each sub-market is one array pass over its
     rule's table.
     """
+    _on_grid(family.v.space, v, "family")
     if family.realization_count(v.n) != 1:
         raise ValidationError("worst ratio over realizations needs a deterministic family")
     dense = v.tabulated().values
@@ -601,6 +605,8 @@ class ReserveBackedMechanism:
         finite = math.isfinite(self.alpha) and math.isfinite(self.d)
         if not finite or self.alpha < 1 or self.d < 1 or not 0 < self.p <= 1:
             raise ValidationError("need finite alpha >= 1 and d >= 1, and 0 < p <= 1")
+        _on_grid(self.prior.space, self.v, "prior")
+        _on_grid(self.family.v.space, self.v, "family")
 
     @property
     def branch_a_prob(self) -> float:
@@ -764,9 +770,7 @@ def _lookahead_totals(prior: JointPrior, v: ValuationInstance, rules: Sequence) 
     return np.concatenate(totals)
 
 
-def lookahead_benchmark(
-    prior: JointPrior, v: ValuationInstance, rule: Union[Rule, AllocationTable]
-) -> float:
+def lookahead_benchmark(prior: JointPrior, v: ValuationInstance, rule: Rule) -> float:
     """Upper bound on optimal revenue for a deterministic monotone rule.
 
     Per profile: the winner's winning-reserve expected revenue on her line plus
@@ -784,13 +788,12 @@ def lookahead_benchmark_family(
 
     The realizations are settled together, one pass per bidder.
     """
+    _on_grid(family.v.space, v, "family")
     probs, rules = zip(*family.realizations(tuple(range(v.n))))
     return float(_sequential_sums(np.array(probs) * _lookahead_totals(prior, v, rules)))
 
 
-def expected_payment_revenue(
-    rule: Union[Rule, AllocationTable], v: ValuationInstance, prior: JointPrior
-) -> float:
+def expected_payment_revenue(rule: Rule, v: ValuationInstance, prior: JointPrior) -> float:
     """Expected critical-signal payment revenue of a rule under truthful play.
 
     The winner's payment depends only on her line, so it is settled once per

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -155,7 +155,7 @@ def check_hypergrid_internal_chain(
 
 
 def check_expost_truthful_literal(
-    rule: Union[Rule, AllocationTable], v: ValuationInstance
+    rule: Rule, v: ValuationInstance
 ) -> list[tuple[tuple[int, ...], int, int, float, float]]:
     """Triple-loop deviation sweep over per-profile outcomes; twin of ``check_expost_truthful``."""
     scale = float(v.tabulated().values.max(initial=0.0))
@@ -207,7 +207,7 @@ def _line_values(v: ValuationInstance, i: int, context: tuple[int, ...]) -> np.n
 def winning_reserve(
     prior: JointPrior,
     v: ValuationInstance,
-    rule: Union[Rule, AllocationTable],
+    rule: Rule,
     i: int,
     s_minus_i: Sequence[int],
 ) -> ReserveQuote:
@@ -230,7 +230,7 @@ def winning_reserve(
 def losing_reserve(
     prior: JointPrior,
     v: ValuationInstance,
-    rule: Union[Rule, AllocationTable],
+    rule: Rule,
     i: int,
     s_minus_i: Sequence[int],
 ) -> ReserveQuote:

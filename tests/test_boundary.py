@@ -7,6 +7,8 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+
 import ivauctions
 from ivauctions import cli, mechanisms, revenue
 
@@ -94,3 +96,27 @@ def test_one_cap_default(monkeypatch):
     monkeypatch.delenv("MECHLIB_CAP", raising=False)
     cap = inspect.signature(revenue.expected_revenue).parameters["cap"].default
     assert cap == cli._default_cap()
+
+
+def test_a_table_is_a_rule():
+    """A table is called as a rule; no bound lookup stands in for it and no
+    code guesses which table hides behind one."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        names |= set(_imported_names(tree))
+        consts = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+        for banned in ("__func__", "__self__", "_as_rule"):
+            assert banned not in names | consts, f"{path.name} names {banned}"
+    space = mechanisms.SignalSpace((1, 1))
+    table, twin = (
+        mechanisms.AllocationTable(space=space, winner=np.zeros((2, 2), dtype=np.int32))
+        for _ in range(2)
+    )
+    assert callable(table) and table((1, 0)) == 0 == table.winner_at((1, 0))
+    assert table != twin and len({table, twin}) == 2  # compared and hashed by identity
+    v = ivauctions.instances.gen_random_separable(2, 1, 1.5, seed=1)
+    rules = [rule for _, rule in revenue.HypergridFamily(v).realizations((0, 1))]
+    assert len(rules) == 2 and all(isinstance(r, mechanisms.AllocationTable) for r in rules)

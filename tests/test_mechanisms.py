@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ivauctions import (
     AllocationTable,
+    CapExceeded,
     IncompatibleMechanism,
     SignalSpace,
     ValidationError,
@@ -36,7 +37,6 @@ from ivauctions import (
 from ivauctions import instances as gen
 from ivauctions.mechanisms import (
     NO_WINNER,
-    _as_rule,
     _entry_table,
     as_table,
     critical_signal_scan,
@@ -575,7 +575,7 @@ def test_lazy_sub_ordering_matches_restricted_table():
 
 def test_lazy_winner_rejects_bad_orderings():
     v = gen.gen_tight_hypergrid(3, 2.0)
-    for bad in ((0, 0), (0, 1, 1), (0, 3), (-1, 2), ()):
+    for bad in ((0, 0), (0, 1, 1), (0, 3), (-1, 2), (), (0.7, 1.2, 2.9), (2.5, "1", 0)):
         with pytest.raises(ValidationError):
             lazy_winner(v, bad, (1, 1, 1))
         with pytest.raises(ValidationError):
@@ -790,10 +790,9 @@ def test_welfare_ratio_conventions():
     assert math.isinf(worst)
 
 
-def test_as_table_returns_the_table_behind_its_lookup():
+def test_as_table_returns_a_table_as_it_is():
     v = gen.gen_random_separable(3, 2, 1.5, seed=12)
     table = hypergrid_coloring(v, (2, 0, 1))
-    assert as_table(_as_rule(table), v) is table
     assert as_table(table, v) is table
     copy = as_table(lambda p: table.winner_at(p), v)
     assert copy is not table and np.array_equal(copy.winner, table.winner)
@@ -889,3 +888,28 @@ def test_table_json_roundtrip():
     assert obj["winner"] == [1, 1, 1, 1]  # 1-based on the wire
     back = AllocationTable.from_json(obj)
     assert np.array_equal(back.winner, table.winner)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"winner": [1, 1, 1, 1]},  # no sizes
+        {"sizes": [1, 1]},  # no winners
+        {"sizes": [1, 1], "winner": [1, 1, 1]},  # short
+        {"sizes": [1, 1], "winner": [1, 1, 1, 0]},  # 0 is not a bidder on the wire
+        {"sizes": [1, 1], "winner": [1, 1, 1, 1.7]},
+        {"sizes": [1, 1], "winner": [1, 1, 1, "2"]},
+        {"sizes": [1, 1], "winner": [1, 1, 1, True]},
+    ],
+)
+def test_table_json_malformed_is_a_validation_error(obj):
+    with pytest.raises(ValidationError):
+        AllocationTable.from_json(obj)
+
+
+def test_tabulating_a_function_above_the_cap_is_refused():
+    v = gen.gen_random_mech_lb(64, 2.0)
+    with pytest.raises(CapExceeded):
+        as_table(lambda p: None, v)
+    with pytest.raises(CapExceeded):
+        check_expost_truthful(lambda p: None, v)

@@ -25,11 +25,14 @@ from ivauctions import model as model_module
 from ivauctions import revenue as revenue_module
 from ivauctions.mechanisms import (
     IncompatibleMechanism,
+    as_table,
+    check_expost_truthful,
     critical_signal,
     critical_signal_scan,
     high_if_possible,
     lazy_winner,
     outcome,
+    welfare_ratio,
 )
 from ivauctions.revenue import (
     HighIfPossibleFamily,
@@ -1018,7 +1021,7 @@ def test_chunks_of_rules_and_quotes_change_no_float(monkeypatch):
     whole = sums()
     fam = HypergridFamily(v, c=c)
     mech = ReserveBackedMechanism(v=v, prior=prior, family=fam, alpha=2 * c, d=d, p=0.5)
-    branches = len(mech._branches[0])
+    branches = len(mech._heads)
     for cells in (2 * v.space.profile_count, 1):
         monkeypatch.setattr(revenue_module, "_CHUNK_CELLS", cells)
         assert max(1, cells // branches) <= 2 < v.space.profile_count  # the sum spans chunks
@@ -1244,3 +1247,73 @@ def test_sampled_grid_revenue_builds_no_tables(monkeypatch, pi):
     assert expected_revenue(exact)[1] == 0.0
     assert 0 < len(calls) == len(exact_family._rules) <= orderings
     assert all(table for _, table in exact_family._rules)
+
+
+# ---------------------------------------------------------------------------
+# Tables, priors and families meet an instance on its own grid only.
+# ---------------------------------------------------------------------------
+
+
+def _two_grids():
+    """Two bidders on k = 1 and on k = 3: instances, uniform priors, a table on each."""
+    v1, v3 = (gen.gen_random_separable(2, k, 1.5, seed=1) for k in (1, 3))
+    return (
+        (v1, uniform_product_prior(v1.space), hypergrid_coloring(v1, (1, 0))),
+        (v3, uniform_product_prior(v3.space), hypergrid_coloring(v3, (1, 0))),
+    )
+
+
+TABLE_ENTRY_POINTS = {
+    "critical_signal": lambda t, v, prior: critical_signal(t, v, 1, (1,)),
+    "critical_signal_scan": lambda t, v, prior: critical_signal_scan(t, v, 1, (1,)),
+    "outcome": lambda t, v, prior: outcome(t, v, (1, 1)),
+    "as_table": lambda t, v, prior: as_table(t, v),
+    "welfare_ratio": lambda t, v, prior: welfare_ratio(t, v),
+    "check_expost_truthful": lambda t, v, prior: check_expost_truthful(t, v),
+    "winning_reserve": lambda t, v, prior: winning_reserve(prior, v, t, 1, (1,)),
+    "lookahead_benchmark": lambda t, v, prior: lookahead_benchmark(prior, v, t),
+    "expected_payment_revenue": lambda t, v, prior: expected_payment_revenue(t, v, prior),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TABLE_ENTRY_POINTS))
+def test_a_table_on_another_grid_is_refused(entry):
+    (v1, prior1, t1), (_, _, t3) = _two_grids()
+    call = TABLE_ENTRY_POINTS[entry]
+    call(t1, v1, prior1)  # the table of v1's own grid is read
+    with pytest.raises(ValidationError, match="grid"):
+        call(t3, v1, prior1)
+
+
+def _mechanism(v, prior, family):
+    return ReserveBackedMechanism(v=v, prior=prior, family=family, alpha=2.0, d=1.0, p=0.5)
+
+
+#: Each call gets a prior or family of the k = 3 grid (``prior``, ``fam``)
+#: beside the k = 1 instance ``v`` with its own prior ``own`` and table ``t``.
+OFF_GRID_CALLS = {
+    "mechanism_family": lambda v, own, t, prior, fam: _mechanism(v, own, fam),
+    "mechanism_prior": lambda v, own, t, prior, fam: _mechanism(v, prior, HypergridFamily(v)),
+    "lookahead_family": lambda v, own, t, prior, fam: lookahead_benchmark_family(own, v, fam),
+    "lookahead_family_prior": lambda v, own, t, prior, fam: lookahead_benchmark_family(
+        prior, v, HypergridFamily(v)
+    ),
+    "family_worst_ratio": lambda v, own, t, prior, fam: family_worst_ratio(fam, v),
+    "winning_reserve": lambda v, own, t, prior, fam: winning_reserve(prior, v, t, 1, (1,)),
+    "lookahead_benchmark": lambda v, own, t, prior, fam: lookahead_benchmark(prior, v, t),
+    "payment_revenue": lambda v, own, t, prior, fam: expected_payment_revenue(t, v, prior),
+}
+
+
+@pytest.mark.parametrize("call", sorted(OFF_GRID_CALLS))
+def test_priors_and_families_on_another_grid_are_refused(call):
+    (v1, prior1, t1), (v3, prior3, _) = _two_grids()
+    with pytest.raises(ValidationError, match="grid"):
+        OFF_GRID_CALLS[call](v1, prior1, t1, prior3, HypergridFamily(v3, pi=(1, 0)))
+
+
+@pytest.mark.parametrize("pi", [(1.9, 0.2, "2"), (1.0, 0, 2)])
+def test_family_orderings_name_integer_bidders(pi):
+    v = gen.gen_random_separable(3, 1, 1.5, seed=1)
+    with pytest.raises(ValidationError):
+        HypergridFamily(v, pi=pi)
