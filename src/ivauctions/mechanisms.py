@@ -286,7 +286,7 @@ def lazy_winner(
     """Winner of the grid coloring at one profile, without building the table.
 
     Follows the tentative winner along the chain of intermediate profiles: a
-    one-row ``lazy_winners``, at most (n-1)(k+1) profile evaluations in n-1
+    one-row ``lazy_winners``, at most 1 + (n-1)k profile evaluations in n-1
     batched calls.  Without ``c=``, ``c`` is measured once per instance
     object: the first call tabulates and scans the grid, later calls on ``v``
     look it up.
@@ -310,7 +310,7 @@ def lazy_winners(
 
     Entry b is ``lazy_winner(v, orders[b], s, c)`` for every row of the
     (B, n) array ``orders``: the same chain, run once over all rows.
-    Evaluates at most B (n-1)(k+1) profiles in n-1 ``values_at_batch`` calls.
+    Evaluates at most B (1 + (n-1)k) profiles in n-1 ``values_at_batch`` calls.
     """
     P = _validate_orders(orders, v.n)
     p = np.asarray(v.space.validate_profile(s), dtype=np.intp)
@@ -342,31 +342,50 @@ def _lazy_chain(v, orders, p, c):
     """Grid winners at profile ``p`` for each row of a (B, m) array of orderings.
 
     Bidders outside a row's ordering keep their reports; its entrants after
-    the first start at signal 0.  For each entrant j, one ``values_at_batch``
-    call evaluates every row at j's levels 0..p_j, and j takes over iff some
-    level trips the reallocation test.
+    the first start at signal 0, and j takes over iff some level 0..p_j of
+    j trips the reallocation test.  Each intermediate profile is evaluated
+    once: j's level 0 is the previous entrant's top level, whose values the
+    chain carries, so one ``values_at_batch`` call per entrant evaluates the
+    first entrant's levels 0..p_j and a later entrant's levels 1..p_j, at
+    most 1 + (m-1)k rows per ordering.  The best entered value is a max
+    over values plus a row that is 0 for entered bidders and -inf for the
+    rest, exact since values are finite and non-negative.
     """
     B, m = orders.shape
     rows = np.arange(B)
     w = orders[:, 0].copy()
     base = np.repeat(p[None], B, axis=0)
     base[rows[:, None], orders[:, 1:]] = 0
-    entered = np.zeros(base.shape, dtype=bool)
-    entered[rows, w] = True
+    penalty = np.full(base.shape, -np.inf)
+    penalty[rows, w] = 0.0
+    counts = p[orders]  # rows per entrant: the first one's levels 0..p_j, a later one's 1..p_j
+    counts[:, 1:2] += 1
     for it in range(1, m):
         j = orders[:, it]
-        entered[rows, j] = True
-        levels = p[j] + 1
-        starts = np.cumsum(levels) - levels
+        levels = counts[:, it]
+        penalty[rows, j] = 0.0
+        if it == 1:
+            took, lo = np.zeros(B, dtype=bool), 0
+        else:  # level 0 from the carried values and their best entered bidder
+            vj = carried[rows, j]
+            best = np.maximum(best, vj)
+            took, lo = _reallocates(best, vj, carried[rows, w], it, c), 1
         at = np.repeat(rows, levels)  # the row of each evaluated profile
         ev = np.arange(len(at))
+        last = np.cumsum(levels) - 1  # each row's top evaluated profile
         ja = j[at]
         profiles = base[at]
-        profiles[ev, ja] = ev - starts[at]
-        vals = v.values_at_batch(profiles)
-        top = np.where(entered[at], vals, -np.inf).max(axis=1)
+        profiles[ev, ja] = ev - (last + 1 - levels - lo)[at]  # j at levels lo..p_j
+        vals = v.values_at_batch(profiles) if at.size else np.empty(profiles.shape)
+        top = (vals + penalty[at]).max(axis=1)
         hit = _reallocates(top, vals[ev, ja], vals[ev, w[at]], it, c)
-        w = np.where(np.logical_or.reduceat(hit, starts), j, w)
+        took[at[hit]] = True  # not reduceat: a row whose entrant reports 0 has no level here
+        if levels.all():  # every row evaluated j's top level (always so for the first entrant)
+            carried, best = vals[last], top[last]
+        else:  # a row whose entrant reports 0 keeps its level-0 values
+            has = levels > 0
+            carried[has], best[has] = vals[last[has]], top[last[has]]
+        w = np.where(took, j, w)
         base[rows, j] = p[j]
     return w
 

@@ -189,12 +189,17 @@ class ValuationInstance:
     def values_at_batch(self, profiles: np.ndarray) -> np.ndarray:
         """All n values at each row of a (B, n) integer array of profiles, as (B, n).
 
-        Profiles are not validated; callers pass rows already on the grid.
+        Profiles are not validated; callers pass rows already on the grid.  An
+        evaluator's output is checked as a table is: a NaN, infinite or
+        negative value raises ValidationError.
         """
         P = np.asarray(profiles)
         if self.values is not None:
             return self.values[(slice(None),) + tuple(P.T)].T
-        return np.asarray(self.batch_evaluate(P), dtype=np.float64)
+        out = np.asarray(self.batch_evaluate(P), dtype=np.float64)
+        if out.size and not (out.min() >= 0 and out.max() < INFINITE):  # NaN fails too
+            raise ValidationError("evaluator values must be finite and nonnegative")
+        return out
 
     def tabulated(self) -> "ValuationInstance":
         """Dense copy, built once per instance object and kept in ``_reports``.

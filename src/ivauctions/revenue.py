@@ -389,7 +389,7 @@ def winning_reserve(
     ``values_at_batch`` call, so a lazy rule stays lazy.
     """
     _on_grid(prior.space, v, "prior")
-    context = tuple(int(x) for x in s_minus_i)
+    context = v.space.validate_line(i, s_minus_i)
     b_star = critical_signal(rule, v, i, context)
     if b_star is None:
         raise UndefinedReserve(f"bidder {i} never wins on line {context}")

@@ -216,7 +216,7 @@ def winning_reserve(
     The quote's price always dominates the bidder's value at her critical
     signal, so posting it preserves truthfulness of the underlying rule.
     """
-    context = tuple(int(x) for x in s_minus_i)
+    context = v.space.validate_line(i, s_minus_i)
     b_star = critical_signal(rule, v, i, context)
     if b_star is None:
         raise UndefinedReserve(f"bidder {i} never wins on line {context}")
@@ -239,7 +239,7 @@ def losing_reserve(
     When i never wins on the line, the critical signal is taken one past the
     top signal, so the condition is vacuous and the whole line is the posterior.
     """
-    context = tuple(int(x) for x in s_minus_i)
+    context = v.space.validate_line(i, s_minus_i)
     b_star = critical_signal(rule, v, i, context)
     k = v.space.sizes[i]
     cutoff = k + 1 if b_star is None else b_star

@@ -44,6 +44,7 @@ from ivauctions.mechanisms import (
 from ivauctions.oracle import (
     exact_random_hypergrid_counts,
     exact_random_hypergrid_stats,
+    monte_carlo_random_hypergrid,
     optimal_welfare,
 )
 from ivauctions.revenue import HypergridFamily
@@ -436,6 +437,93 @@ def test_lazy_chains_counted_evaluations(finite_c_corpus):
             assert counts["rows"] <= len(orders) * (n - 1) * (k + 1), (name, s)
             assert counts["calls"] <= n - 1
             assert batch.tolist() == lazy_winners(v, orders, s, c=c).tolist()
+
+
+def test_lazy_chain_evaluates_each_intermediate_profile_once(finite_c_corpus):
+    """An entrant's level 0 is the previous entrant's top level, read from the values
+    the chain carries: an ordering j0, j1..j(m-1) evaluates exactly (p_j1 + 1) +
+    sum over t >= 2 of p_jt rows, at most 1 + (m-1)k, in at most m-1 calls; full
+    orderings and sub-orderings alike, one row or a batch."""
+    import random as _random
+
+    rng = _random.Random(45)
+
+    def rows_of(pi, s):
+        return s[pi[1]] + 1 + sum(s[j] for j in pi[2:]) if len(pi) > 1 else 0
+
+    for name, v, c, _ in finite_c_corpus:
+        counted, counts = _counting(v)
+        n, k = v.n, max(v.space.sizes)
+        for _ in range(4):
+            s = tuple(rng.choice((0, kb, rng.randint(0, kb))) for kb in v.space.sizes)
+            orders = [tuple(rng.sample(range(n), n)) for _ in range(6)]
+            subs = [tuple(rng.sample(range(n), rng.randint(1, n))) for _ in range(6)]
+            for pi in orders + subs:
+                counts["calls"] = counts["rows"] = 0
+                w = lazy_winner(counted, pi, s, c=c)
+                assert counts["rows"] == rows_of(pi, s), (name, pi, s)
+                assert counts["rows"] <= 1 + (len(pi) - 1) * k
+                assert counts["calls"] <= len(pi) - 1
+                assert w == lazy_winner(v, pi, s, c=c)
+            counts["calls"] = counts["rows"] = 0
+            batch = lazy_winners(counted, orders, s, c=c)
+            assert counts["rows"] == sum(rows_of(pi, s) for pi in orders), (name, s)
+            assert counts["calls"] <= n - 1
+            assert batch.tolist() == lazy_winners(v, orders, s, c=c).tolist()
+
+
+def test_lazy_chain_matches_scalar_chain_on_carried_rows():
+    """The carried level-0 row's edge cases against the scalar chain: later entrants
+    at signal 0 (so no row of theirs is evaluated), the all-zero profile, one- and
+    two-bidder sub-orderings, and an evaluator-backed instance."""
+    import random as _random
+
+    rng = _random.Random(46)
+    cases = [
+        (gen.gen_random_tabulated(4, 3, seed=31)[0], None),
+        (gen.gen_random_separable(4, 2, 3.0, seed=0), None),
+        (gen.gen_tight_hypergrid(5, 3.0), None),
+        (gen.gen_random_mech_lb(16, 2.0), 2.0),
+    ]
+    for v, c in cases:
+        n, sizes = v.n, v.space.sizes
+        c = compute_c(v) if c is None else c
+        profiles = [(0,) * n, sizes]
+        for _ in range(8):  # each bidder at 0 or its top signal, zeros in every position
+            profiles.append(tuple(rng.choice((0, kb)) for kb in sizes))
+        for lead in range(n):  # only the first entrant reports a positive signal
+            profiles.append(tuple(kb if b == lead else 0 for b, kb in enumerate(sizes)))
+        for s in profiles:
+            orders = [tuple(rng.sample(range(n), n)) for _ in range(8)]
+            orders += [(b,) + tuple(a for a in range(n) if a != b) for b in range(n) if s[b]]
+            expected = [reference.lazy_winner(v, pi, s, c=c) for pi in orders]
+            assert lazy_winners(v, orders, s, c=c).tolist() == expected, (v.name, s)
+            for m in (1, 2):
+                for pi in [tuple(rng.sample(range(n), m)) for _ in range(6)]:
+                    assert lazy_winner(v, pi, s, c=c) == reference.lazy_winner(v, pi, s, c=c)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_evaluator_values_must_be_finite_and_nonnegative(bad):
+    """An evaluator's values are checked as a table's are, also at the chain's
+    intermediate profiles (here every profile with one signal at 1), so no NaN,
+    inf or negative value reaches the reallocation test."""
+    space = SignalSpace((1, 1, 1))
+
+    def batch_evaluate(P):
+        total = P.sum(axis=1, keepdims=True).astype(float)
+        return np.where(total == 1, bad, np.repeat(total, 3, axis=1))
+
+    v = ValuationInstance(space=space, batch_evaluate=batch_evaluate)
+    assert v.values_at((1, 1, 1)).tolist() == [3.0, 3.0, 3.0]
+    with pytest.raises(ValidationError):
+        v.values_at((0, 1, 0))
+    with pytest.raises(ValidationError):
+        lazy_winner(v, (0, 1, 2), (1, 1, 1), c=2.0)
+    with pytest.raises(ValidationError):
+        lazy_winners(v, [(0, 1, 2), (2, 1, 0)], (1, 1, 1), c=2.0)
+    with pytest.raises(ValidationError):
+        monte_carlo_random_hypergrid(v, (1, 1, 1), samples=4, seed=0, c=2.0)
 
 
 def test_entry_table_counted_evaluations(finite_c_corpus):

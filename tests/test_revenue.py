@@ -363,6 +363,24 @@ def test_winning_reserve_equals_reference(seed):
                     assert winning_reserve(prior, v, rule, i, ctx) == want
 
 
+def test_winning_reserve_refuses_off_grid_lines():
+    """The others' signals are read as ``critical_signal`` reads them: a float, a
+    string, an out-of-range signal or a wrong length is a ValidationError, not a
+    truncated line (0.9 used to quote line (0,)); NumPy integers are read as ints."""
+    v = gen.gen_random_separable(2, 3, 1.5, seed=1)
+    prior = uniform_product_prior(v.space)
+    table = hypergrid_coloring(v, (0, 1))
+    for bad in ((0.9,), (1.9,), ("1",), (4,), (-1,), (1, 1), ()):
+        for quote in (winning_reserve, reference.winning_reserve, losing_reserve):
+            with pytest.raises(ValidationError):
+                quote(prior, v, table, 0, bad)
+        with pytest.raises(ValidationError):
+            critical_signal(table, v, 0, bad)
+    assert winning_reserve(prior, v, table, 0, (np.int64(1),)) == winning_reserve(
+        prior, v, table, 0, (1,)
+    )
+
+
 def test_losing_reserve_constant_value():
     sp = SignalSpace((1, 1))
     vals = np.stack([np.array([[3.0, 3.0], [5.0, 5.0]]), np.array([[1.0, 1.0], [2.0, 2.0]])])
