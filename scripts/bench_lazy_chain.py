@@ -42,6 +42,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ONE_ROW_SHAPES = ((2, 70), (3, 16), (5, 2))
+ROUNDS = 20  # worker runs per tree
+REPEATS = 25  # timed repeats per worker
 SCALE = {"ms/call": 1e3, "us/call": 1e6}
 
 
@@ -71,7 +73,7 @@ def _cases():
     return cases
 
 
-def worker(src: str, repeats: int) -> dict:
+def worker(src: str) -> dict:
     """Median time per call of each case on the package under ``src``, at wall
     speed and at the reference speed of ``perfbench/reference.py``."""
     sys.path.insert(0, src)
@@ -84,7 +86,7 @@ def worker(src: str, repeats: int) -> dict:
         winners = [np.asarray(call()).tolist() for call in calls]  # warm-up, and what to digest
         times = []
         before = slowness()
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             t0 = time.perf_counter()
             for call in calls:
                 call()
@@ -121,13 +123,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", metavar="LABEL=DIR",
                     help="a source tree to time (repeatable; default: tree=<this checkout>/src)")
-    ap.add_argument("--rounds", type=int, default=10, help="worker runs per tree (default 10)")
-    ap.add_argument("--repeats", type=int, default=25, help="timed repeats per worker (default 25)")
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_lazy_chain.json"))
     ap.add_argument("--worker", metavar="DIR", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
-        json.dump(worker(args.worker, args.repeats), sys.stdout)
+        json.dump(worker(args.worker), sys.stdout)
         return 0
     trees = []
     for spec in args.src or [f"tree={os.path.join(ROOT, 'src')}"]:
@@ -136,23 +136,22 @@ def main(argv=None) -> int:
             ap.error(f"--src wants LABEL=DIR with an existing DIR, got {spec!r}")
         trees.append((label, os.path.abspath(src)))
     runs = {label: [] for label, _ in trees}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for label, src in trees if r % 2 == 0 else trees[::-1]:
-            cmd = [sys.executable, os.path.abspath(__file__), "--worker", src,
-                   "--repeats", str(args.repeats)]
+            cmd = [sys.executable, os.path.abspath(__file__), "--worker", src]
             res = subprocess.run(cmd, capture_output=True, text=True,
                                  env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
             if res.returncode:
                 sys.exit(f"worker on {label} failed:\n{res.stderr}")
             runs[label].append(json.loads(res.stdout))
-        print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
+        print(f"round {r + 1}/{ROUNDS} done", file=sys.stderr)
     first = trees[0][0]
     names = list(runs[first][0])
     report = {
         "script": "scripts/bench_lazy_chain.py",
         "hardware": _hardware(),
-        "rounds": args.rounds,
-        "repeats": args.repeats,
+        "rounds": ROUNDS,
+        "repeats": REPEATS,
         "units": {name: case["unit"] for name, case in runs[first][0].items()},
         "trees": {},
     }

@@ -286,7 +286,7 @@ def lazy_winner(
     """Winner of the grid coloring at one profile, without building the table.
 
     Follows the tentative winner along the chain of intermediate profiles: a
-    one-row ``lazy_winners``, at most 1 + (n-1)k profile evaluations in n-1
+    one-row ``lazy_winners``, at most (n-1)(k+1) profile evaluations in n-1
     batched calls.  Without ``c=``, ``c`` is measured once per instance
     object: the first call tabulates and scans the grid, later calls on ``v``
     look it up.
@@ -310,7 +310,8 @@ def lazy_winners(
 
     Entry b is ``lazy_winner(v, orders[b], s, c)`` for every row of the
     (B, n) array ``orders``: the same chain, run once over all rows.
-    Evaluates at most B (1 + (n-1)k) profiles in n-1 ``values_at_batch`` calls.
+    Evaluates at most B (1 + (n-1)k) profiles for B > 1 (one row: (n-1)(k+1))
+    in n-1 ``values_at_batch`` calls.
     """
     P = _validate_orders(orders, v.n)
     p = np.asarray(v.space.validate_profile(s), dtype=np.intp)
@@ -343,48 +344,55 @@ def _lazy_chain(v, orders, p, c):
 
     Bidders outside a row's ordering keep their reports; its entrants after
     the first start at signal 0, and j takes over iff some level 0..p_j of
-    j trips the reallocation test.  Each intermediate profile is evaluated
-    once: j's level 0 is the previous entrant's top level, whose values the
-    chain carries, so one ``values_at_batch`` call per entrant evaluates the
-    first entrant's levels 0..p_j and a later entrant's levels 1..p_j, at
-    most 1 + (m-1)k rows per ordering.  The best entered value is a max
-    over values plus a row that is 0 for entered bidders and -inf for the
-    rest, exact since values are finite and non-negative.
+    j trips the reallocation test, one ``values_at_batch`` call per entrant.
+    A batch evaluates each intermediate profile once: j's level 0 is the
+    previous entrant's top level, whose values the chain carries, so a later
+    entrant evaluates levels 1..p_j, at most 1 + (m-1)k rows per ordering.
+    One row evaluates every level 0..p_j, at most (m-1)(k+1) rows, since
+    there one more row in the same call costs less than the carry's NumPy
+    calls.  The best entered value is a max over values plus a row that is
+    0 for entered bidders and -inf for the rest, exact since values are
+    finite and non-negative.
     """
     B, m = orders.shape
     rows = np.arange(B)
+    carry = B > 1
     w = orders[:, 0].copy()
     base = np.repeat(p[None], B, axis=0)
     base[rows[:, None], orders[:, 1:]] = 0
-    penalty = np.full(base.shape, -np.inf)
+    penalty = np.empty(base.shape)  # np.full takes a microsecond longer at one row
+    penalty.fill(-np.inf)
     penalty[rows, w] = 0.0
-    counts = p[orders]  # rows per entrant: the first one's levels 0..p_j, a later one's 1..p_j
-    counts[:, 1:2] += 1
     for it in range(1, m):
         j = orders[:, it]
-        levels = counts[:, it]
         penalty[rows, j] = 0.0
-        if it == 1:
-            took, lo = np.zeros(B, dtype=bool), 0
-        else:  # level 0 from the carried values and their best entered bidder
-            vj = carried[rows, j]
-            best = np.maximum(best, vj)
-            took, lo = _reallocates(best, vj, carried[rows, w], it, c), 1
+        levels = span = p[j] + 1  # j's levels 0..p_j
+        lo = carry and it > 1
+        if lo:  # level 0 from the carried values and their best entered bidder
+            # best leaves out entrants at 0 since the row's last evaluation: with
+            # c >= 1 each of them is worth at most best or c vw, so trips no test
+            took = _reallocates(best, carried[rows, j], carried[rows, w], it, c)
+            levels = span - 1
         at = np.repeat(rows, levels)  # the row of each evaluated profile
         ev = np.arange(len(at))
-        last = np.cumsum(levels) - 1  # each row's top evaluated profile
+        starts = np.cumsum(levels) - span  # where each row's level 0 sits, evaluated or not
         ja = j[at]
         profiles = base[at]
-        profiles[ev, ja] = ev - (last + 1 - levels - lo)[at]  # j at levels lo..p_j
+        profiles[ev, ja] = ev - starts[at]  # j at levels lo..p_j
         vals = v.values_at_batch(profiles) if at.size else np.empty(profiles.shape)
         top = (vals + penalty[at]).max(axis=1)
         hit = _reallocates(top, vals[ev, ja], vals[ev, w[at]], it, c)
-        took[at[hit]] = True  # not reduceat: a row whose entrant reports 0 has no level here
-        if levels.all():  # every row evaluated j's top level (always so for the first entrant)
-            carried, best = vals[last], top[last]
-        else:  # a row whose entrant reports 0 keeps its level-0 values
-            has = levels > 0
-            carried[has], best[has] = vals[last[has]], top[last[has]]
+        if lo:
+            took[at[hit]] = True  # not reduceat: a row whose entrant reports 0 has no level here
+        else:
+            took = np.logical_or.reduceat(hit, starts)
+        if carry:  # j's top level is the next entrant's level 0
+            last = starts + p[j]  # each row's top evaluated profile
+            if levels.all():  # rebinding takes half the time of a masked copy
+                carried, best = vals[last], top[last]
+            else:  # a row whose entrant reports 0 keeps its level-0 values
+                has = levels > 0
+                carried[has], best[has] = vals[last[has]], top[last[has]]
         w = np.where(took, j, w)
         base[rows, j] = p[j]
     return w

@@ -38,6 +38,7 @@ from ivauctions import instances as gen
 from ivauctions.mechanisms import (
     NO_WINNER,
     _entry_table,
+    _lazy_chain,
     as_table,
     critical_signal_scan,
 )
@@ -440,15 +441,17 @@ def test_lazy_chains_counted_evaluations(finite_c_corpus):
 
 
 def test_lazy_chain_evaluates_each_intermediate_profile_once(finite_c_corpus):
-    """An entrant's level 0 is the previous entrant's top level, read from the values
-    the chain carries: an ordering j0, j1..j(m-1) evaluates exactly (p_j1 + 1) +
-    sum over t >= 2 of p_jt rows, at most 1 + (m-1)k, in at most m-1 calls; full
-    orderings and sub-orderings alike, one row or a batch."""
+    """A batch evaluates each intermediate profile once: an entrant's level 0 is the
+    previous entrant's top level, read from the values the chain carries, so each
+    ordering j0, j1..j(m-1) of a batch costs exactly (p_j1 + 1) + sum over t >= 2
+    of p_jt rows, at most 1 + (m-1)k, in at most m-1 calls in all; full orderings
+    and sub-orderings alike.  One row evaluates every level 0..p_j of each entrant,
+    at most (m-1)(k+1) rows."""
     import random as _random
 
     rng = _random.Random(45)
 
-    def rows_of(pi, s):
+    def carried_rows(pi, s):
         return s[pi[1]] + 1 + sum(s[j] for j in pi[2:]) if len(pi) > 1 else 0
 
     for name, v, c, _ in finite_c_corpus:
@@ -456,26 +459,31 @@ def test_lazy_chain_evaluates_each_intermediate_profile_once(finite_c_corpus):
         n, k = v.n, max(v.space.sizes)
         for _ in range(4):
             s = tuple(rng.choice((0, kb, rng.randint(0, kb))) for kb in v.space.sizes)
-            orders = [tuple(rng.sample(range(n), n)) for _ in range(6)]
-            subs = [tuple(rng.sample(range(n), rng.randint(1, n))) for _ in range(6)]
-            for pi in orders + subs:
+            p = np.array(s, dtype=np.intp)
+            for m in range(1, n + 1):
+                batch = [tuple(rng.sample(range(n), m)) for _ in range(6)]
                 counts["calls"] = counts["rows"] = 0
-                w = lazy_winner(counted, pi, s, c=c)
-                assert counts["rows"] == rows_of(pi, s), (name, pi, s)
-                assert counts["rows"] <= 1 + (len(pi) - 1) * k
-                assert counts["calls"] <= len(pi) - 1
-                assert w == lazy_winner(v, pi, s, c=c)
+                w = _lazy_chain(counted, np.array(batch, dtype=np.intp), p, c)
+                assert counts["rows"] == sum(carried_rows(pi, s) for pi in batch), (name, s)
+                assert counts["rows"] <= len(batch) * (1 + (m - 1) * k)
+                assert counts["calls"] <= m - 1
+                for pi, wb in zip(batch, w.tolist()):
+                    counts["calls"] = counts["rows"] = 0
+                    assert lazy_winner(counted, pi, s, c=c) == wb == lazy_winner(v, pi, s, c=c)
+                    assert counts["rows"] == sum(s[j] + 1 for j in pi[1:]), (name, pi, s)
+                    assert counts["calls"] <= m - 1
+            full = [tuple(rng.sample(range(n), n)) for _ in range(6)]
             counts["calls"] = counts["rows"] = 0
-            batch = lazy_winners(counted, orders, s, c=c)
-            assert counts["rows"] == sum(rows_of(pi, s) for pi in orders), (name, s)
+            batch_w = lazy_winners(counted, full, s, c=c)
+            assert counts["rows"] == sum(carried_rows(pi, s) for pi in full), (name, s)
             assert counts["calls"] <= n - 1
-            assert batch.tolist() == lazy_winners(v, orders, s, c=c).tolist()
+            assert batch_w.tolist() == lazy_winners(v, full, s, c=c).tolist()
 
 
 def test_lazy_chain_matches_scalar_chain_on_carried_rows():
     """The carried level-0 row's edge cases against the scalar chain: later entrants
-    at signal 0 (so no row of theirs is evaluated), the all-zero profile, one- and
-    two-bidder sub-orderings, and an evaluator-backed instance."""
+    at signal 0 (so no row of theirs is evaluated), the all-zero profile, batches of
+    one-, two- and three-bidder sub-orderings, and an evaluator-backed instance."""
     import random as _random
 
     rng = _random.Random(46)
@@ -498,9 +506,12 @@ def test_lazy_chain_matches_scalar_chain_on_carried_rows():
             orders += [(b,) + tuple(a for a in range(n) if a != b) for b in range(n) if s[b]]
             expected = [reference.lazy_winner(v, pi, s, c=c) for pi in orders]
             assert lazy_winners(v, orders, s, c=c).tolist() == expected, (v.name, s)
-            for m in (1, 2):
-                for pi in [tuple(rng.sample(range(n), m)) for _ in range(6)]:
-                    assert lazy_winner(v, pi, s, c=c) == reference.lazy_winner(v, pi, s, c=c)
+            for m in (1, 2, 3):
+                subs = [tuple(rng.sample(range(n), m)) for _ in range(6)]
+                expected = [reference.lazy_winner(v, pi, s, c=c) for pi in subs]
+                p = np.array(s, dtype=np.intp)
+                assert _lazy_chain(v, np.array(subs), p, c).tolist() == expected, (v.name, s)
+                assert [lazy_winner(v, pi, s, c=c) for pi in subs] == expected, (v.name, s)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
