@@ -27,7 +27,6 @@ import numpy as np
 
 from . import instances, oracle, revenue
 from .mechanisms import (
-    NO_WINNER,
     IncompatibleMechanism,
     _ratios,
     _winner_values,
@@ -39,7 +38,6 @@ from .mechanisms import (
     outcome,
     random_permutation,
     two_bidder_coloring,
-    welfare_ratio,
 )
 from .model import (
     DEFAULT_PROFILE_CAP,
@@ -374,58 +372,41 @@ def cmd_evaluate(args) -> dict:
     name = args.mechanism
     mech = _mechanism(name)
     pi = _ordering(mech, args, v.n)
-    if mech.ordering == "seed":  # the randomized mechanism: its mean over orderings
-        c = compute_c(v)
-        table = None
-    else:
-        table = mech.table(v, pi)
+    table = None if mech.ordering == "seed" else mech.table(v, pi)  # random: mean over orderings
+    c = compute_c(v) if table is None else None
     prior = _load_prior(args.prior, v.space) if args.prior else None
-    try:
-        if table is None:
-            means = []
-            for p in v.space.profiles():
-                if v.n <= 8:
-                    mean, _ = oracle.exact_random_hypergrid_stats(v, p, c=c)
-                else:
-                    mean, _ = oracle.monte_carlo_random_hypergrid(
-                        v, p, samples=args.samples, seed=args.seed, c=c
-                    )
-                means.append(mean)
-            ratios = _ratios(v.values.max(axis=0).reshape(-1), np.array(means))
-            worst = max(1.0, float(ratios.max()))
-            per_profile = [
-                {"profile": list(p), "expected_value": mean, "ratio": _num(r)}
-                for p, mean, r in zip(v.space.profiles(), means, ratios.tolist())
+    # each profile's winner value, row-major, and the column that shows it
+    if table is None:
+        try:
+            cells = [
+                oracle.exact_random_hypergrid_stats(v, p, c=c)[0] if v.n <= 8
+                else oracle.monte_carlo_random_hypergrid(v, p, args.samples, args.seed, c=c)[0]
+                for p in v.space.profiles()
             ]
-        else:
-            worst, ratios = welfare_ratio(table, v)
-            rows = zip(v.space.profiles(), table.winner.reshape(-1).tolist(),
-                       ratios.reshape(-1).tolist())
-            per_profile = [
-                {"profile": list(p), "winner": None if w == NO_WINNER else w + 1, "ratio": _num(r)}
-                for p, w, r in rows
-            ]
-    except IncompatibleMechanism:
-        raise  # reported as "incompatible" by main, like in every command
-    except (ValidationError, CapExceeded) as e:
-        raise CliError("evaluate", str(e))
-    result = {"mechanism": name, "worst_ratio": _num(worst), "per_profile": per_profile}
+        except IncompatibleMechanism:
+            raise  # reported as "incompatible" by main, like in every command
+        except (ValidationError, CapExceeded) as e:
+            raise CliError("evaluate", str(e))
+        shown, won = "expected_value", np.array(cells)
+    else:
+        shown, cells = "winner", table.to_json()["winner"]
+        won = _winner_values(v.values, table.winner).reshape(-1)
+    ratios = _ratios(v.values.max(axis=0).reshape(-1), won)
+    per_profile = [
+        {"profile": list(p), shown: x, "ratio": _num(r)}
+        for p, x, r in zip(v.space.profiles(), cells, ratios.tolist())
+    ]
+    worst = _num(max(1.0, float(ratios.max())))
+    result = {"mechanism": name, "worst_ratio": worst, "per_profile": per_profile}
     if prior is not None:
-        support = prior.probs > 0
-        if table is None:
-            won = np.array(means).reshape(v.space.shape)
-        else:
-            won = _winner_values(v.tabulated().values, table.winner)
-        result["expected_welfare"] = float(_sequential_sums(prior.probs[support] * won[support]))
+        on = np.flatnonzero(prior.probs)  # the support, row-major
+        result["expected_welfare"] = float(_sequential_sums(prior.probs.flat[on] * won[on]))
         if table is not None:
-            rev = revenue.expected_payment_revenue(table, v, prior)
-            look = revenue.lookahead_benchmark(prior, v, table)
-            result["expected_revenue"] = rev
-            result["lookahead"] = look
+            rev = result["expected_revenue"] = revenue.expected_payment_revenue(table, v, prior)
+            look = result["lookahead"] = revenue.lookahead_benchmark(prior, v, table)
             result["revenue_ratio"] = _num(look / rev) if rev > 0 else "INFINITE"
     if args.format == "csv":
-        cols = ["profile", "winner" if table is not None else "expected_value", "ratio"]
-        _emit_csv(per_profile, cols, args.out)
+        _emit_csv(per_profile, ["profile", shown, "ratio"], args.out)
     else:
         _emit(result, args.out)
     return result

@@ -58,19 +58,19 @@ class AllocationTable:
     winner: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.winner, dtype=np.int32)
+        arr = np.asarray(self.winner)
+        if arr.dtype.kind not in "iu":
+            raise ValidationError("winner entries must be integers")
+        arr = arr.astype(np.int32)  # a copy
         if arr.shape != self.space.shape:
             raise ValidationError(f"winner shape {arr.shape} != {self.space.shape}")
         if arr.max(initial=NO_WINNER) >= self.space.n or arr.min(initial=0) < NO_WINNER:
             raise ValidationError("winner entries must be NO_WINNER or valid bidders")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "winner", arr)
 
     def __call__(self, profile: Sequence[int]) -> Optional[int]:
         return self._lookup(self.space.validate_profile(profile))
-
-    winner_at = __call__
 
     def _lookup(self, profile: tuple[int, ...]) -> Optional[int]:
         """The table's winner at a profile already checked to lie on the grid."""
@@ -665,10 +665,13 @@ def as_table(rule: Rule, v: ValuationInstance) -> AllocationTable:
 
 
 def _called_at(rule: Rule, v: ValuationInstance, flat: np.ndarray) -> np.ndarray:
-    """A winner function called at the flat grid indices ``flat``, NO_WINNER for None."""
+    """A winner function called at the flat grid indices ``flat``, NO_WINNER for None;
+    a winner no table could hold raises ``ValidationError``."""
     out = np.empty(flat.size, dtype=np.int32)
     for lo in range(0, flat.size, _TABULATE_CHUNK):
         signals = np.unravel_index(flat[lo : lo + _TABULATE_CHUNK], v.space.shape)
         winners = map(rule, zip(*(s.tolist() for s in signals)))  # profiles as tuples of ints
         out[lo : lo + signals[0].size] = [NO_WINNER if w is None else w for w in winners]
+    if out.min(initial=0) < NO_WINNER or out.max(initial=NO_WINNER) >= v.n:
+        raise ValidationError(f"a rule's winners must be None or bidders 0..{v.n - 1}")
     return out

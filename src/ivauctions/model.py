@@ -227,6 +227,17 @@ class ValuationInstance:
         return dense
 
 
+def _sample_count(samples) -> int:
+    """``samples`` read as a signal is (through ``operator.index``); at least 1."""
+    try:
+        samples = operator.index(samples)
+    except TypeError as e:
+        raise ValidationError(f"samples must be an integer: {e}") from None
+    if samples < 1:
+        raise ValidationError("need at least one sample")
+    return samples
+
+
 def mean_and_stderr(draws: Iterable[float]) -> tuple[float, float]:
     """Sample mean of i.i.d. draws with its standard error (0.0 for a single draw).
 

@@ -33,8 +33,8 @@ from .model import (
     DEFAULT_PROFILE_CAP,
     INFINITE,
     CapExceeded,
-    ValidationError,
     ValuationInstance,
+    _sample_count,
     _sequential_sums,
     compute_c,
     mean_and_stderr,
@@ -263,8 +263,7 @@ def monte_carlo_random_hypergrid(
     evaluated in batches of at most ``MC_CHUNK`` through the lazy chain, with
     c measured once; values are accumulated in draw order.
     """
-    if samples < 1:
-        raise ValidationError("need at least one sample")
+    samples = _sample_count(samples)
     p = v.space.validate_profile(s)
     c = compute_c(v) if c is None else c
     rng = random.Random(seed)

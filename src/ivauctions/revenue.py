@@ -11,16 +11,15 @@ is exact whenever support profiles times branches (the internal branch,
 subsets and rule realizations) is small, and seeded Monte Carlo otherwise.
 
 The exact paths settle reserves in one array pass per bidder over the lines
-through the prior's support.  The rules of a mechanism (or of a lookahead)
-are stacked and read at those lines' points, a chunk of rules at a time, and
-the pass finds the critical signal and the winning reserve of every line a
-bidder wins on at a support profile.  Rules and values are read nowhere else,
-so a sparse prior on a large grid costs a few lines, not the grid.  The pass
-sums every probability in the order the one-line quote does, and totals add
-their terms in the support's row-major order, so every float equals the
-one-profile-at-a-time evaluation.  Exact revenue is one array sum over the
-sales kept per rule row and support profile.  ``profile_events`` and Monte
-Carlo draws keep lazy rules and quote one line at a time the same way.
+through the prior's support, a chunk of stacked rules at a time: each line a
+bidder wins on at a support profile gets its critical signal and winning
+reserve once, and the pass returns per-profile quotes, read on each
+profile's winner's line.  Rules and values are read nowhere else, so a
+sparse prior on a large grid costs a few lines, not the grid.  Sums follow
+the one-line quote's order and the support's row-major order, so every
+float equals the one-profile-at-a-time evaluation.  Exact revenue is one
+array sum over the sales kept per rule row and support profile.
+``profile_events`` and Monte Carlo draws quote one line at a time.
 """
 
 from __future__ import annotations
@@ -59,6 +58,7 @@ from .model import (
     SignalSpace,
     ValidationError,
     ValuationInstance,
+    _sample_count,
     _sequential_sums,
     mean_and_stderr,
     validate_permutation,
@@ -276,7 +276,8 @@ class _SupportLines:
     whole grid under a full-support prior, a few lines under a sparse one).
     Each bidder's lines are numbered after the previous bidder's, and
     ``column[i, j]`` is the number of bidder i's line through the j-th
-    support profile.
+    support profile, and ``probs[j]`` that profile's probability.  No winner
+    (-1) reads the last row of ``column``: line ``count``, which stays NaN.
     """
 
     def __init__(self, prior: JointPrior, v: ValuationInstance):
@@ -294,27 +295,19 @@ class _SupportLines:
             columns.append(self.count + np.searchsorted(heads, starts))
             points.append(heads[:, None] + stride * np.arange(width))
             self.count += len(heads)
-        self.column = np.stack(columns)
+        self.column = np.stack(columns + [np.full(self.support.size, self.count)])
         self.near = _distinct(np.concatenate([p.ravel() for p in points]))
         self.at_support = np.searchsorted(self.near, self.support)
         values = v.values_at_batch(np.stack(np.unravel_index(self.near, shape), axis=1))
         self.values = values[self.at_support]  # (support, n)
         flat_probs = prior.probs.reshape(-1)
+        self.probs = flat_probs[self.support]
         # per bidder: her first line's number, then per line its points' places in
         # ``near``, her values and the joint probabilities
         self.bidders = []
         for i, (first, at) in enumerate(zip(firsts, points)):
             near_at = np.searchsorted(self.near, at)
             self.bidders.append((first, near_at, values[near_at, i], flat_probs[at]))
-
-    def read(self, per_line: np.ndarray, winners: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """Each rule's ``per_line`` entry on its winner's line through the support profiles ``at``.
-
-        ``per_line`` is (R, lines) and ``winners`` (R, len(at)); NaN where no one wins.
-        """
-        lines = self.column[winners, at]  # a missing winner reads the last bidder's line, then NaN
-        rules = np.arange(len(per_line))[:, None]
-        return np.where(winners != NO_WINNER, per_line[rules, lines], np.nan)
 
 
 def _winners_near(rules: Sequence, v: ValuationInstance, lines: _SupportLines) -> np.ndarray:
@@ -344,21 +337,21 @@ def _winners_near(rules: Sequence, v: ValuationInstance, lines: _SupportLines) -
 def _line_quotes(
     lines: _SupportLines, v: ValuationInstance, rules: Sequence, quote: bool = True
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Critical values and winning reserves of R rules, one pass per bidder and chunk of rules.
+    """Per-profile quotes of R rules, one pass per bidder and chunk of rules.
 
     Each line of a bidder on which she wins at a support profile is settled
     once, for every rule of the chunk together.  Yields, per chunk of rules
     in order, the rules' winners at the support profiles (chunk, support)
-    and a (3, chunk, lines) array: per line, the value at the bidder's
-    critical signal, then (if ``quote``) her winning reserve's price and
-    expected revenue.  NaN marks a line no rule settles, a bidder without a
-    critical signal, and (for the quote) a conditioning event of probability
-    zero.  Every quote's price is checked to dominate the critical value.
+    and a (3, chunk, support) array read on each profile's winner's line:
+    her value at her critical signal, then (if ``quote``) her winning
+    reserve's price and expected revenue.  NaN marks no winner, no critical
+    signal and (for the quote) a conditioning event of probability zero.
+    Every quote's price is checked to dominate the critical value.
     """
     step = max(1, _CHUNK_CELLS // lines.near.size)
     for lo in range(0, len(rules), step):
         winners = _winners_near(rules[lo : lo + step], v, lines)
-        per_line = np.full((3, len(winners), lines.count), np.nan)
+        per_line = np.full((3, len(winners), lines.count + 1), np.nan)
         for i, (first, points, values, joint) in enumerate(lines.bidders):
             count, width = points.shape
             wins = winners[:, points] == i  # (chunk, lines, k + 1)
@@ -371,7 +364,9 @@ def _line_quotes(
             if quote:
                 per_line[1:, rule, first + line] = _monopoly_quotes(values[line], joint[line], crit)
         assert not np.any(per_line[1] < per_line[0]), "reserve must dominate the critical value"
-        yield winners[:, lines.at_support], per_line
+        won = winners[:, lines.at_support]
+        at = lines.column[won, np.arange(won.shape[1])]  # no winner reads the NaN line
+        yield won, per_line[:, np.arange(len(won))[:, None], at]
 
 
 def winning_reserve(
@@ -503,8 +498,8 @@ class HighIfPossibleFamily(RuleFamily):
         """The sub-market rule; its table is built once per dropped bidders' signals.
 
         Each table is ``high_if_possible``'s winner array of the slice of ``v``
-        at those signals, read with one ``values_at_batch`` call and checked as
-        an instance's values are: only the slices a caller reaches are evaluated.
+        at those signals, read with one ``values_at_batch`` call, which checks
+        the values: only the slices a caller reaches are evaluated.
         """
         v = self.v
         dropped = tuple(b for b in range(v.n) if b not in keep)
@@ -518,8 +513,6 @@ class HighIfPossibleFamily(RuleFamily):
             if fixed not in tables:
                 full = np.where(on, grid, profile)  # the slice's profiles
                 values = v.values_at_batch(full)[:, keep].T.reshape((len(keep),) + shape)
-                if not (values.min() >= 0 and values.max() < np.inf):  # NaN fails too
-                    raise ValidationError("values must be finite and nonnegative")
                 tables[fixed] = _high_if_possible_winners(values, self.c)
             return keep[tables[fixed][tuple(profile[b] for b in keep)]]
 
@@ -563,19 +556,6 @@ class RevenueEvent:
     branch: str
 
 
-def _offer(prob: float, branch: str, buyer: int, price: float, value: float) -> RevenueEvent:
-    """The buyer is offered ``price`` and buys iff her value reaches it."""
-    sold = value >= price
-    return RevenueEvent(
-        prob=prob,
-        revenue=price if sold else 0.0,
-        buyer=buyer if sold else None,
-        price=price,
-        buyer_value=value,
-        branch=branch,
-    )
-
-
 @dataclass(frozen=True)
 class ReserveBackedMechanism:
     """Black-box welfare-to-revenue reduction around a rule family.
@@ -617,21 +597,22 @@ class ReserveBackedMechanism:
         self, rule: Optional[Rule], s: tuple[int, ...], branch: str, prob: float
     ) -> RevenueEvent:
         """One branch quoted line by line: the rule's winner (none without a rule), quoted once
-        per (rule, bidder, line)."""
+        per (rule, bidder, line), is offered the quote's price and buys iff her value reaches it."""
         i = None if rule is None else rule(s)
-        if i is None:
-            return RevenueEvent(prob, 0.0, None, None, None, branch)
-        context = tuple(x for b, x in enumerate(s) if b != i)
-        key = (rule, i, context)  # holding the rule keeps its id from being reused
-        if key not in self._quotes:
+        key = (rule, i, tuple(x for b, x in enumerate(s) if b != i))  # holding the rule pins its id
+        if i is not None and key not in self._quotes:
             try:
-                self._quotes[key] = winning_reserve(self.prior, self.v, rule, i, context)
+                self._quotes[key] = winning_reserve(self.prior, self.v, rule, i, key[2])
             except UndefinedReserve:
                 self._quotes[key] = None
-        quote = self._quotes[key]
+        quote = self._quotes.get(key)  # None: no winner, or no reserve
         if quote is None:
             return RevenueEvent(prob, 0.0, None, None, None, branch)
-        return _offer(prob, branch, i, quote.price, self.v.value(i, s))
+        value = self.v.value(i, s)
+        sold = value >= quote.price
+        return RevenueEvent(
+            prob, quote.price if sold else 0.0, i if sold else None, quote.price, value, branch
+        )
 
     @cached_property
     def _heads(self) -> list:
@@ -657,22 +638,20 @@ class ReserveBackedMechanism:
         """One stacked pass over the support's lines for the rows of ``_heads``.
 
         Each (rule, bidder, line) is quoted once; row 0 offers no one a price.
-        Kept, from first use: the support's flat indices and, per (row,
-        support profile), the sale: the offered price where the winner's value
-        reaches it, else 0 (a NaN price is no offer).
+        Kept, from first use: the support profiles' probabilities and, per
+        (row, support profile), the sale: the offered price where the winner's
+        value reaches it, else 0 (a NaN price is no offer).
         """
         rules = {r: rule for *_, rule, r in self._heads}
         lines = _SupportLines(self.prior, self.v)
-        at = np.arange(lines.support.size)
         # filled row by row as the pass yields, so pages are touched as they are needed
-        sale = np.empty((len(rules), at.size))
+        sale = np.empty((len(rules), lines.support.size))
         sale[0], lo = 0.0, 1
-        for won, per_line in _line_quotes(lines, self.v, [rules[r] for r in range(1, len(rules))]):
-            offer = sale[lo : lo + len(won)]
-            offer[...] = lines.read(per_line[1], won, at)
-            offer[~(lines.values[at, won] >= offer)] = 0.0
+        for won, quotes in _line_quotes(lines, self.v, [rules[r] for r in range(1, len(rules))]):
+            value = np.take_along_axis(lines.values.T, won, axis=0)
+            sale[lo : lo + len(won)] = np.where(value >= quotes[1], quotes[1], 0.0)
             lo += len(won)
-        return lines.support, sale
+        return lines.probs, sale
 
     def profile_events(self, s: Sequence[int]) -> list[RevenueEvent]:
         """Every internal branch at one reported profile as an event object.
@@ -719,19 +698,19 @@ def expected_revenue(
     """
     if mechanism.enumeration_size() <= cap:
         heads = mechanism._heads
-        support, sale = mechanism._branches
+        ps, sale = mechanism._branches
         probs = np.array([prob for prob, *_ in heads])
         assert abs(_sequential_sums(probs) - 1.0) < 1e-9, "branch probabilities must sum to 1"
         rows = [r for *_, r in heads]
-        ps = mechanism.prior.probs.reshape(-1)[support]
         total, step = 0.0, max(1, _CHUNK_CELLS // len(heads))
-        for lo in range(0, support.size, step):
+        for lo in range(0, ps.size, step):
             terms = ps[lo : lo + step, None] * probs
             terms *= sale[rows, lo : lo + step].T
             terms = terms.reshape(-1)
             terms[0] += total
             total = 0.0 + float(np.cumsum(terms, out=terms)[-1])
         return total, 0.0
+    samples = _sample_count(samples)
     rng = random.Random(seed)
     support = np.flatnonzero(mechanism.prior.probs)  # row-major
     cum = np.cumsum(mechanism.prior.probs.reshape(-1)[support])
@@ -753,20 +732,16 @@ def _lookahead_totals(prior: JointPrior, v: ValuationInstance, rules: Sequence) 
     grows with R beyond one chunk of rules.
     """
     lines = _SupportLines(prior, v)
-    probs = prior.probs.reshape(-1)[lines.support]
-    at = np.arange(lines.support.size)
     top = lines.values.argmax(axis=1)
-    first = lines.values[at, top]
-    rivals = lines.values.copy()
-    rivals[at, top] = -np.inf
-    second = rivals.max(axis=1)
+    held = np.arange(v.n) == top[:, None]  # who holds each profile's top value
+    first = lines.values[held]
+    second = np.where(held, -np.inf, lines.values).max(axis=1)
     second[second == -np.inf] = 0.0  # a lone bidder's win has no rival
     totals = []
-    for winners, per_line in _line_quotes(lines, v, rules):
-        gain = lines.read(per_line[2], winners, at)
-        reserve = np.where(np.isnan(gain), 0.0, gain)  # undefined reserves earn nothing
+    for winners, quotes in _line_quotes(lines, v, rules):
+        reserve = np.where(np.isnan(quotes[2]), 0.0, quotes[2])  # undefined reserves earn nothing
         runner = np.where(winners == top, second, first)
-        totals.append(_sequential_sums(probs * (reserve + runner)))
+        totals.append(_sequential_sums(lines.probs * (reserve + runner)))
     return np.concatenate(totals)
 
 
@@ -801,9 +776,7 @@ def expected_payment_revenue(rule: Rule, v: ValuationInstance, prior: JointPrior
     winner pay nothing.
     """
     lines = _SupportLines(prior, v)
-    [(winners, per_line)] = _line_quotes(lines, v, [rule], quote=False)
-    paid = lines.read(per_line[0], winners, np.arange(lines.support.size))[0]
-    won = winners[0] != NO_WINNER
+    [(winners, quotes)] = _line_quotes(lines, v, [rule], quote=False)
+    won, paid = winners[0] != NO_WINNER, quotes[0, 0]
     assert not np.isnan(paid[won]).any(), "winner must have a critical signal on her own line"
-    probs = prior.probs.reshape(-1)[lines.support]
-    return float(_sequential_sums(probs * np.where(won, paid, 0.0)))
+    return float(_sequential_sums(lines.probs * np.where(won, paid, 0.0)))

@@ -86,7 +86,7 @@ def mechanisms_for(v, c):
 def test_vcg_oil_example():
     v = gen.gen_oil_sc(3)
     table = generalized_vcg(v)
-    assert all(table.winner_at(s) == 0 for s in v.space.profiles())
+    assert all(table(s) == 0 for s in v.space.profiles())
     worst, _ = welfare_ratio(table, v)
     assert worst == 1.0
 
@@ -94,14 +94,14 @@ def test_vcg_oil_example():
 def test_vcg_single_bidder():
     sp = SignalSpace((3,))
     v = ValuationInstance(space=sp, values=np.array([[0.0, 1.0, 2.0, 3.0]]))
-    assert all(generalized_vcg(v).winner_at(s) == 0 for s in v.space.profiles())
+    assert all(generalized_vcg(v)(s) == 0 for s in v.space.profiles())
 
 
 def test_vcg_tie_breaks_low():
     sp = SignalSpace((1, 1))
     vals = np.array([[[1.0, 2.0], [3.0, 4.0]]] * 2)
     v = ValuationInstance(space=sp, values=vals)
-    assert all(generalized_vcg(v).winner_at(s) == 0 for s in v.space.profiles())
+    assert all(generalized_vcg(v)(s) == 0 for s in v.space.profiles())
 
 
 def test_vcg_refuses_without_single_crossing():
@@ -117,7 +117,7 @@ def test_vcg_refuses_without_single_crossing():
 def test_two_bidder_tight_instance():
     v = gen.gen_two_by_two_tight(2.0)
     table = two_bidder_coloring(v)
-    assert all(table.winner_at(s) == 0 for s in v.space.profiles())
+    assert all(table(s) == 0 for s in v.space.profiles())
     worst, ratios = welfare_ratio(table, v)
     assert ratios[1, 0] == 2.0 and worst == 2.0
 
@@ -127,7 +127,7 @@ def test_two_bidder_never_maximal_loser():
     vals = np.stack([np.ones((3, 3)), np.zeros((3, 3))])
     v = ValuationInstance(space=sp, values=vals)
     table = two_bidder_coloring(v)
-    assert all(table.winner_at(s) == 0 for s in v.space.profiles())
+    assert all(table(s) == 0 for s in v.space.profiles())
 
 
 def test_two_bidder_requires_two_bidders():
@@ -156,7 +156,7 @@ def test_high_if_possible_boundary_instance():
     c = 1.5
     v = gen.gen_rand_c_lb(3, c)
     table = high_if_possible(v)
-    w = table.winner_at((0, 1, 1))
+    w = table((0, 1, 1))
     assert w in (1, 2)
     assert v.value(w, (0, 1, 1)) == 1.0 / c
     worst, _ = welfare_ratio(table, v)
@@ -279,7 +279,7 @@ def test_hypergrid_tight_instance_winner():
         v = gen.gen_tight_hypergrid(n, c)
         table = hypergrid_coloring(v, identity_permutation(n))
         ones = (1,) * n
-        w = table.winner_at(ones)
+        w = table(ones)
         assert w != 1 and v.value(w, ones) == 1.0
         worst, _ = welfare_ratio(table, v)
         assert worst == (n - 1) * c
@@ -289,7 +289,7 @@ def test_hypergrid_single_bidder():
     sp = SignalSpace((3,))
     v = ValuationInstance(space=sp, values=np.array([[0.0, 1.0, 2.0, 3.0]]))
     table = hypergrid_coloring(v, (0,))
-    assert all(table.winner_at(s) == 0 for s in v.space.profiles())
+    assert all(table(s) == 0 for s in v.space.profiles())
 
 
 def test_hypergrid_and_two_bidder_walk_share_guarantee():
@@ -319,7 +319,7 @@ def test_lazy_matches_table_full_sweep(finite_c_corpus):
         for pi in permutations(range(v.n)):
             table = hypergrid_coloring(v, pi)
             for s in v.space.profiles():
-                assert lazy_winner(v, pi, s) == table.winner_at(s), (name, pi, s)
+                assert lazy_winner(v, pi, s) == table(s), (name, pi, s)
     # grids beyond the corpus sweep: every ordering at once through the batched chain
     for v in (gen.gen_random_separable(5, 2, 1.5, seed=31),
               gen.gen_random_separable(6, 1, 2.0, seed=32)):
@@ -345,7 +345,7 @@ def test_lazy_matches_table_random_samples_large_grids(finite_c_corpus):
         if key not in tables:
             tables[key] = hypergrid_coloring(v, pi, c=c)
         s = tuple(rng.randint(0, k) for k in v.space.sizes)
-        assert lazy_winner(v, pi, s, c=c) == tables[key].winner_at(s), (name, pi, s)
+        assert lazy_winner(v, pi, s, c=c) == tables[key](s), (name, pi, s)
 
 
 def test_lazy_at_origin_matches_table():
@@ -353,7 +353,7 @@ def test_lazy_at_origin_matches_table():
     for pi in permutations(range(3)):
         table = hypergrid_coloring(v, pi)
         origin = (0, 0, 0)
-        assert lazy_winner(v, pi, origin) == table.winner_at(origin)
+        assert lazy_winner(v, pi, origin) == table(origin)
 
 
 def test_lazy_trace_ends_at_winner():
@@ -665,9 +665,9 @@ def test_lazy_sub_ordering_matches_restricted_table():
                         s = list(base)
                         for b, x in zip(keep, sub_s):
                             s[b] = x
-                        want = keep[table.winner_at(sub_s)]
+                        want = keep[table(sub_s)]
                         assert lazy_winner(v, order, s, c=c) == want, (n, k, order, s)
-                        assert full_tables[order].winner_at(s) == want, (n, k, order, s)
+                        assert full_tables[order](s) == want, (n, k, order, s)
                         checked += 1
     assert checked > 10_000
 
@@ -893,7 +893,7 @@ def test_as_table_returns_a_table_as_it_is():
     v = gen.gen_random_separable(3, 2, 1.5, seed=12)
     table = hypergrid_coloring(v, (2, 0, 1))
     assert as_table(table, v) is table
-    copy = as_table(lambda p: table.winner_at(p), v)
+    copy = as_table(lambda p: table(p), v)
     assert copy is not table and np.array_equal(copy.winner, table.winner)
 
 
@@ -935,7 +935,7 @@ def test_critical_signal_rule_calls_are_logarithmic(finite_c_corpus):
 
         def rule(p):
             calls[0] += 1
-            return table.winner_at(p)
+            return table(p)
 
         for i in range(v.n):
             k = v.space.sizes[i]
@@ -1004,6 +1004,22 @@ def test_table_json_roundtrip():
 def test_table_json_malformed_is_a_validation_error(obj):
     with pytest.raises(ValidationError):
         AllocationTable.from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "winner",
+    [
+        np.array([[0.7, 1.9], [0, 1]]),  # was truncated to [[0, 1], [0, 1]]
+        np.array([[0.0, np.nan], [0, 1]]),
+        np.array([[True, False], [False, True]]),
+    ],
+)
+def test_a_table_of_non_integer_winners_is_refused(winner):
+    with pytest.raises(ValidationError, match="integers"):
+        AllocationTable(SignalSpace((1, 1)), winner)
+    for dtype in (np.int8, np.uint8, np.int64):  # every integer dtype is read
+        table = AllocationTable(SignalSpace((1, 1)), np.array([[0, 1], [0, 1]], dtype=dtype))
+        assert table.winner.dtype == np.int32 and table((0, 1)) == 1
 
 
 def test_tabulating_a_function_above_the_cap_is_refused():

@@ -34,6 +34,7 @@ from ivauctions.mechanisms import (
     outcome,
     welfare_ratio,
 )
+from ivauctions.oracle import monte_carlo_random_hypergrid
 from ivauctions.revenue import (
     HighIfPossibleFamily,
     HypergridFamily,
@@ -269,7 +270,7 @@ def test_winning_reserve_matches_brute_force_price_search():
         for s2 in range(4):
             b = None
             for t in range(4):
-                if table.winner_at((t, s2)) == 0:
+                if table((t, s2)) == 0:
                     b = t
                     break
             if b is None:
@@ -403,7 +404,7 @@ def test_losing_reserve_matches_brute_force():
     prior = uniform_product_prior(v.space)
     table = hypergrid_coloring(v, (1, 0))
     for s2 in range(4):
-        wins = [table.winner_at((t, s2)) == 0 for t in range(4)]
+        wins = [table((t, s2)) == 0 for t in range(4)]
         cutoff = wins.index(True) if any(wins) else 4
         if cutoff == 0:
             continue
@@ -556,7 +557,7 @@ def test_lookahead_point_mass():
     v = gen.gen_two_by_two_tight(2.0)
     prior = JointPrior(space=v.space, atoms={(1, 1): 1.0})
     table = hypergrid_coloring(v, (0, 1))
-    w = table.winner_at((1, 1))
+    w = table((1, 1))
     runner = max(v.value(j, (1, 1)) for j in range(2) if j != w)
     ctx = tuple(x for b, x in enumerate((1, 1)) if b != w)
     want = winning_reserve(prior, v, table, w, ctx).expected_revenue + runner
@@ -646,7 +647,7 @@ def test_high_if_possible_family_equals_restricted_reference(finite_c_corpus):
             rule = family.realizations(keep)[0][1]
             for s in v.space.profiles():
                 table = high_if_possible(restrict_bidders(v, keep, s), c=c)
-                w = table.winner_at(tuple(s[b] for b in keep))
+                w = table(tuple(s[b] for b in keep))
                 assert rule(s) == (None if w is None else keep[w]), (name, keep, s)
 
 
@@ -734,11 +735,10 @@ def test_posted_truthfulness_of_branch_a():
 
 def _ref_lookahead(prior, v, rule):
     """Per-profile lookahead: one fresh reference reserve quote at every profile."""
-    win = rule.winner_at if hasattr(rule, "winner_at") else rule
     total = 0.0
     for s, ps in prior.support():
         vals = v.values_at(s)
-        w = win(s)
+        w = rule(s)
         if w is None:
             runner = float(vals.max())
             reserve_rev = 0.0
@@ -768,7 +768,7 @@ def _ref_realizations(v, kind, c, keep):
     if kind == "high":
         def rule(profile):
             table = high_if_possible(restrict_bidders(v, keep, profile), c=c)
-            w = table.winner_at(tuple(profile[b] for b in keep))
+            w = table(tuple(profile[b] for b in keep))
             return None if w is None else keep[w]
 
         return [(1.0, rule)]
@@ -1133,8 +1133,8 @@ def test_one_reserve_quote_per_line_in_lookahead(monkeypatch):
     table = hypergrid_coloring(v, (0, 1, 2))
     keys = set()
     for s, _ in prior.support():
-        w = table.winner_at(s)
-        keys.add((table.winner_at, w, tuple(x for b, x in enumerate(s) if b != w)))
+        w = table(s)
+        keys.add((table, w, tuple(x for b, x in enumerate(s) if b != w)))
     want = _expected_rows(prior, v, keys)
     rows = _count_quote_rows(monkeypatch)
     calls = _count_scalar_calls(monkeypatch)
@@ -1192,7 +1192,7 @@ def test_one_payment_per_line(monkeypatch):
     lines = {
         (w, tuple(x for b, x in enumerate(s) if b != w))
         for s in v.space.profiles()
-        for w in [table.winner_at(s)]
+        for w in [table(s)]
     }
     searched = []
     orig = revenue_module._critical_signals
@@ -1335,3 +1335,51 @@ def test_family_orderings_name_integer_bidders(pi):
     v = gen.gen_random_separable(3, 1, 1.5, seed=1)
     with pytest.raises(ValidationError):
         HypergridFamily(v, pi=pi)
+
+
+class _NonBidderFamily(RuleFamily):
+    """A family whose every rule names a winner that is not a bidder."""
+
+    def __init__(self, v, winner):
+        super().__init__(v)
+        self.winner = winner
+
+    def realizations(self, bidders):
+        if "rule" not in self._rules:
+            self._rules["rule"] = lambda p: self.winner
+        return [(1.0, self._rules["rule"])]
+
+
+@pytest.mark.parametrize("winner", [-2, -3, 3, 7])
+def test_a_rule_naming_a_non_bidder_is_refused_by_every_reader(winner):
+    """The exact pass and ``as_table`` read a function rule through one reader,
+    which refuses a winner that no table could hold, as ``profile_events`` does."""
+    v = gen.gen_random_separable(3, 1, 2.0, seed=3)
+    prior = uniform_product_prior(v.space)
+    rule = lambda p: winner  # noqa: E731
+    mech = ReserveBackedMechanism(v, prior, _NonBidderFamily(v, winner), alpha=2.0, d=2.0)
+    calls = [
+        lambda: lookahead_benchmark(prior, v, rule),
+        lambda: expected_payment_revenue(rule, v, prior),
+        lambda: expected_revenue(mech),
+        lambda: as_table(rule, v),
+        lambda: mech.profile_events((1, 1, 1)),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
+
+
+def test_sample_counts_are_integers():
+    """``samples`` is read as a signal is: an integer type, and at least 1."""
+    v = gen.gen_random_separable(3, 1, 2.0, seed=3)
+    mech = ReserveBackedMechanism(v, uniform_product_prior(v.space), HypergridFamily(v), 2.0, 2.0)
+    for samples in (2.5, "3", None, 0, -1):
+        with pytest.raises(ValidationError):
+            expected_revenue(mech, cap=1, samples=samples)
+        with pytest.raises(ValidationError):
+            monte_carlo_random_hypergrid(v, (1, 1, 1), samples=samples, seed=1)
+    assert expected_revenue(mech, cap=1, samples=np.int64(3), seed=1) == expected_revenue(
+        mech, cap=1, samples=3, seed=1
+    )
+    assert monte_carlo_random_hypergrid(v, (1, 1, 1), samples=True, seed=1)[1] == 0.0
