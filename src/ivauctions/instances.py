@@ -197,8 +197,8 @@ def gen_tight_hypergrid(n: int, c: float) -> ValuationInstance:
     """
     if n < 3:
         raise ValidationError("n must be >= 3")
-    if not c >= 1:  # NaN fails too
-        raise ValidationError("c must be >= 1")
+    if not 1 <= c < math.inf:  # NaN fails too
+        raise ValidationError("c must be >= 1 and finite")
     space = SignalSpace((1,) * n)
     idx = np.indices(space.shape)
     values = idx.astype(np.float64)
@@ -236,8 +236,8 @@ def gen_random_mech_lb(n: int, c: float) -> ValuationInstance:
     root = math.isqrt(n)
     if root * root != n:
         raise ValidationError("n must be a perfect square")
-    if not c >= 1:  # NaN fails too
-        raise ValidationError("c must be >= 1")
+    if not 1 <= c < math.inf:  # NaN fails too
+        raise ValidationError("c must be >= 1 and finite")
     groups = rand_mech_lb_groups(n)
     bounds = [(members[0], members[-1] + 1) for members in groups]  # contiguous by construction
     space = SignalSpace((1,) * (n + 1), profile_cap=2 ** (n + 2))
@@ -265,8 +265,8 @@ def gen_random_separable(n: int, k: int, c: float, seed: int) -> ValuationInstan
     v_j(s) = base_j + sum_i f_ji(s_i) with every cross increment of f_ji drawn
     at most c times the matching own increment of f_ii.
     """
-    if n < 1 or k < 1 or not c >= 1 or seed < 0:  # NaN fails c >= 1; NumPy refuses seed < 0
-        raise ValidationError("need n >= 1, k >= 1, c >= 1, seed >= 0")
+    if n < 1 or k < 1 or not 1 <= c < math.inf or seed < 0:  # NaN fails; NumPy refuses seed < 0
+        raise ValidationError("need n >= 1, k >= 1, finite c >= 1, seed >= 0")
     rng = np.random.default_rng(seed)
     space = SignalSpace((k,) * n)
     own = rng.uniform(0.25, 1.0, size=(n, k))  # own[i][t-1]: increment of f_ii at step t

@@ -665,13 +665,14 @@ def as_table(rule: Rule, v: ValuationInstance) -> AllocationTable:
 
 
 def _called_at(rule: Rule, v: ValuationInstance, flat: np.ndarray) -> np.ndarray:
-    """A winner function called at the flat grid indices ``flat``, NO_WINNER for None;
-    a winner no table could hold raises ``ValidationError``."""
+    """A winner function called at the flat grid indices ``flat``, NO_WINNER for None; winners
+    are read as ``_bidders`` reads bidders, and one no table could hold raises ValidationError."""
     out = np.empty(flat.size, dtype=np.int32)
     for lo in range(0, flat.size, _TABULATE_CHUNK):
         signals = np.unravel_index(flat[lo : lo + _TABULATE_CHUNK], v.space.shape)
         winners = map(rule, zip(*(s.tolist() for s in signals)))  # profiles as tuples of ints
-        out[lo : lo + signals[0].size] = [NO_WINNER if w is None else w for w in winners]
-    if out.min(initial=0) < NO_WINNER or out.max(initial=NO_WINNER) >= v.n:
-        raise ValidationError(f"a rule's winners must be None or bidders 0..{v.n - 1}")
+        winners = _bidders(NO_WINNER if w is None else w for w in winners)
+        if min(winners) < NO_WINNER or max(winners) >= v.n:
+            raise ValidationError(f"a rule's winners must be None or bidders 0..{v.n - 1}")
+        out[lo : lo + len(winners)] = winners
     return out

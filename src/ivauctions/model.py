@@ -171,20 +171,15 @@ class ValuationInstance:
         return self.space.n
 
     def value(self, bidder: int, profile: Sequence[int]) -> float:
-        """Bidder's value at one profile; a profile off the grid raises ValidationError."""
+        """Bidder's value at one profile: an entry of ``values_at``'s row."""
         if not 0 <= bidder < self.n:
             raise ValidationError(f"bidder {bidder} out of range")
-        p = self.space.validate_profile(profile)
-        if self.values is not None:
-            return float(self.values[(bidder,) + p])
-        return float(self.values_at_batch(np.array([p]))[0, bidder])
+        return float(self.values_at(profile)[bidder])
 
     def values_at(self, profile: Sequence[int]) -> np.ndarray:
-        """All n values at one profile; a profile off the grid raises ValidationError."""
-        p = self.space.validate_profile(profile)
-        if self.values is not None:
-            return self.values[(slice(None),) + p]
-        return self.values_at_batch(np.array([p]))[0]
+        """All n values at one profile, as one ``values_at_batch`` row (a fresh array);
+        a profile off the grid raises ValidationError."""
+        return self.values_at_batch(np.array([self.space.validate_profile(profile)]))[0]
 
     def values_at_batch(self, profiles: np.ndarray) -> np.ndarray:
         """All n values at each row of a (B, n) integer array of profiles, as (B, n).

@@ -135,27 +135,19 @@ class JointPrior:
         return self.probs[context[:i] + (slice(None),) + context[i:]]
 
     @staticmethod
-    def from_json(obj: dict, space: Optional[SignalSpace] = None) -> "JointPrior":
-        """Parse the wire form; missing or ill-typed keys raise ``ValidationError``."""
+    def from_json(obj: dict, space: SignalSpace) -> "JointPrior":
+        """Parse the wire form on ``space``, the instance's grid; missing or ill-typed
+        keys raise ``ValidationError``."""
         try:
             kind = obj.get("kind")
             if kind == "product":
                 marginals = [np.array([_json_prob(x) for x in m]) for m in obj["marginals"]]
-                sp = space or SignalSpace(tuple(len(m) - 1 for m in marginals))
-                return JointPrior(space=sp, marginals=tuple(marginals))
+                return JointPrior(space=space, marginals=tuple(marginals))
             if kind == "sparse":
                 atoms: dict[tuple, float] = {}
                 for a in obj["atoms"]:  # a repeated profile sums its atoms in file order
                     key = tuple(a["profile"])
                     atoms[key] = atoms.get(key, 0.0) + _json_prob(a["p"])
-                if space is None:
-                    if not atoms:
-                        raise ValidationError("a sparse prior without a signal space needs an atom")
-                    n = len(next(iter(atoms)))
-                    if any(len(p) != n for p in atoms):
-                        raise ValidationError("sparse prior profiles differ in length")
-                    sizes = tuple(max(1, max(p[i] for p in atoms)) for i in range(n))
-                    space = SignalSpace(sizes)
                 return JointPrior(space=space, atoms=atoms)
         except KeyError as e:
             raise ValidationError(f"prior is missing key {e}") from e
@@ -725,11 +717,14 @@ def expected_revenue(
 
 
 def _lookahead_totals(prior: JointPrior, v: ValuationInstance, rules: Sequence) -> np.ndarray:
-    """Lookahead of each of R rules, summed over the support in row-major order.
+    """Lookahead (row 0) and critical-payment revenue (row 1) of each of R rules,
+    summed over the support in row-major order.
 
     The runner-up is read from each support profile's two highest values,
     the second one when the rule's winner holds the first, so no array
-    grows with R beyond one chunk of rules.
+    grows with R beyond one chunk of rules.  The payments are
+    ``expected_payment_revenue``'s, read from the same quoted pass; they are
+    NaN where a winner has no critical signal (a rule that is not monotone).
     """
     lines = _SupportLines(prior, v)
     top = lines.values.argmax(axis=1)
@@ -741,8 +736,9 @@ def _lookahead_totals(prior: JointPrior, v: ValuationInstance, rules: Sequence) 
     for winners, quotes in _line_quotes(lines, v, rules):
         reserve = np.where(np.isnan(quotes[2]), 0.0, quotes[2])  # undefined reserves earn nothing
         runner = np.where(winners == top, second, first)
-        totals.append(_sequential_sums(lines.probs * (reserve + runner)))
-    return np.concatenate(totals)
+        paid = np.where(winners != NO_WINNER, quotes[0], 0.0)
+        totals.append(_sequential_sums(lines.probs * np.stack([reserve + runner, paid])))
+    return np.concatenate(totals, axis=1)
 
 
 def lookahead_benchmark(prior: JointPrior, v: ValuationInstance, rule: Rule) -> float:
@@ -753,7 +749,7 @@ def lookahead_benchmark(prior: JointPrior, v: ValuationInstance, rule: Rule) -> 
     reserves (possible only off the support) contribute zero.  The rule is
     read only on the lines through the support.
     """
-    return float(_lookahead_totals(prior, v, [rule])[0])
+    return float(_lookahead_totals(prior, v, [rule])[0, 0])
 
 
 def lookahead_benchmark_family(
@@ -765,7 +761,7 @@ def lookahead_benchmark_family(
     """
     _on_grid(family.v.space, v, "family")
     probs, rules = zip(*family.realizations(tuple(range(v.n))))
-    return float(_sequential_sums(np.array(probs) * _lookahead_totals(prior, v, rules)))
+    return float(_sequential_sums(np.array(probs) * _lookahead_totals(prior, v, rules)[0]))
 
 
 def expected_payment_revenue(rule: Rule, v: ValuationInstance, prior: JointPrior) -> float:

@@ -603,6 +603,94 @@ def test_missing_required_flag_is_a_usage_error(tight_file, prior_file, argv, fl
         assert all(name in error["message"] for name in names)
 
 
+@pytest.mark.parametrize(
+    "argv, kind, said",
+    [
+        (("revenue", "--instance", "PAIR"), "usage", "revenue needs --prior"),
+        (("revenue", "--instance", "PAIR", "--prior", "PRIOR", "--d", "inf"), "incompatible",
+         "infinite concavity"),
+        (("search",), "usage", "search needs an instance file"),
+        (("generate", "oil_sc", "--params", "k"), "usage", "key=value"),
+        (("generate", "oil_sc", "--params", "k=x"), "usage", "is not a number"),
+        (("run", "--instance", "TIGHT", "--mechanism", "hypergrid", "--profile", "1,x"), "usage",
+         "comma-separated integers"),
+        (("evaluate", "--instance", "NINE", "--mechanism", "random-hypergrid", "--samples", "0"),
+         "evaluate", "at least one sample"),
+    ],
+    ids=["revenue-no-prior", "revenue-d-inf", "search-no-instance", "params-no-value",
+         "params-not-a-number", "profile-not-integers", "evaluate-zero-samples"],
+)
+def test_command_errors_are_typed(tmp_path, tight_file, prior_file, argv, kind, said):
+    files = {"TIGHT": tight_file, "PRIOR": prior_file}
+    made = {"PAIR": ("two_by_two_tight", "c=2"), "NINE": ("tight_hypergrid", "n=9", "c=2")}
+    for name, (generator, *params) in made.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        assert run_cli("generate", generator, "--params", *params, "--out", files[name])[0] == 0
+    code, out, err = run_cli(*[files.get(a, a) for a in argv])
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == kind and said in error["message"], error
+
+
+def test_check_reports_a_non_monotone_instance(tmp_path):
+    """A non-monotone instance is reported, not measured: c and d stay null."""
+    path = tmp_path / "drop.json"
+    values = [[0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 1.0, 1.0]]  # v_2 drops as s_2 rises at s_1 = 0
+    path.write_text(json.dumps({"sizes": [1, 1], "values": values}))
+    code, out, err = run_cli("check", "--instance", str(path))
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["monotone"] is False and report["c"] is None and report["d"] is None
+    assert report["monotone_violations"] == [
+        {"bidder": 2, "axis": 2, "profile": [0, 1], "from": 1.0, "to": 0.5}
+    ]
+
+
+def test_infinite_c_in_a_generator_stanza_is_one_instance_error(tmp_path):
+    """JSON reads 1e309 as infinity; the generator refuses it before NumPy
+    sees it, so stderr holds the one JSON error line and no warning."""
+    path = tmp_path / "inf.json"
+    path.write_text('{"generator": "random_mech_lb", "params": {"n": 4, "c": 1e309}}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "ivauctions.cli", "check", "--instance", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "instance" and "finite" in error["message"]
+
+
+def test_evaluate_prior_settles_a_table_in_one_revenue_pass(tmp_path, monkeypatch):
+    """``evaluate --prior`` reads payments and the lookahead from one pass
+    over the support's lines, and reports what the two public calls give."""
+    from ivauctions import hypergrid_coloring, identity_permutation, revenue
+    from ivauctions.model import instance_from_json
+
+    inst, prior = tmp_path / "t.json", tmp_path / "prior.json"
+    run_cli("generate", "random_tabulated", "--params", "n=2", "k=3", "seed=1", "--out", str(inst))
+    prior.write_text(json.dumps({"kind": "product", "marginals": [[0.1, 0.2, 0.3, 0.4]] * 2}))
+    built = []
+
+    class Counted(revenue._SupportLines):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(revenue, "_SupportLines", Counted)
+    code, out, err = run_cli(
+        "evaluate", "--instance", str(inst), "--mechanism", "hypergrid", "--prior", str(prior)
+    )
+    assert code == 0, err
+    assert len(built) == 1
+    result = json.loads(out)
+    v = instance_from_json(json.loads(inst.read_text()))
+    table = hypergrid_coloring(v, identity_permutation(v.n))
+    p = revenue.JointPrior.from_json(json.loads(prior.read_text()), v.space)
+    assert result["expected_revenue"] == revenue.expected_payment_revenue(table, v, p)
+    assert result["lookahead"] == revenue.lookahead_benchmark(p, v, table)
+
+
 def test_mechlib_cap_env(tight_file, monkeypatch):
     monkeypatch.setenv("MECHLIB_CAP", "3")
     code, _, err = run_cli("search", tight_file)

@@ -4,6 +4,9 @@ import contextlib
 import importlib.util
 import io
 import os
+import re
+import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUTPUTS = ("tightness.csv", "random_bounds.csv", "revenue.csv", "summary.json")
@@ -26,3 +29,20 @@ def test_results_regenerate_byte_identical(tmp_path):
         with open(os.path.join(ROOT, "results", name), "rb") as fh:
             tracked = fh.read()
         assert (tmp_path / name).read_bytes() == tracked, name
+
+
+def test_op_digests_smoke():
+    """The op digest script sets a workload up, runs its ops and prints one
+    line per workload; a rerun prints the same line and another seed another."""
+    script = os.path.join(ROOT, "scripts", "op_digests.py")
+
+    def digest(*argv):
+        proc = subprocess.run([sys.executable, script, "--ops", "1", *argv, "revenue"],
+                              capture_output=True, text=True, cwd=ROOT)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    line = digest()
+    assert re.fullmatch(r"revenue [0-9a-f]{64}\n", line), line
+    assert digest() == line
+    assert digest("--seed", "98") != line

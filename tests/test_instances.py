@@ -179,6 +179,32 @@ def test_generator_parameter_validation():
         gen.gen_rand_c_lb(1, 2.0)
 
 
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda c: gen.gen_tight_hypergrid(3, c),
+        lambda c: gen.gen_random_mech_lb(4, c),
+        lambda c: gen.gen_random_separable(2, 1, c, seed=0),
+    ],
+    ids=["tight_hypergrid", "random_mech_lb", "random_separable"],
+)
+def test_a_non_finite_c_is_refused_by_the_generator(make, c):
+    """The generator names c itself; an infinite c used to reach NumPy (inf * 0)
+    or the instance's own finiteness check."""
+    with pytest.raises(ValidationError, match=r"\bc\b"):
+        make(c)
+
+
+def test_rand_c_lb_keeps_its_infinite_c_instance():
+    assert compute_c(gen.gen_rand_c_lb(3, math.inf)) == math.inf
+
+
+def test_load_instance_needs_values_or_a_generator():
+    with pytest.raises(ValidationError, match="'values' or 'generator'"):
+        gen.load_instance({})
+
+
 def _same_values(got, want):
     a, b = got.tabulated().values, want.tabulated().values
     return a.shape == b.shape and a.tobytes() == b.tobytes()

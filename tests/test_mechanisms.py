@@ -14,6 +14,7 @@ from ivauctions import (
     AllocationTable,
     CapExceeded,
     IncompatibleMechanism,
+    Outcome,
     SignalSpace,
     ValidationError,
     ValuationInstance,
@@ -48,7 +49,12 @@ from ivauctions.oracle import (
     monte_carlo_random_hypergrid,
     optimal_welfare,
 )
-from ivauctions.revenue import HypergridFamily
+from ivauctions.revenue import (
+    HypergridFamily,
+    expected_payment_revenue,
+    lookahead_benchmark,
+    uniform_product_prior,
+)
 
 import reference
 from reference import (
@@ -769,11 +775,11 @@ def test_random_expected_value_on_tight_instances():
     for n, c in ((4, 2.0), (5, 2.0)):
         v = gen.gen_tight_hypergrid(n, c)
         ones = (1,) * n
-        mean, per_pi = exact_random_hypergrid_stats(v, ones)
+        mean, values = exact_random_hypergrid_stats(v, ones)
         opt = optimal_welfare(v, ones)
         assert opt == (n - 1) * c
         assert mean >= opt / (2 * c) * (1 - REL)
-        assert len(per_pi) == math.factorial(n)
+        assert len(values) == math.factorial(n)
 
 
 # ---------------------------------------------------------------------------
@@ -1020,6 +1026,58 @@ def test_a_table_of_non_integer_winners_is_refused(winner):
     for dtype in (np.int8, np.uint8, np.int64):  # every integer dtype is read
         table = AllocationTable(SignalSpace((1, 1)), np.array([[0, 1], [0, 1]], dtype=dtype))
         assert table.winner.dtype == np.int32 and table((0, 1)) == 1
+
+
+@pytest.mark.parametrize(
+    "winner",
+    [
+        np.zeros((2, 2, 2), dtype=np.int32),  # a 3-bidder grid's shape
+        np.zeros((2,), dtype=np.int32),
+        np.array([[0, 1], [2, 0]]),  # no bidder 2 of 2
+        np.array([[0, 1], [-2, 0]]),  # below NO_WINNER
+    ],
+    ids=["extra-axis", "flat", "past-last-bidder", "below-no-winner"],
+)
+def test_a_table_of_the_wrong_shape_or_bidders_is_refused(winner):
+    with pytest.raises(ValidationError):
+        AllocationTable(SignalSpace((1, 1)), winner)
+
+
+@pytest.mark.parametrize(
+    "winner, payment", [(None, 0.5), (0, -0.5)], ids=["pay-without-winner", "negative"]
+)
+def test_an_inconsistent_outcome_is_refused(winner, payment):
+    with pytest.raises(ValidationError):
+        Outcome(winner=winner, payment=payment, critical_signal=None)
+
+
+@pytest.mark.parametrize(
+    "answer",
+    [0.7, 1.9, 2**40, -2, "1", np.True_],
+    ids=["0.7", "1.9", "2**40", "minus-2", "string-1", "numpy-true"],
+)
+def test_a_rule_answer_that_is_not_a_bidder_is_refused(answer):
+    """A function rule's winners are read as bidders are: 0.7 and 1.9 were
+    truncated to bidders 0 and 1, 2**40 overflowed the int32 store and "1"
+    was parsed by NumPy.  Every reader of function rules refuses them."""
+    v = gen.gen_random_separable(2, 1, 2.0, seed=3)
+    prior = uniform_product_prior(v.space)
+    rule = lambda p: answer
+    with pytest.raises(ValidationError):
+        as_table(rule, v)
+    with pytest.raises(ValidationError):
+        lookahead_benchmark(prior, v, rule)
+    with pytest.raises(ValidationError):
+        expected_payment_revenue(rule, v, prior)
+
+
+def test_a_rule_answering_true_names_bidder_1():
+    """``True`` is bidder 1, as it is signal 1; None is no winner."""
+    v = gen.gen_random_separable(2, 1, 2.0, seed=3)
+    assert as_table(lambda p: True, v).winner.tolist() == [[1, 1], [1, 1]]
+    assert as_table(lambda p: None if p == (0, 0) else np.int64(0), v).winner.tolist() == [
+        [NO_WINNER, 0], [0, 0]
+    ]
 
 
 def test_tabulating_a_function_above_the_cap_is_refused():

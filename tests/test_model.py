@@ -100,6 +100,35 @@ def test_instance_rejects_nonfinite_and_negative():
         ValuationInstance(space=sp, values=np.array([[0.0, -0.5]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_table_holding_a_non_finite_value_is_refused(bad):
+    values = np.ones((2, 2, 2))
+    values[1, 0, 1] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        ValuationInstance(space=SignalSpace((1, 1)), values=values)
+
+
+@pytest.mark.parametrize("past_last", [False, True], ids=["negative", "past-last"])
+def test_value_refuses_a_bidder_out_of_range(past_last):
+    v, _, _ = gen.gen_random_tabulated(2, 3, seed=1)
+    lb = gen.gen_random_mech_lb(4, 2.0)  # evaluator-backed
+    for inst, p in ((v, (1, 2)), (lb, (1,) * 5)):
+        with pytest.raises(ValidationError, match="out of range"):
+            inst.value(inst.n if past_last else -1, p)
+
+
+def test_value_and_values_at_read_one_batch_row():
+    """Both representations answer ``value`` and ``values_at`` from one
+    ``values_at_batch`` row, and ``values_at`` hands out a fresh array."""
+    v, _, _ = gen.gen_random_tabulated(2, 3, seed=1)
+    lb = gen.gen_random_mech_lb(4, 2.0)
+    for inst, p in ((v, (1, 2)), (lb, (1, 1, 1, 1, 0))):
+        row = inst.values_at_batch(np.array([p]))[0]
+        got = inst.values_at(p)
+        assert got.tolist() == row.tolist() and got.flags.writeable
+        assert [inst.value(i, p) for i in range(inst.n)] == row.tolist()
+
+
 def test_oracle_backed_refuses_tabulation_above_cap():
     sp = SignalSpace((1,) * 30, profile_cap=2**40)
     v = ValuationInstance(  # every bidder's value is the signal sum

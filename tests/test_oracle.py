@@ -206,8 +206,8 @@ def test_cap_counts_complete_tables_exactly(v):
 def test_exact_stats_single_bidder():
     sp = SignalSpace((2,))
     v = ValuationInstance(space=sp, values=np.array([[0.0, 3.0, 5.0]]))
-    mean, per_pi = exact_random_hypergrid_stats(v, (1,))
-    assert mean == 3.0 and per_pi == {(0,): 3.0}
+    mean, values = exact_random_hypergrid_stats(v, (1,))
+    assert mean == 3.0 and values.tolist() == [3.0] and values.dtype == np.float64
 
 
 def _with_lone_top_test(finite_c_corpus):
@@ -218,7 +218,8 @@ def _with_lone_top_test(finite_c_corpus):
 
 
 def test_exact_stats_match_grid_tables(finite_c_corpus):
-    """Per-ordering values of the n! oracle equal the materialized grid tables.
+    """Per-ordering values of the n! oracle, in ``permutations`` order, equal the
+    materialized grid tables.
 
     The oracle walks the lazy chain's entry table; this ties it to the table
     builder, which shares no chain code with it.
@@ -229,9 +230,9 @@ def test_exact_stats_match_grid_tables(finite_c_corpus):
             continue
         tables = {pi: hypergrid_coloring(v, pi, c=c) for pi in permutations(range(v.n))}
         for s in v.space.profiles():
-            _, per_pi = exact_random_hypergrid_stats(v, s, c=c)
-            for pi, table in tables.items():
-                assert per_pi[pi] == v.value(table(s), s), (name, pi, s)
+            _, values = exact_random_hypergrid_stats(v, s, c=c)
+            for (pi, table), x in zip(tables.items(), values.tolist(), strict=True):
+                assert x == v.value(table(s), s), (name, pi, s)
                 checked += 1
     assert checked > 10_000
 
@@ -249,11 +250,11 @@ def test_exact_stats_mean_is_the_sequential_sum():
     """The n! mean adds the per-ordering values left to right on every Python
     version (3.12's ``sum`` of floats is compensated)."""
     v = gen.gen_random_separable(7, 1, 2.0, seed=3)
-    mean, per_pi = exact_random_hypergrid_stats(v, (1, 0, 1, 1, 0, 1, 1))
+    mean, values = exact_random_hypergrid_stats(v, (1, 0, 1, 1, 0, 1, 1))
     total = 0.0
-    for x in per_pi.values():
+    for x in values.tolist():
         total += x
-    assert len(per_pi) == math.factorial(7)
+    assert values.shape == (math.factorial(7),)
     assert mean == total / math.factorial(7)
 
 
@@ -313,9 +314,9 @@ def test_monte_carlo_matches_scalar_draws_across_chunks(monkeypatch):
 def test_exact_stats_match_scalar_chain():
     v, c, _ = gen.gen_random_tabulated(5, 1, seed=31)
     for s in [(1, 1, 1, 1, 1), (0, 1, 0, 1, 1)]:
-        mean, per_pi = exact_random_hypergrid_stats(v, s)
+        mean, values = exact_random_hypergrid_stats(v, s)
         expected = {pi: v.value(lazy_winner(v, pi, s, c=c), s) for pi in permutations(range(5))}
-        assert per_pi == expected and list(per_pi) == list(expected)
+        assert values.tolist() == list(expected.values())
         assert mean == sum(expected.values()) / len(expected)
 
 
@@ -335,13 +336,14 @@ def _twin_profiles(finite_c_corpus):
 
 
 def test_exact_stats_match_the_chain_twin(finite_c_corpus):
-    """The entry-table walk gives the n! batch's mean, per-ordering values and key order."""
+    """The entry-table walk gives the n! batch's mean and per-ordering values, in
+    ``permutations`` order."""
     checked = 0
     for name, v, c, s in _twin_profiles(finite_c_corpus):
-        mean, per_pi = exact_random_hypergrid_stats(v, s, c=c)
+        mean, values = exact_random_hypergrid_stats(v, s, c=c)
         twin_mean, twin = exact_stats_by_chain(v, s, c=c)
-        assert mean == twin_mean and per_pi == twin, (name, s)
-        assert list(per_pi) == list(twin)
+        assert mean == twin_mean and values.tolist() == list(twin.values()), (name, s)
+        assert list(twin) == list(permutations(range(v.n)))
         checked += 1
     assert checked > 10_000
 
@@ -375,6 +377,13 @@ def test_exact_counts_edges():
     wide = gen.gen_random_mech_lb(16, 2.0)  # 17 bidders
     with pytest.raises(CapExceeded):
         exact_random_hypergrid_counts(wide, (1,) * 17, c=2.0)
+
+
+def test_exact_stats_refuse_nine_bidders():
+    """The n! walk stops at n = 8; nine bidders are the Monte Carlo path's."""
+    v = gen.gen_tight_hypergrid(9, 2.0)
+    with pytest.raises(CapExceeded, match="n <= 8"):
+        exact_random_hypergrid_stats(v, (1,) * 9, c=2.0)
 
 
 @pytest.mark.parametrize("oracle_fn", [exact_random_hypergrid_stats, exact_random_hypergrid_counts])

@@ -82,8 +82,7 @@ def test_prior_validation():
 def test_prior_json_roundtrip():
     sp = SignalSpace((1, 2))
     prior = uniform_product_prior(sp)
-    back = JointPrior.from_json({"kind": "product", "marginals": [[1 / 2] * 2, [1 / 3] * 3]})
-    assert back.space.sizes == sp.sizes
+    back = JointPrior.from_json({"kind": "product", "marginals": [[1 / 2] * 2, [1 / 3] * 3]}, sp)
     assert back.prob((1, 2)) == pytest.approx(prior.prob((1, 2)))
     wire = {"kind": "sparse", "atoms": [{"profile": [0, 2], "p": 0.5}, {"profile": [1, 0], "p": 0.5}]}
     back = JointPrior.from_json(wire, space=sp)
@@ -107,13 +106,28 @@ def test_prior_json_roundtrip():
         {"kind": "sparse", "atoms": [{"profile": [0, 1], "p": True}]},
         {"kind": "product", "marginals": [["0.5", "0.5"], [0.5, 0.5]]},
         {"kind": "product", "marginals": [[True, False], [0.5, 0.5]]},
-        # sparse profiles of different lengths, with no space to check them against
+        # sparse profiles of different lengths: one is off the grid
         {"kind": "sparse", "atoms": [{"profile": [0, 0], "p": 0.5}, {"profile": [1], "p": 0.5}]},
+        {"kind": "dense", "probs": [0.25] * 4},  # no such kind
     ],
 )
 def test_prior_json_malformed_is_a_validation_error(obj):
     with pytest.raises(ValidationError):
-        JointPrior.from_json(obj)
+        JointPrior.from_json(obj, SignalSpace((1, 1)))
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        {},
+        {"marginals": (np.array([0.5, 0.5]), np.array([1 / 3] * 3))},
+        {"marginals": (np.array([1.0]), np.array([0.5, 0.5]))},
+    ],
+    ids=["neither", "marginal-too-long", "marginal-too-short"],
+)
+def test_a_prior_needs_one_source_on_its_grid(parts):
+    with pytest.raises(ValidationError):
+        JointPrior(space=SignalSpace((1, 1)), **parts)
 
 
 def test_line_probs_product():
@@ -632,6 +646,13 @@ def test_family_worst_ratio_covers_submarkets():
     alpha = family_worst_ratio(fam, v)
     c = compute_c(v)
     assert 1.0 <= alpha <= c * (1 + REL)
+
+
+def test_family_worst_ratio_needs_a_deterministic_family():
+    v = gen.gen_rand_c_lb(3, 2.0)
+    with pytest.raises(ValidationError, match="deterministic"):
+        family_worst_ratio(HypergridFamily(v), v)
+    assert family_worst_ratio(HypergridFamily(v, pi=(0, 1, 2)), v) >= 1.0
 
 
 def test_high_if_possible_family_equals_restricted_reference(finite_c_corpus):
