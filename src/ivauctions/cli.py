@@ -402,8 +402,8 @@ def cmd_evaluate(args) -> dict:
         on = np.flatnonzero(prior.probs)  # the support, row-major
         result["expected_welfare"] = float(_sequential_sums(prior.probs.flat[on] * won[on]))
         if table is not None:
-            look, rev = revenue._lookahead_totals(prior, v, [table])[:, 0].tolist()  # one pass
-            result["expected_revenue"], result["lookahead"] = rev, look
+            rev = result["expected_revenue"] = revenue.expected_payment_revenue(table, v, prior)
+            look = result["lookahead"] = revenue.lookahead_benchmark(prior, v, table)
             result["revenue_ratio"] = _num(look / rev) if rev > 0 else "INFINITE"
     if args.format == "csv":
         _emit_csv(per_profile, ["profile", shown, "ratio"], args.out)

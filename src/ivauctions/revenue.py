@@ -717,14 +717,11 @@ def expected_revenue(
 
 
 def _lookahead_totals(prior: JointPrior, v: ValuationInstance, rules: Sequence) -> np.ndarray:
-    """Lookahead (row 0) and critical-payment revenue (row 1) of each of R rules,
-    summed over the support in row-major order.
+    """Lookahead of each of R rules, summed over the support in row-major order.
 
     The runner-up is read from each support profile's two highest values,
     the second one when the rule's winner holds the first, so no array
-    grows with R beyond one chunk of rules.  The payments are
-    ``expected_payment_revenue``'s, read from the same quoted pass; they are
-    NaN where a winner has no critical signal (a rule that is not monotone).
+    grows with R beyond one chunk of rules.
     """
     lines = _SupportLines(prior, v)
     top = lines.values.argmax(axis=1)
@@ -736,9 +733,8 @@ def _lookahead_totals(prior: JointPrior, v: ValuationInstance, rules: Sequence) 
     for winners, quotes in _line_quotes(lines, v, rules):
         reserve = np.where(np.isnan(quotes[2]), 0.0, quotes[2])  # undefined reserves earn nothing
         runner = np.where(winners == top, second, first)
-        paid = np.where(winners != NO_WINNER, quotes[0], 0.0)
-        totals.append(_sequential_sums(lines.probs * np.stack([reserve + runner, paid])))
-    return np.concatenate(totals, axis=1)
+        totals.append(_sequential_sums(lines.probs * (reserve + runner)))
+    return np.concatenate(totals)
 
 
 def lookahead_benchmark(prior: JointPrior, v: ValuationInstance, rule: Rule) -> float:
@@ -749,7 +745,7 @@ def lookahead_benchmark(prior: JointPrior, v: ValuationInstance, rule: Rule) -> 
     reserves (possible only off the support) contribute zero.  The rule is
     read only on the lines through the support.
     """
-    return float(_lookahead_totals(prior, v, [rule])[0, 0])
+    return float(_lookahead_totals(prior, v, [rule])[0])
 
 
 def lookahead_benchmark_family(
@@ -761,7 +757,7 @@ def lookahead_benchmark_family(
     """
     _on_grid(family.v.space, v, "family")
     probs, rules = zip(*family.realizations(tuple(range(v.n))))
-    return float(_sequential_sums(np.array(probs) * _lookahead_totals(prior, v, rules)[0]))
+    return float(_sequential_sums(np.array(probs) * _lookahead_totals(prior, v, rules)))
 
 
 def expected_payment_revenue(rule: Rule, v: ValuationInstance, prior: JointPrior) -> float:

@@ -661,36 +661,6 @@ def test_infinite_c_in_a_generator_stanza_is_one_instance_error(tmp_path):
     assert error["type"] == "instance" and "finite" in error["message"]
 
 
-def test_evaluate_prior_settles_a_table_in_one_revenue_pass(tmp_path, monkeypatch):
-    """``evaluate --prior`` reads payments and the lookahead from one pass
-    over the support's lines, and reports what the two public calls give."""
-    from ivauctions import hypergrid_coloring, identity_permutation, revenue
-    from ivauctions.model import instance_from_json
-
-    inst, prior = tmp_path / "t.json", tmp_path / "prior.json"
-    run_cli("generate", "random_tabulated", "--params", "n=2", "k=3", "seed=1", "--out", str(inst))
-    prior.write_text(json.dumps({"kind": "product", "marginals": [[0.1, 0.2, 0.3, 0.4]] * 2}))
-    built = []
-
-    class Counted(revenue._SupportLines):
-        def __init__(self, *args):
-            built.append(1)
-            super().__init__(*args)
-
-    monkeypatch.setattr(revenue, "_SupportLines", Counted)
-    code, out, err = run_cli(
-        "evaluate", "--instance", str(inst), "--mechanism", "hypergrid", "--prior", str(prior)
-    )
-    assert code == 0, err
-    assert len(built) == 1
-    result = json.loads(out)
-    v = instance_from_json(json.loads(inst.read_text()))
-    table = hypergrid_coloring(v, identity_permutation(v.n))
-    p = revenue.JointPrior.from_json(json.loads(prior.read_text()), v.space)
-    assert result["expected_revenue"] == revenue.expected_payment_revenue(table, v, p)
-    assert result["lookahead"] == revenue.lookahead_benchmark(p, v, table)
-
-
 def test_mechlib_cap_env(tight_file, monkeypatch):
     monkeypatch.setenv("MECHLIB_CAP", "3")
     code, _, err = run_cli("search", tight_file)
