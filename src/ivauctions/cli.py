@@ -421,7 +421,12 @@ def cmd_search(args) -> dict:
         report = oracle.best_monotone_ratio(v.tabulated(), cap=args.cap)
     except CapExceeded as e:
         raise CliError("cap", str(e))
-    obj = report.to_json()
+    obj = {
+        "best_ratio": _num(report.best_ratio),
+        "tables_scanned": report.tables_scanned,
+        "monotone_count": report.monotone_count,
+        "has_witness": report.witness_table is not None,
+    }
     if args.witness and report.witness_table is not None:
         _write(_dumps(report.witness_table.to_json()), args.witness)
     _emit(obj, args.out)

@@ -219,8 +219,6 @@ def rand_mech_lb_groups(n: int) -> list[list[int]]:
     if size < 1 or size > n:
         raise ValidationError(f"group size {size} infeasible for n={n}")
     count = n // size
-    if count < 1:
-        raise ValidationError("parameters yield zero groups")
     groups = [list(range(g * size, (g + 1) * size)) for g in range(count)]
     groups[-1].extend(range(count * size, n))
     return groups

@@ -84,22 +84,6 @@ class AllocationTable:
             "winner": [None if w == NO_WINNER else w + 1 for w in flat],
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "AllocationTable":
-        """Parse the wire form: ``sizes``, and one row-major ``winner`` per profile,
-        a JSON integer 1..n or null.  Anything else raises ``ValidationError``."""
-        if not all(isinstance(obj.get(key), list) for key in ("sizes", "winner")):
-            raise ValidationError("table JSON needs the lists 'sizes' and 'winner'")
-        space = SignalSpace(tuple(obj["sizes"]))
-        flat = obj["winner"]
-        if len(flat) != space.profile_count:
-            raise ValidationError(f"expected {space.profile_count} winners, got {len(flat)}")
-        for w in flat:
-            if w is not None and (type(w) is not int or not 1 <= w <= space.n):
-                raise ValidationError(f"winner {w!r} is not null or a bidder 1..{space.n}")
-        arr = np.array([NO_WINNER if w is None else w - 1 for w in flat], dtype=np.int32)
-        return AllocationTable(space=space, winner=arr.reshape(space.shape))
-
 
 @dataclass(frozen=True)
 class Outcome:

@@ -88,13 +88,6 @@ class SignalSpace:
         """All profiles in row-major order (last coordinate fastest)."""
         return itertools.product(*map(range, self.shape))
 
-    def index_of(self, profile: Sequence[int]) -> int:
-        """Row-major index: sum_i s_i * prod_{j>i} (k_j + 1).  Part of the JSON contract."""
-        idx = 0
-        for s, size in zip(profile, self.shape):
-            idx = idx * size + int(s)
-        return idx
-
     def validate_profile(self, profile: Sequence[int]) -> tuple[int, ...]:
         """``profile`` as a tuple of ints on the grid; anything else raises ValidationError.
 

@@ -35,7 +35,6 @@ from .model import (
     ValuationInstance,
     _sample_count,
     _sequential_sums,
-    compute_c,
     mean_and_stderr,
 )
 
@@ -64,14 +63,6 @@ class SearchReport:
     witness_table: Optional[AllocationTable]
     tables_scanned: int
     monotone_count: int
-
-    def to_json(self) -> dict:
-        return {
-            "best_ratio": "INFINITE" if math.isinf(self.best_ratio) else self.best_ratio,
-            "tables_scanned": self.tables_scanned,
-            "monotone_count": self.monotone_count,
-            "has_witness": self.witness_table is not None,
-        }
 
 
 #: Most partial tables one frontier step extends.
@@ -147,13 +138,11 @@ def _monotone_tables(
 
 
 def enumerate_monotone_tables(v: ValuationInstance, cap: int = DEFAULT_PROFILE_CAP) -> Iterator[np.ndarray]:
-    """Yield a copy of every fully-assigned monotone winner table (flat, row-major, int32).
-
-    Tables come in lexicographic order, bidder 0 first at each cell.
-    """
+    """Yield every fully-assigned monotone winner table (flat, row-major, int32):
+    the rows of one int32 copy per search block, in lexicographic order, bidder
+    0 first at each cell."""
     for tables, _ in _monotone_tables(v, cap, np.ones((v.n, v.space.profile_count)), [0]):
-        for table in tables:
-            yield table.astype(np.int32)
+        yield from tables.astype(np.int32)
 
 
 def best_monotone_ratio(v: ValuationInstance, cap: int = DEFAULT_PROFILE_CAP) -> SearchReport:
@@ -262,7 +251,7 @@ def monte_carlo_random_hypergrid(
     """
     samples = _sample_count(samples)
     p = v.space.validate_profile(s)
-    c = compute_c(v) if c is None else c
+    c = _required_c(v, c)
     rng = random.Random(seed)
     order = list(range(v.n))
     worth = v.values_at(p).tolist()

@@ -101,8 +101,9 @@ def _chain(v, order, p, c, trace):
 
 def exact_stats_by_chain(
     v: ValuationInstance, s: Sequence[int], c: Optional[float] = None
-) -> tuple[float, dict[tuple[int, ...], float]]:
-    """Average winner value at s over all n! orderings of the grid mechanism.
+) -> tuple[float, dict[tuple[int, ...], float], np.ndarray]:
+    """Average winner value at s over all n! orderings of the grid mechanism, the
+    winner value per ordering, and the batch's winners in ``permutations`` order.
 
     All orderings run as one batch of the lazy chain, with c measured once.
     """
@@ -111,11 +112,11 @@ def exact_stats_by_chain(
     p = v.space.validate_profile(s)
     orders = list(permutations(range(v.n)))
     c = compute_c(v) if c is None else c
-    winners = lazy_winners(v, orders, p, c=c).tolist()
+    winners = lazy_winners(v, orders, p, c=c)
     worth = v.values_at(p).tolist()
-    per_pi = {pi: worth[w] for pi, w in zip(orders, winners)}
+    per_pi = {pi: worth[w] for pi, w in zip(orders, winners.tolist())}
     mean = sum(per_pi.values()) / len(per_pi)
-    return mean, per_pi
+    return mean, per_pi, winners
 
 
 def check_hypergrid_internal_chain(

@@ -331,23 +331,24 @@ def test_criterion_11_structural_properties(finite_c_corpus):
                         for si in range(s[i] + 1, v.space.sizes[i] + 1):
                             q[i] = si
                             tq = tuple(q)
-                            assert v.value(j, tq) <= alpha * alpha_pad * v.value(i, tq), (name, i, j, s)
+                            assert dense[(j,) + tq] <= alpha * alpha_pad * dense[(i,) + tq], (name, i, j, s)
                     else:
                         # and strict failure survives lowering it
                         q = list(s)
                         for si in range(s[i]):
                             q[i] = si
                             tq = tuple(q)
-                            assert v.value(j, tq) > alpha / alpha_pad * v.value(i, tq), (name, i, j, s)
+                            assert dense[(j,) + tq] > alpha / alpha_pad * dense[(i,) + tq], (name, i, j, s)
     # the third-party additive-c sweep is quadratic in profiles; smaller entries only
     for name, v, c, _ in finite_c_corpus:
         if v.space.profile_count > 700 or v.n < 2:
             continue
+        dense = v.values
         alpha = c * alpha_pad
         for s in v.space.profiles():
             for i in range(v.n):
                 for j in range(v.n):
-                    if i == j or v.value(j, s) > alpha * v.value(i, s):
+                    if i == j or dense[(j,) + s] > alpha * dense[(i,) + s]:
                         continue
                     for ell in range(v.n):
                         if ell == j:
@@ -356,8 +357,8 @@ def test_criterion_11_structural_properties(finite_c_corpus):
                         for sl in range(s[ell] + 1, v.space.sizes[ell] + 1):
                             q[ell] = sl
                             tq = tuple(q)
-                            covered = max(v.value(i, tq), v.value(ell, tq))
-                            assert v.value(j, tq) <= (alpha + c) * covered * alpha_pad, (
+                            covered = max(dense[(i,) + tq], dense[(ell,) + tq])
+                            assert dense[(j,) + tq] <= (alpha + c) * covered * alpha_pad, (
                                 name, i, j, ell, s,
                             )
     # internal chain invariants across runs

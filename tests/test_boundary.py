@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import ivauctions
-from ivauctions import cli, mechanisms, revenue
+from ivauctions import cli, mechanisms, oracle, revenue
 
 PACKAGE = Path(ivauctions.__file__).parent
 
@@ -144,3 +144,15 @@ def test_the_names_the_benchmark_reaches_are_kept():
     assert callable(mechanisms.critical_signal_scan)
     v = ivauctions.instances.gen_random_separable(3, 2, 1.5, seed=1)
     assert len(ivauctions.concavity_report(v).witness) == 4
+
+
+def test_the_names_only_tests_read_are_gone():
+    """No table parser (the CLI writes tables and never reads one), no profile
+    index helper (NumPy's ``ravel_multi_index`` is the row-major contract), no
+    search-report serializer (the CLI alone writes ``"INFINITE"``), and the
+    oracles resolve c through one rule."""
+    assert not hasattr(mechanisms.AllocationTable, "from_json")
+    assert not hasattr(mechanisms.SignalSpace, "index_of")
+    assert not hasattr(oracle.SearchReport, "to_json")
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    assert "compute_c" not in set(_imported_names(tree))

@@ -325,6 +325,19 @@ def test_search_subcommand(tmp_path):
     assert len(table["winner"]) == 4
 
 
+def test_search_without_a_finite_table_reports_infinite(tmp_path):
+    """Bidder 0 must win at (0, 1), so monotonicity hands it (1, 1), where it
+    is worth 0: every monotone table has an infinite ratio and none is a witness."""
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({"sizes": [1, 1], "values": [[1, 1, 1, 0], [1, 0, 1, 1]]}))
+    witness = tmp_path / "witness.json"
+    code, out, _ = run_cli("search", str(path), "--witness", str(witness))
+    assert code == 0 and not witness.exists()
+    assert json.loads(out) == {
+        "best_ratio": "INFINITE", "tables_scanned": 15, "monotone_count": 6, "has_witness": False,
+    }
+
+
 def test_revenue_subcommand(tmp_path, prior_file):
     path = tmp_path / "t22.json"
     run_cli("generate", "two_by_two_tight", "--params", "c=2", "--out", str(path))

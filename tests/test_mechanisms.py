@@ -988,28 +988,9 @@ def test_scale_invariance(seed, factor):
 
 def test_table_json_roundtrip():
     v = gen.gen_two_by_two_tight(2.0)
-    table = two_bidder_coloring(v)
-    obj = table.to_json()
+    obj = two_bidder_coloring(v).to_json()
+    assert obj["sizes"] == [1, 1]
     assert obj["winner"] == [1, 1, 1, 1]  # 1-based on the wire
-    back = AllocationTable.from_json(obj)
-    assert np.array_equal(back.winner, table.winner)
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        {"winner": [1, 1, 1, 1]},  # no sizes
-        {"sizes": [1, 1]},  # no winners
-        {"sizes": [1, 1], "winner": [1, 1, 1]},  # short
-        {"sizes": [1, 1], "winner": [1, 1, 1, 0]},  # 0 is not a bidder on the wire
-        {"sizes": [1, 1], "winner": [1, 1, 1, 1.7]},
-        {"sizes": [1, 1], "winner": [1, 1, 1, "2"]},
-        {"sizes": [1, 1], "winner": [1, 1, 1, True]},
-    ],
-)
-def test_table_json_malformed_is_a_validation_error(obj):
-    with pytest.raises(ValidationError):
-        AllocationTable.from_json(obj)
 
 
 @pytest.mark.parametrize(

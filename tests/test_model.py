@@ -62,7 +62,7 @@ def test_row_major_index_contract():
             for j in range(i + 1, len(shape)):
                 stride *= shape[j]
             manual += s * stride
-        assert manual == idx == sp.index_of(p)
+        assert manual == idx == np.ravel_multi_index(p, sp.shape)
 
 
 def test_json_roundtrip_row_major():
@@ -70,7 +70,7 @@ def test_json_roundtrip_row_major():
     obj = instance_to_json(v)
     # spot-check the flat layout against the index formula
     sp = v.space
-    assert obj["values"][1][sp.index_of((2, 0, 0))] == pytest.approx(0.007436)
+    assert obj["values"][1][np.ravel_multi_index((2, 0, 0), sp.shape)] == pytest.approx(0.007436)
     back = instance_from_json(obj)
     assert np.array_equal(back.values, v.values)
 
@@ -198,7 +198,7 @@ def test_profiles_come_in_row_major_order(sizes):
     space = SignalSpace(sizes)
     got = list(space.profiles())
     assert got == list(np.ndindex(*space.shape))
-    assert [space.index_of(p) for p in got] == list(range(space.profile_count))
+    assert [np.ravel_multi_index(p, space.shape) for p in got] == list(range(space.profile_count))
     assert all(type(s) is int for p in got for s in p)
 
 

@@ -21,7 +21,6 @@ from ivauctions import (
     exact_random_hypergrid_stats,
     hypergrid_coloring,
     lazy_winner,
-    lazy_winners,
     monte_carlo_random_hypergrid,
     optimal_welfare,
     two_bidder_coloring,
@@ -336,25 +335,21 @@ def _twin_profiles(finite_c_corpus):
 
 
 def test_exact_stats_match_the_chain_twin(finite_c_corpus):
-    """The entry-table walk gives the n! batch's mean and per-ordering values, in
-    ``permutations`` order."""
+    """One n! batch of the chain per profile: the entry-table walk gives its mean
+    and per-ordering values, in ``permutations`` order, and the subset DP's
+    counts are the tally of its winners."""
     checked = 0
     for name, v, c, s in _twin_profiles(finite_c_corpus):
         mean, values = exact_random_hypergrid_stats(v, s, c=c)
-        twin_mean, twin = exact_stats_by_chain(v, s, c=c)
+        twin_mean, twin, winners = exact_stats_by_chain(v, s, c=c)
         assert mean == twin_mean and values.tolist() == list(twin.values()), (name, s)
         assert list(twin) == list(permutations(range(v.n)))
-        checked += 1
-    assert checked > 10_000
-
-
-def test_exact_counts_match_the_chain_twin(finite_c_corpus):
-    """The subset DP's counts are the tally of the n! batch's winners."""
-    for name, v, c, s in _twin_profiles(finite_c_corpus):
         counts = exact_random_hypergrid_counts(v, s, c=c)
-        tally = Counter(lazy_winners(v, list(permutations(range(v.n))), s, c=c).tolist())
+        tally = Counter(winners.tolist())
         assert counts.dtype == np.int64 and counts.shape == (v.n,)
         assert counts.tolist() == [tally[b] for b in range(v.n)], (name, s)
+        checked += 1
+    assert checked > 10_000
 
 
 @pytest.mark.parametrize("n", [10, 12])
@@ -386,8 +381,15 @@ def test_exact_stats_refuse_nine_bidders():
         exact_random_hypergrid_stats(v, (1,) * 9, c=2.0)
 
 
-@pytest.mark.parametrize("oracle_fn", [exact_random_hypergrid_stats, exact_random_hypergrid_counts])
+def _monte_carlo_of_ten(v, s, c=None):
+    return monte_carlo_random_hypergrid(v, s, samples=10, seed=0, c=c)
+
+
+@pytest.mark.parametrize(
+    "oracle_fn", [exact_random_hypergrid_stats, exact_random_hypergrid_counts, _monte_carlo_of_ten]
+)
 def test_exact_oracles_reject_unusable_c(oracle_fn):
+    """Every ordering oracle resolves c by the one rule, Monte Carlo included."""
     no_c = gen.gen_rand_impossibility(3)
     with pytest.raises(IncompatibleMechanism):
         oracle_fn(no_c, (1, 1, 1))
