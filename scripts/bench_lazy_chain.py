@@ -73,17 +73,17 @@ def _cases():
     return cases
 
 
-def worker(src: str) -> dict:
-    """Median time per call of each case on the package under ``src``, at wall
-    speed and at the reference speed of ``perfbench/reference.py``."""
+def worker(src: str, cases=_cases) -> dict:
+    """Median time per call of each of ``cases()`` on the package under ``src``, at
+    wall speed and at the reference speed of ``perfbench/reference.py``."""
     sys.path.insert(0, src)
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import numpy as np
     from reference import slowness
 
     out = {}
-    for name, unit, calls in _cases():
-        winners = [np.asarray(call()).tolist() for call in calls]  # warm-up, and what to digest
+    for name, unit, calls in cases():
+        outputs = [np.asarray(call()).tolist() for call in calls]  # warm-up, and what to digest
         times = []
         before = slowness()
         for _ in range(REPEATS):
@@ -96,7 +96,7 @@ def worker(src: str) -> dict:
             "unit": unit,
             "median": wall / math.sqrt(before * slowness()),
             "wall_median": wall,
-            "digest": hashlib.sha256(repr(winners).encode()).hexdigest()[:16],
+            "digest": hashlib.sha256(repr(outputs).encode()).hexdigest()[:16],
         }
     return out
 
@@ -119,15 +119,16 @@ def _hardware() -> dict:
             "numpy": numpy.__version__}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def main(argv=None, script=__file__, cases=_cases, out="BENCH_lazy_chain.json", doc=__doc__) -> int:
+    """Time ``cases`` on each ``--src`` tree in worker runs of ``script``; write ``out``."""
+    ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     ap.add_argument("--src", action="append", metavar="LABEL=DIR",
                     help="a source tree to time (repeatable; default: tree=<this checkout>/src)")
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_lazy_chain.json"))
+    ap.add_argument("--out", default=os.path.join(ROOT, out))
     ap.add_argument("--worker", metavar="DIR", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
-        json.dump(worker(args.worker), sys.stdout)
+        json.dump(worker(args.worker, cases), sys.stdout)
         return 0
     trees = []
     for spec in args.src or [f"tree={os.path.join(ROOT, 'src')}"]:
@@ -138,7 +139,7 @@ def main(argv=None) -> int:
     runs = {label: [] for label, _ in trees}
     for r in range(ROUNDS):
         for label, src in trees if r % 2 == 0 else trees[::-1]:
-            cmd = [sys.executable, os.path.abspath(__file__), "--worker", src]
+            cmd = [sys.executable, os.path.abspath(script), "--worker", src]
             res = subprocess.run(cmd, capture_output=True, text=True,
                                  env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
             if res.returncode:
@@ -148,7 +149,7 @@ def main(argv=None) -> int:
     first = trees[0][0]
     names = list(runs[first][0])
     report = {
-        "script": "scripts/bench_lazy_chain.py",
+        "script": os.path.relpath(os.path.abspath(script), ROOT),
         "hardware": _hardware(),
         "rounds": ROUNDS,
         "repeats": REPEATS,
@@ -178,7 +179,7 @@ def main(argv=None) -> int:
         print(label, {name: report["trees"][label][name]["median"] for name in names})
     digests = {label: [report["trees"][label][n]["digest"] for n in names] for label, _ in trees}
     if len({tuple(d) for d in digests.values()}) > 1:
-        print("winners differ between trees", file=sys.stderr)
+        print("outputs differ between trees", file=sys.stderr)
         return 1
     return 0
 

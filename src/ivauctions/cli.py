@@ -27,6 +27,7 @@ import numpy as np
 
 from . import instances, oracle, revenue
 from .mechanisms import (
+    NO_WINNER,
     IncompatibleMechanism,
     _ratios,
     _winner_values,
@@ -102,10 +103,14 @@ def _num(x: float):
 
 def _load_json_file(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise CliError("io", f"file not found: {path}")
+    except OSError as e:  # a directory, an unreadable file
+        raise CliError("io", f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise CliError("parse", f"{path}: not UTF-8 text at byte {e.start}")
     except json.JSONDecodeError as e:
         raise CliError("parse", f"{path}: line {e.lineno} column {e.colno}: {e.msg}")
 
@@ -180,15 +185,32 @@ def _emit(obj: dict, out: Optional[str]):
 def _dumps(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, without its per-item generators.
 
-    A list of records with the same keys is rendered through one row template,
-    each column's cells encoded in one pass; any shape or type not handled here
-    falls back to the stdlib encoder for that subtree.  Any error is left to the
-    stdlib encoder on the whole object, so it raises exactly what it raises.
+    A list is rendered column by column (see ``_layout``); any shape or type not
+    handled here falls back to the stdlib encoder for that subtree.  Any error
+    is left to the stdlib encoder on the whole object, so it raises exactly what
+    it raises.  ``Rows`` stand for the lists of records they hold.
     """
     try:
         return _encode(obj, 0)
     except (TypeError, ValueError, RecursionError):
         return json.dumps(obj, indent=2)
+
+
+class Rows:
+    """A list of records held by column, for the JSON and CSV writers.
+
+    Row b is the object ``{key: col[b] for key, col in zip(keys, columns)}``,
+    or, with ``keys`` None, the list ``[col[b] for col in columns]``.  A column
+    is a list of values or itself a ``Rows``.
+    """
+
+    __slots__ = ("columns", "keys")
+
+    def __init__(self, columns: list, keys: Optional[tuple[str, ...]] = None):
+        self.columns, self.keys = columns, keys
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
 
 
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -213,11 +235,12 @@ def _encode(o, level: int) -> str:
     if isinstance(o, float):
         text = float.__repr__(o)
         return _FLOAT_WORDS.get(text, text)
-    if isinstance(o, (list, tuple)) and o:
-        template, cols = _layout(list(o), level + 1)
-        items = cols[0] if template == "%s" else [template % row for row in zip(*cols)]
+    if isinstance(o, Rows) or (isinstance(o, (list, tuple)) and o):
+        if not len(o):
+            return "[]"
+        pieces, cols = _layout(o if isinstance(o, Rows) else list(o), level + 1)
         inner = _indent(level + 1)
-        return "[" + inner + ("," + inner).join(items) + _indent(level) + "]"
+        return "[" + inner + _interleave(pieces, cols, "," + inner) + _indent(level) + "]"
     if isinstance(o, dict) and o and all(isinstance(k, str) for k in o):
         inner = _indent(level + 1)
         items = (encode_basestring_ascii(k) + ": " + _encode(x, level + 1) for k, x in o.items())
@@ -227,58 +250,99 @@ def _encode(o, level: int) -> str:
     return json.dumps(o, indent=2).replace("\n", _indent(level))
 
 
-def _layout(cells: list, level: int) -> tuple[str, list[list[str]]]:
-    """A ``%`` template and its leaf columns: cell b's text is template % (col[b] for col in cols).
+def _layout(cells, level: int) -> tuple[list[str], list[list[str]]]:
+    """Literal pieces and leaf columns of a list's cells (a list or ``Rows``).
 
-    A column of one scalar type is encoded in one pass; same-key records and
-    same-length lists nest their cells' templates, so each cell is formatted once.
+    Cell b's text is ``pieces[0] + cols[0][b] + pieces[1] + ... + cols[-1][b] +
+    pieces[-1]``.  A column of one scalar type is encoded in one pass; records
+    with the same keys and lists of the same length become ``Rows``, whose
+    cells' pieces nest, so no cell is formatted on its own.
     """
+    if isinstance(cells, Rows):
+        inner = _indent(level + 1)
+        subs = [_layout(col, level + 1) for col in cells.columns]
+        if cells.keys is None:
+            heads, (opening, closing) = [""] * len(subs), "[]"
+        else:
+            heads, (opening, closing) = [encode_basestring_ascii(k) + ": " for k in cells.keys], "{}"
+        return _joined(subs, heads, "," + inner, opening + inner, _indent(level) + closing)
     kinds = set(map(type, cells))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is int:
-        return "%s", [list(map(int.__repr__, cells))]
+        return ["", ""], [list(map(int.__repr__, cells))]
     if kind is float:
-        texts = list(map(float.__repr__, cells))
-        if not all(map(math.isfinite, cells)):
-            texts = [_FLOAT_WORDS.get(t, t) for t in texts]
-        return "%s", [texts]
+        return ["", ""], [_float_texts(cells)]
     if kind is str:
-        return "%s", [list(map(encode_basestring_ascii, cells))]
+        return ["", ""], [list(map(encode_basestring_ascii, cells))]
     if kind is dict:
         keys = tuple(cells[0])
         if keys and all(isinstance(k, str) for k in keys) and all(map(keys.__eq__, map(tuple, cells))):
-            heads, cols = [], []
-            for key in keys:
-                sub, sub_cols = _layout([c[key] for c in cells], level + 1)
-                heads.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + sub)
-                cols += sub_cols
-            inner = _indent(level + 1)
-            return "{" + inner + ("," + inner).join(heads) + _indent(level) + "}", cols
+            return _layout(Rows([[c[key] for c in cells] for key in keys], keys), level)
     if kind in (list, tuple):
         width = len(cells[0])
         if width and set(map(len, cells)) == {width}:
-            subs = [_layout(list(col), level + 1) for col in zip(*cells)]
-            inner = _indent(level + 1)
-            template = "[" + inner + ("," + inner).join(t for t, _ in subs) + _indent(level) + "]"
-            return template, [col for _, sub_cols in subs for col in sub_cols]
-    return "%s", [[_encode(c, level) for c in cells]]
+            return _layout(Rows([list(col) for col in zip(*cells)]), level)
+    return ["", ""], [[_encode(c, level) for c in cells]]
 
 
-def _emit_csv(rows: list[dict], columns: list[str], out: Optional[str]):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(col)) for col in columns))
-    _write("\n".join(lines), out)
+def _float_texts(cells: list) -> list[str]:
+    """The JSON texts of floats, each distinct value formatted once.
+
+    A shortest round-trip text costs about 1 us a float.  0.0 and -0.0 are one
+    dict key with two texts, so a column holding a zero is formatted cell by cell.
+    """
+    distinct = dict.fromkeys(cells)
+    values = cells if 0.0 in distinct else list(distinct)
+    texts = list(map(float.__repr__, values))
+    if not all(map(math.isfinite, values)):
+        texts = [_FLOAT_WORDS.get(t, t) for t in texts]
+    return texts if values is cells else list(map(dict(zip(values, texts)).__getitem__, cells))
 
 
-def _csv_cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, (list, tuple)):
-        return " ".join(str(v) for v in x)
-    return str(x)
+def _joined(subs: list, heads: list[str], sep: str, opening: str, closing: str):
+    """The layout of cells made of ``subs``' cells side by side: ``opening``, each
+    sub's cell behind its head, split by ``sep``, then ``closing``."""
+    pieces, cols = [opening], []
+    for j, ((sub_pieces, sub_cols), head) in enumerate(zip(subs, heads)):
+        pieces[-1] += (sep if j else "") + head + sub_pieces[0]
+        pieces += sub_pieces[1:]
+        cols += sub_cols
+    pieces[-1] += closing
+    return pieces, cols
+
+
+def _interleave(pieces: list[str], cols: list[list[str]], sep: str) -> str:
+    """Every cell's text (pieces and column texts alternating), cells split by ``sep``,
+    as one ``str.join`` over slices filled column by column."""
+    rows, step = len(cols[0]), 2 * len(cols)
+    flat = [""] * (rows * step)
+    # the last literal of a cell, the separator and the next cell's first literal are one string
+    literals = pieces[1:-1] + [pieces[-1] + sep + pieces[0]]
+    for j, (col, literal) in enumerate(zip(cols, literals)):
+        flat[2 * j :: step] = col
+        flat[2 * j + 1 :: step] = [literal] * rows
+    flat[-1] = pieces[-1]
+    return pieces[0] + "".join(flat)
+
+
+def _emit_csv(rows: Rows, out: Optional[str]):
+    """One line per record: its leaf texts split by commas, a list's items by spaces."""
+
+    def layout(cells: Rows, sep: str):
+        subs = [layout(col, " ") if isinstance(col, Rows)
+                else (["", ""], [["" if x is None else str(x) for x in col]])
+                for col in cells.columns]
+        return _joined(subs, [""] * len(subs), sep, "", "")
+
+    _write(",".join(rows.keys) + "\n" + _interleave(*layout(rows, ","), "\n"), out)
+
+
+def _column(values: np.ndarray, blank: np.ndarray, token) -> list:
+    """``values`` as a list, with ``token`` where ``blank`` holds."""
+    col = values.tolist()
+    for j in np.flatnonzero(blank).tolist():
+        col[j] = token
+    return col
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +350,7 @@ def _csv_cell(x) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(args) -> dict:
+def cmd_check(args):
     v = _load_instance(args.instance, args.cap).tabulated()
     violations = check_value_monotone(v)
     report = {
@@ -306,10 +370,9 @@ def cmd_check(args) -> dict:
         report["c"] = _num(compute_c(v))
         report["d"] = _num(compute_d(v))
     _emit(report, args.out)
-    return report
 
 
-def cmd_generate(args) -> dict:
+def cmd_generate(args):
     params = {}
     for tok in args.params or []:
         if "=" not in tok:
@@ -332,10 +395,9 @@ def cmd_generate(args) -> dict:
         obj.update(instance_to_json(v.tabulated()))
         obj["name"] = v.name
     _emit(obj, args.out)
-    return obj
 
 
-def cmd_run(args) -> dict:
+def cmd_run(args):
     v = _load_instance(args.instance, args.cap)
     profile = _parse_ints(args.profile, "--profile")
     try:
@@ -353,10 +415,9 @@ def cmd_run(args) -> dict:
     if mech.ordering:
         result["pi"] = [b + 1 for b in pi]
     _emit(result, args.out)
-    return result
 
 
-def cmd_table(args) -> dict:
+def cmd_table(args):
     v = _load_instance(args.instance, args.cap)
     mech = _mechanism(args.mechanism)
     pi = _ordering(mech, args, v.n)
@@ -364,10 +425,9 @@ def cmd_table(args) -> dict:
     if mech.ordering:
         obj["pi"] = [b + 1 for b in pi]
     _emit(obj, args.out)
-    return obj
 
 
-def cmd_evaluate(args) -> dict:
+def cmd_evaluate(args):
     v = _load_instance(args.instance, args.cap).tabulated()
     name = args.mechanism
     mech = _mechanism(name)
@@ -389,13 +449,14 @@ def cmd_evaluate(args) -> dict:
             raise CliError("evaluate", str(e))
         shown, won = "expected_value", np.array(cells)
     else:
-        shown, cells = "winner", table.to_json()["winner"]
+        flat = table.winner.reshape(-1)
+        shown, cells = "winner", _column(flat + 1, flat == NO_WINNER, None)
         won = _winner_values(v.values, table.winner).reshape(-1)
     ratios = _ratios(v.values.max(axis=0).reshape(-1), won)
-    per_profile = [
-        {"profile": list(p), shown: x, "ratio": _num(r)}
-        for p, x, r in zip(v.space.profiles(), cells, ratios.tolist())
-    ]
+    profiles = Rows([axis.tolist() for axis in np.indices(v.space.shape).reshape(v.n, -1)])
+    per_profile = Rows(
+        [profiles, cells, _column(ratios, np.isinf(ratios), "INFINITE")], ("profile", shown, "ratio")
+    )
     worst = _num(max(1.0, float(ratios.max())))
     result = {"mechanism": name, "worst_ratio": worst, "per_profile": per_profile}
     if prior is not None:
@@ -406,13 +467,12 @@ def cmd_evaluate(args) -> dict:
             look = result["lookahead"] = revenue.lookahead_benchmark(prior, v, table)
             result["revenue_ratio"] = _num(look / rev) if rev > 0 else "INFINITE"
     if args.format == "csv":
-        _emit_csv(per_profile, ["profile", shown, "ratio"], args.out)
+        _emit_csv(per_profile, args.out)
     else:
         _emit(result, args.out)
-    return result
 
 
-def cmd_search(args) -> dict:
+def cmd_search(args):
     path = args.instance_pos or args.instance
     if not path:
         raise CliError("usage", "search needs an instance file")
@@ -430,10 +490,9 @@ def cmd_search(args) -> dict:
     if args.witness and report.witness_table is not None:
         _write(_dumps(report.witness_table.to_json()), args.witness)
     _emit(obj, args.out)
-    return obj
 
 
-def cmd_revenue(args) -> dict:
+def cmd_revenue(args):
     v = _load_instance(args.instance, args.cap).tabulated()
     if not args.prior:
         raise CliError("usage", "revenue needs --prior")
@@ -478,7 +537,6 @@ def cmd_revenue(args) -> dict:
     if se:
         result["stderr"] = se
     _emit(result, args.out)
-    return result
 
 
 # ---------------------------------------------------------------------------

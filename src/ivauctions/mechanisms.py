@@ -597,23 +597,27 @@ def check_expost_truthful(
                  for ctx in np.ndindex(*contexts)],
                 dtype=np.float64,
             ).reshape(wins.shape)
-        truthful = np.empty(wins.shape)
-        best = np.empty(wins.shape, dtype=np.intp)
-        top = np.empty(wins.shape)
-        for true_s in range(k1):  # utilities with true signal true_s, every report
-            utils = np.where(wins, vals[..., true_s : true_s + 1], 0.0) - pays
-            truthful[..., true_s] = utils[..., true_s]
-            best[..., true_s] = np.argmax(utils, axis=-1)
-            top[..., true_s] = utils.max(axis=-1)
+        truthful = np.where(wins, vals, 0.0) - pays
+        # the best report's utility at every true signal at once: fl(a - b) falls
+        # as b rises, so the cheapest winning report is the best one that wins
+        cheapest = np.min(pays, axis=-1, where=wins, initial=np.inf, keepdims=True)
+        losing = np.max(0.0 - pays, axis=-1, where=~wins, initial=-np.inf, keepdims=True)
+        top = np.maximum(vals - cheapest, losing)
         deviates = top > truthful + tol
         unfair = wins & (truthful < -tol)  # individual rationality fails
-        for loc in np.argwhere(deviates | unfair).tolist():
-            at, true_s = tuple(loc), loc[-1]
-            p = _context_profile(loc[:-1], i, true_s)
-            if deviates[at]:
-                violations.append((p, i, int(best[at]), float(truthful[at]), float(top[at])))
-            if unfair[at]:
-                violations.append((p, i, true_s, float(truthful[at]), 0.0))
+        flagged = np.argwhere(deviates | unfair)
+        at, lines = tuple(flagged.T), tuple(flagged[:, :-1].T)
+        # the first best report, read off each flagged cell's line
+        best = np.argmax(np.where(wins[lines], vals[at][:, None], 0.0) - pays[lines], axis=-1)
+        for loc, b, dev, bad, u, u_top in zip(
+            flagged.tolist(), best.tolist(), deviates[at].tolist(), unfair[at].tolist(),
+            truthful[at].tolist(), top[at].tolist(),
+        ):
+            p = _context_profile(loc[:-1], i, loc[-1])
+            if dev:
+                violations.append((p, i, b, u, u_top))
+            if bad:
+                violations.append((p, i, loc[-1], u, 0.0))
     return violations
 
 

@@ -40,7 +40,6 @@ from ivauctions.mechanisms import (
     Rule,
     _required_c,
     critical_signal,
-    outcome,
 )
 from ivauctions.model import validate_permutation
 from ivauctions.revenue import (
@@ -156,26 +155,37 @@ def check_hypergrid_internal_chain(
 
 
 def check_expost_truthful_literal(
-    rule: Rule, v: ValuationInstance
+    rule: Rule, v: ValuationInstance, payment="critical"
 ) -> list[tuple[tuple[int, ...], int, int, float, float]]:
-    """Triple-loop deviation sweep over per-profile outcomes; twin of ``check_expost_truthful``."""
+    """Deviation sweep one profile, bidder and report at a time; twin of ``check_expost_truthful``.
+
+    Lists every profitable misreport.  With the "critical" payment a winner pays
+    her value at the first signal that wins on her line, found by scanning it
+    from 0; a callable ``payment(i, report)`` is charged at every report.
+    """
     scale = float(v.tabulated().values.max(initial=0.0))
     tol = REL_TOL * max(scale, 1.0)
+
+    def utility(i: int, value: float, q: tuple[int, ...]) -> float:
+        won = rule(q) == i
+        if payment != "critical":
+            return (value if won else 0.0) - payment(i, q)
+        if not won:
+            return 0.0
+        first = next(b for b in range(q[i] + 1) if rule(q[:i] + (b,) + q[i + 1 :]) == i)
+        return value - v.value(i, q[:i] + (first,) + q[i + 1 :])
+
     violations = []
     for p in v.space.profiles():
         for i in range(v.n):
             value = v.value(i, p)
-            truth = outcome(rule, v, p)
-            u_truth = (value - truth.payment) if truth.winner == i else 0.0
-            if truth.winner == i and u_truth < -tol:
+            u_truth = utility(i, value, p)
+            if rule(p) == i and u_truth < -tol:
                 violations.append((p, i, p[i], u_truth, 0.0))
             for b in range(v.space.sizes[i] + 1):
                 if b == p[i]:
                     continue
-                q = list(p)
-                q[i] = b
-                dev = outcome(rule, v, tuple(q))
-                u_dev = (value - dev.payment) if dev.winner == i else 0.0
+                u_dev = utility(i, value, p[:i] + (b,) + p[i + 1 :])
                 if u_dev > u_truth + tol:
                     violations.append((p, i, b, u_truth, u_dev))
     return violations

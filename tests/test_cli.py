@@ -1,6 +1,7 @@
 """CLI: round trips, determinism, exit codes, machine-readable errors."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -467,6 +468,43 @@ def test_unwritable_output_path_is_an_io_error(tmp_path, flag):
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "io" and target in error["message"]
+
+
+def _read_file_flags(tight_file, path):
+    """Each flag that names an input file, with ``path`` in its place."""
+    return {
+        "--instance": ("check", "--instance", path),
+        "--prior": ("evaluate", "--instance", tight_file, "--mechanism", "hypergrid",
+                    "--prior", path),
+        "--config": ("check", "--config", path),
+    }
+
+
+@pytest.mark.parametrize("flag", ["--instance", "--prior", "--config"])
+def test_unreadable_input_file_is_an_io_error(tight_file, tmp_path, flag):
+    """A directory, or a file the process may not read, yields type io, not a traceback."""
+    argv = _read_file_flags(tight_file, str(tmp_path))[flag]
+    code, out, err = run_cli(*argv)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "io" and str(tmp_path) in error["message"]
+    if os.geteuid() == 0:  # root reads any file whatever its mode
+        return
+    locked = tmp_path / "locked.json"
+    locked.write_text("{}")
+    locked.chmod(0)
+    code, out, err = run_cli(*_read_file_flags(tight_file, str(locked))[flag])
+    assert code == 1 and out == "" and json.loads(err)["error"]["type"] == "io"
+
+
+@pytest.mark.parametrize("flag", ["--instance", "--prior", "--config"])
+def test_non_utf8_input_file_is_a_parse_error(tight_file, tmp_path, flag):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "café"}'.encode("latin-1"))
+    code, out, err = run_cli(*_read_file_flags(tight_file, str(path))[flag])
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "parse" and "UTF-8" in error["message"]
 
 
 def test_generate_unknown_params_error():

@@ -12,8 +12,14 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ivauctions.cli import _dumps, _encode
+from ivauctions import AllocationTable, ValuationInstance, cli, hypergrid_coloring
+from ivauctions import instances as gen
+from ivauctions.cli import Rows, _dumps, _encode
+from ivauctions.mechanisms import _ratios, _winner_values
+from ivauctions.model import instance_to_json
 from test_cli_golden import CASES, GOLDEN, WRITES
 
 #: Every JSON document the golden CLI cases print or write.
@@ -89,3 +95,122 @@ def test_encoder_raises_the_stdlib_type_error(obj):
 def test_golden_documents_are_covered():
     assert len(GOLDEN_JSON) >= 14
     assert "search_witness_random_tabulated.witness.json" in GOLDEN_JSON
+
+
+# --- hypothesis: the encoder on arbitrary documents and column-held records ------------
+
+_KEYS = st.one_of(st.text(max_size=4), st.sampled_from(["%", "%(x)s", "50%%", "%s", "ratio"]))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5),
+    st.sampled_from(["%", "%s", "%%", "INFINITE"]),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@st.composite
+def _columns(draw):
+    """Keys and same-length columns: scalar columns (pure or mixing float,
+    "INFINITE" and None) and columns of same-width int lists, some held as ``Rows``."""
+    keys = draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True))
+    rows = draw(st.integers(1, 6))
+    cells = st.one_of(
+        st.floats(),
+        st.integers(),
+        st.one_of(st.floats(), st.just("INFINITE"), st.none()),
+    )
+    cols = []
+    for _ in keys:
+        if draw(st.booleans()):
+            cols.append(draw(st.lists(cells, min_size=rows, max_size=rows)))
+        else:
+            width = draw(st.integers(1, 3))
+            lists = st.lists(st.integers(-3, 99), min_size=rows, max_size=rows)
+            cols.append(Rows([draw(lists) for _ in range(width)]))
+    return keys, cols
+
+
+def _materialized(col):
+    return [list(row) for row in zip(*map(_materialized, col.columns))] if isinstance(col, Rows) else col
+
+
+@given(_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_encoder_matches_stdlib_on_any_document(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+@given(_columns())
+@settings(max_examples=200, deadline=None)
+def test_rows_render_as_the_records_they_hold(spec):
+    keys, cols = spec
+    records = [dict(zip(keys, row)) for row in zip(*map(_materialized, cols))]
+    doc = {"records": records, "lists": [list(r.values()) for r in records]}
+    assert _dumps(doc) == json.dumps(doc, indent=2)
+    held = {"records": Rows(cols, tuple(keys)), "lists": Rows(cols)}
+    assert _dumps(held) == json.dumps(doc, indent=2)
+
+
+# --- evaluate: column-written bytes against the per-profile dict rows ------------------
+
+
+def _dict_rows_evaluate(v, table, name):
+    """``evaluate``'s JSON and CSV texts from per-profile dicts, as ``json.dumps`` writes them."""
+    won = _winner_values(v.values, table.winner).reshape(-1)
+    ratios = _ratios(v.values.max(axis=0).reshape(-1), won).tolist()
+    per_profile = [
+        {"profile": list(p), "winner": w, "ratio": "INFINITE" if math.isinf(r) else r}
+        for p, w, r in zip(v.space.profiles(), table.to_json()["winner"], ratios)
+    ]
+    worst = max(1.0, max(ratios))
+    doc = {"mechanism": name, "worst_ratio": "INFINITE" if math.isinf(worst) else worst,
+           "per_profile": per_profile}
+    lines = ["profile,winner,ratio"] + [
+        " ".join(map(str, row["profile"])) + ","
+        + ("" if row["winner"] is None else str(row["winner"])) + "," + str(row["ratio"])
+        for row in per_profile
+    ]
+    return json.dumps(doc, indent=2) + "\n", "\n".join(lines) + "\n"
+
+
+def _zero_valued_winners():
+    """A grid whose table leaves profiles with positive values unallocated
+    (INFINITE ratios) and gives others to a zero-valued bidder."""
+    v = gen.gen_random_tabulated(3, 3, seed=4)[0]
+    vals = v.values.copy()
+    vals[1, ..., :2] = 0.0
+    v = ValuationInstance(space=v.space, values=vals)
+    winner = np.random.default_rng(7).integers(-1, 3, size=v.space.shape)
+    return v, AllocationTable(space=v.space, winner=winner)
+
+
+@pytest.mark.parametrize("case", ["random_n2_k70", "random_n3_k16", "zero_valued_winners"])
+def test_evaluate_bytes_equal_the_dict_rows(case, tmp_path, monkeypatch):
+    if case == "zero_valued_winners":
+        v, table = _zero_valued_winners()
+        monkeypatch.setattr(cli, "hypergrid_coloring", lambda v, pi: table)
+        pi = (0, 1, 2)
+    else:
+        n, k = (2, 70) if case.endswith("k70") else (3, 16)
+        v = gen.gen_random_tabulated(n, k, seed=n)[0]
+        pi = tuple(reversed(range(n)))
+        table = hypergrid_coloring(v, pi)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_to_json(v)))
+    expected = _dict_rows_evaluate(v, table, "hypergrid")
+    if case == "zero_valued_winners":
+        assert '"INFINITE"' in expected[0] and "null" in expected[0]
+    pi_arg = ",".join(str(b + 1) for b in pi)
+    for fmt, text in zip(("json", "csv"), expected):
+        out = tmp_path / f"out.{fmt}"
+        argv = ["evaluate", "--mechanism", "hypergrid", "--instance", str(path), "--pi", pi_arg,
+                "--format", fmt, "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert out.read_text() == text, fmt

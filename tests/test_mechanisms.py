@@ -874,6 +874,45 @@ def expost_sweep_cases():
         )
 
 
+def _best_deviations(violations):
+    """A violation list keyed by (profile, bidder, kind): the individual-rationality
+    entry, and the first of the most profitable misreports (what the fast sweep lists)."""
+    out = {}
+    for p, i, b, u, u_dev in violations:
+        key = (p, i, "ir" if b == p[i] else "deviation")
+        if key not in out or u_dev > out[key][2]:
+            out[key] = (b, u, u_dev)
+    return out
+
+
+def test_expost_sweep_matches_literal_on_random_tables():
+    """On 300 random non-monotone tables (half with integer values, so utilities tie),
+    the sweep lists, per profile and bidder, the literal twin's first best misreport
+    and its individual-rationality failures, with bit-equal utilities."""
+    total = 0
+    for idx in range(300):
+        rng = np.random.default_rng(5000 + idx)
+        n = 2 + idx % 3
+        space = SignalSpace(tuple(int(x) for x in rng.integers(1, 4, size=n)))
+        if idx % 2:
+            vals = rng.integers(0, 4, size=(n,) + space.shape).astype(float)
+        else:
+            vals = rng.random((n,) + space.shape) * 10.0
+        v = ValuationInstance(space=space, values=vals)
+        table = AllocationTable(space=space, winner=rng.integers(-1, n, size=space.shape))
+
+        def pay(i, p, vals=vals):
+            return 0.5 * float(vals[(i,) + p]) + 0.25 * p[i]
+
+        for payment in ("critical", pay):
+            fast = check_expost_truthful(table, v, payment=payment)
+            literal = check_expost_truthful_literal(table, v, payment=payment)
+            assert len(set(_best_deviations(fast))) == len(fast), idx
+            assert _best_deviations(fast) == _best_deviations(literal), (idx, payment)
+            total += len(fast)
+    assert total > 5000
+
+
 def test_expost_sweep_matches_golden():
     """The sweep's violation lists equal the ones recorded in tests/golden/expost_sweep.json."""
     golden = json.loads((Path(__file__).parent / "golden" / "expost_sweep.json").read_text())
