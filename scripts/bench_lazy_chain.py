@@ -10,6 +10,14 @@ Cases:
   one_row_n{n}_k{k}   one-row ``lazy_winner`` on ``gen_random_tabulated(n, k)``
                       for (n, k) = (2, 70), (3, 16), (5, 2), over 64 seeded
                       (ordering, profile) pairs; us per call
+  mc_n65_S250         ``monte_carlo_random_hypergrid`` with 250 draws at seed 97
+                      on the same instance, profile and c: the draws and the
+                      chain; ms per call
+  ragged_n4_k8_B250   ``lazy_winners`` over 250 seeded orderings of
+                      ``gen_random_tabulated(4, 8)`` at (0, 1, 4, 8), so one
+                      entrant's call mixes rows with no evaluation, rows at
+                      their top level alone and rows with lower levels; ms
+                      per call
 
 Each tree is timed in fresh worker processes, one per round, and the rounds
 alternate which tree runs first.  A worker warms every case up, then reports
@@ -55,6 +63,7 @@ def _cases():
 
     from ivauctions import compute_c, lazy_winner, lazy_winners
     from ivauctions import instances as gen
+    from ivauctions.oracle import monte_carlo_random_hypergrid
 
     rng = random.Random(20)
     lb = gen.gen_random_mech_lb(64, 2.0)
@@ -70,6 +79,13 @@ def _cases():
         ]
         calls = [lambda pi=pi, s=s, v=v, c=c: lazy_winner(v, pi, s, c=c) for pi, s in pairs]
         cases.append((f"one_row_n{n}_k{k}", "us/call", calls))
+    cases.append(("mc_n65_S250", "ms/call",
+                  [lambda: monte_carlo_random_hypergrid(lb, ones, 250, seed=97, c=2.0)]))
+    v = gen.gen_random_tabulated(4, 8, seed=4)[0]
+    c = compute_c(v)
+    ragged = np.array([rng.sample(range(4), 4) for _ in range(250)])
+    cases.append(("ragged_n4_k8_B250", "ms/call",
+                  [lambda: lazy_winners(v, ragged, (0, 1, 4, 8), c=c)]))
     return cases
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -236,6 +237,23 @@ def exact_random_hypergrid_counts(
     return count[-1].copy()
 
 
+def _orderings(rng: random.Random, n: int) -> Iterator[tuple[int, ...]]:
+    """The orderings ``rng.shuffle`` leaves on ``list(range(n))`` shuffled again
+    and again, from the same draws: Fisher-Yates step i = n-1..1 takes the
+    first ``getrandbits((i + 1).bit_length())`` below i + 1, as CPython's
+    ``_randbelow`` does, without a Python call per step."""
+    bits = rng.getrandbits
+    order = list(range(n))
+    steps = [(i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+    while True:
+        for i, m, k in steps:
+            r = bits(k)
+            while r >= m:
+                r = bits(k)
+            order[i], order[r] = order[r], order[i]
+        yield tuple(order)
+
+
 def monte_carlo_random_hypergrid(
     v: ValuationInstance,
     s: Sequence[int],
@@ -245,27 +263,23 @@ def monte_carlo_random_hypergrid(
 ) -> tuple[float, float]:
     """Seeded i.i.d. ordering draws; mean winner value at s with its standard error.
 
-    Orderings come from one ``random.Random(seed).shuffle`` stream and are
-    evaluated in batches of at most ``MC_CHUNK`` through the lazy chain, with
-    c measured once; values are accumulated in draw order.
+    Orderings replay ``random.Random(seed).shuffle`` on one list bit for bit
+    (``_orderings``) and are evaluated in batches of at most ``MC_CHUNK``
+    through the lazy chain, with c measured once; values are accumulated in
+    draw order.
     """
     samples = _sample_count(samples)
     p = v.space.validate_profile(s)
     c = _required_c(v, c)
-    rng = random.Random(seed)
-    order = list(range(v.n))
+    stream = _orderings(random.Random(seed), v.n)
     worth = v.values_at(p).tolist()
 
     def draws():
         left = samples
         while left:
-            batch = []
-            for _ in range(min(left, MC_CHUNK)):
-                rng.shuffle(order)
-                batch.append(tuple(order))
+            batch = list(islice(stream, min(left, MC_CHUNK)))
             left -= len(batch)
             for w in lazy_winners(v, batch, p, c=c).tolist():
                 yield worth[w]
 
     return mean_and_stderr(draws())
-

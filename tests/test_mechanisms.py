@@ -489,7 +489,11 @@ def test_lazy_chain_evaluates_each_intermediate_profile_once(finite_c_corpus):
 def test_lazy_chain_matches_scalar_chain_on_carried_rows():
     """The carried level-0 row's edge cases against the scalar chain: later entrants
     at signal 0 (so no row of theirs is evaluated), the all-zero profile, batches of
-    one-, two- and three-bidder sub-orderings, and an evaluator-backed instance."""
+    one-, two- and three-bidder sub-orderings, and an evaluator-backed instance.
+    Where k >= 2, profiles also mix 0, 1, an interior and the top signal, so one
+    entrant's call holds rows with no evaluation, rows evaluated at their top
+    level alone (read from the base profiles in place) and rows whose lower levels
+    are gathered."""
     import random as _random
 
     rng = _random.Random(46)
@@ -498,6 +502,8 @@ def test_lazy_chain_matches_scalar_chain_on_carried_rows():
         (gen.gen_random_separable(4, 2, 3.0, seed=0), None),
         (gen.gen_tight_hypergrid(5, 3.0), None),
         (gen.gen_random_mech_lb(16, 2.0), 2.0),
+        (gen.gen_random_tabulated(4, 8, seed=26)[0], None),
+        (gen.gen_random_tabulated(5, 4, seed=32)[0], None),
     ]
     for v, c in cases:
         n, sizes = v.n, v.space.sizes
@@ -507,6 +513,11 @@ def test_lazy_chain_matches_scalar_chain_on_carried_rows():
             profiles.append(tuple(rng.choice((0, kb)) for kb in sizes))
         for lead in range(n):  # only the first entrant reports a positive signal
             profiles.append(tuple(kb if b == lead else 0 for b, kb in enumerate(sizes)))
+        if min(sizes) >= 2:
+            for _ in range(8):  # 0, 1, an interior and the top signal in every profile
+                shift = rng.randrange(4)
+                kinds = [(0, 1, rng.randint(1, kb - 1), kb) for kb in sizes]
+                profiles.append(tuple(kind[(b + shift) % 4] for b, kind in enumerate(kinds)))
         for s in profiles:
             orders = [tuple(rng.sample(range(n), n)) for _ in range(8)]
             orders += [(b,) + tuple(a for a in range(n) if a != b) for b in range(n) if s[b]]
@@ -518,6 +529,78 @@ def test_lazy_chain_matches_scalar_chain_on_carried_rows():
                 p = np.array(s, dtype=np.intp)
                 assert _lazy_chain(v, np.array(subs), p, c).tolist() == expected, (v.name, s)
                 assert [lazy_winner(v, pi, s, c=c) for pi in subs] == expected, (v.name, s)
+
+
+def test_lazy_chain_matches_scalar_chain_on_random_integer_tables():
+    """Seeded tables of small integers, neither monotone nor crossing-bounded, at
+    c in {1, 1.5, 2}: every ordering in one batch at every profile gives the
+    scalar chain's winner.  Ties and falling values let the best entered value
+    carried into an entrant's level 0 decide, also on rows whose previous
+    entrant was evaluated while others in its call were not."""
+    rng = np.random.default_rng(48)
+    orders = list(permutations(range(4)))
+    for k in (1, 1, 1, 2, 2, 2):
+        space = SignalSpace((k,) * 4)
+        values = rng.integers(0, 6, (4,) + space.shape).astype(float)
+        v = ValuationInstance(space=space, values=values)
+        c = float(rng.choice([1.0, 1.5, 2.0]))
+        for s in space.profiles():
+            expected = [reference.lazy_winner(v, pi, s, c=c) for pi in orders]
+            assert lazy_winners(v, orders, s, c=c).tolist() == expected, (k, c, s)
+
+
+def _hostile(v):
+    """Evaluator-backed view of v whose evaluator zeroes its input after reading it
+    and returns a read-only view of one buffer, which it overwrites on every call."""
+    buf = [np.empty((0, v.n))]
+
+    def batch_evaluate(P):
+        vals = v.values_at_batch(P)
+        P[...] = 0
+        if len(buf[0]) < len(vals):
+            buf[0] = np.empty(vals.shape)
+        out = buf[0][: len(vals)]
+        out[...] = vals
+        view = out.view()
+        view.flags.writeable = False
+        return view
+
+    return ValuationInstance(space=v.space, batch_evaluate=batch_evaluate)
+
+
+def test_evaluator_that_overwrites_its_input_cannot_change_the_chain():
+    """The chain hands the evaluator only fresh arrays and writes into none it
+    returned: an evaluator that zeroes its input, and returns read-only views of a
+    buffer it reuses, gives a pure evaluator's winners and Monte Carlo results.
+    Batches at k = 1 (every later top level read from the base profiles), ragged
+    k >= 2 batches (entrants at 0, and gathered lower levels) and one row."""
+    import random as _random
+
+    rng = _random.Random(47)
+    lb = gen.gen_random_mech_lb(16, 2.0)
+    tab6 = gen.gen_random_tabulated(6, 1, seed=5)[0]
+    tab4 = gen.gen_random_tabulated(4, 8, seed=26)[0]
+    cases = [
+        (lb, 2.0, [(1,) * 17, tuple(rng.randint(0, 1) for _ in range(17))]),
+        (tab6, compute_c(tab6), [(1,) * 6, (0, 1, 1, 1, 1, 1)]),
+        (tab4, compute_c(tab4), [(0, 3, 8, 1), (8, 8, 8, 8), (1, 1, 1, 1), (2, 0, 5, 8)]),
+    ]
+    for v, c, profiles in cases:
+        hostile = _hostile(v)
+        for s in profiles:
+            orders = [tuple(rng.sample(range(v.n), v.n)) for _ in range(40)]
+            batches = [orders]
+            if 0 in s:  # the bidder at 0 enters first or last, so a call where every
+                # row evaluates precedes one where some do not
+                z = s.index(0)
+                rests = [[b for b in pi if b != z] for pi in orders]
+                batches.append([tuple([z] + r if i % 2 else r + [z]) for i, r in enumerate(rests)])
+            for batch in batches:
+                expected = lazy_winners(v, batch, s, c=c).tolist()
+                assert lazy_winners(hostile, batch, s, c=c).tolist() == expected, (v.name, s)
+                assert [lazy_winner(hostile, pi, s, c=c) for pi in batch[:4]] == expected[:4]
+            pure = monte_carlo_random_hypergrid(v, s, samples=300, seed=3, c=c)
+            assert monte_carlo_random_hypergrid(hostile, s, samples=300, seed=3, c=c) == pure
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])

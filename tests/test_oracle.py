@@ -279,6 +279,23 @@ def test_monte_carlo_seed_reproducibility():
     assert a == b
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 129])
+def test_ordering_stream_replays_stdlib_shuffle(n):
+    """The Monte Carlo draws, past one ``MC_CHUNK`` batch, are the permutations
+    ``random.Random(seed).shuffle`` leaves on one list, and the generator ends in
+    the stdlib's state."""
+    draws = oracle.MC_CHUNK + 5
+    for seed in (0, 8, 2**40 + 3):
+        rng, twin = random.Random(seed), random.Random(seed)
+        order = list(range(n))
+        expected = []
+        for _ in range(draws):
+            twin.shuffle(order)
+            expected.append(tuple(order))
+        assert list(islice(oracle._orderings(rng, n), draws)) == expected, (n, seed)
+        assert rng.random() == twin.random(), (n, seed)
+
+
 def scalar_monte_carlo(v, s, samples, seed, c):
     """Per-draw twin of the Monte Carlo oracle: one scalar chain per ordering."""
     rng = random.Random(seed)
