@@ -25,9 +25,10 @@ the median of its timed repeats at reference speed: divided by how many
 times slower than nominal ``perfbench/reference.py``'s fixed load ran just
 before and after them, since the shared host's speed drifts between
 workers.  The file keeps each tree's per-round medians with their median and
-quartiles, the median at wall speed, how many rounds each later tree beat
-the first, and a digest of each case's winners (equal digests: the trees
-pick the same winners).  Compare a parent commit with a change by
+quartiles, the median at wall speed, the median peak RSS of the worker
+once the case has run, how many rounds each later tree beat the first, and
+a digest of each case's winners (equal digests: the trees pick the same
+winners).  Compare a parent commit with a change by
 
   git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
   python scripts/bench_lazy_chain.py --src parent=/tmp/parent/src --src change=src
@@ -43,6 +44,7 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -52,7 +54,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ONE_ROW_SHAPES = ((2, 70), (3, 16), (5, 2))
 ROUNDS = 20  # worker runs per tree
 REPEATS = 25  # timed repeats per worker
-SCALE = {"ms/call": 1e3, "us/call": 1e6}
+SCALE = {"s/call": 1.0, "ms/call": 1e3, "us/call": 1e6}
 
 
 def _cases():
@@ -89,9 +91,10 @@ def _cases():
     return cases
 
 
-def worker(src: str, cases=_cases) -> dict:
-    """Median time per call of each of ``cases()`` on the package under ``src``, at
-    wall speed and at the reference speed of ``perfbench/reference.py``."""
+def worker(src: str, cases=_cases, only=None, repeats=REPEATS) -> dict:
+    """Median time per call of each of ``cases()`` (or of case ``only``) on the package
+    under ``src``, at wall speed and at the reference speed of ``perfbench/reference.py``,
+    and the worker's peak RSS once the case has run."""
     sys.path.insert(0, src)
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import numpy as np
@@ -99,10 +102,12 @@ def worker(src: str, cases=_cases) -> dict:
 
     out = {}
     for name, unit, calls in cases():
+        if only not in (None, name):
+            continue
         outputs = [np.asarray(call()).tolist() for call in calls]  # warm-up, and what to digest
         times = []
         before = slowness()
-        for _ in range(REPEATS):
+        for _ in range(repeats):
             t0 = time.perf_counter()
             for call in calls:
                 call()
@@ -112,6 +117,7 @@ def worker(src: str, cases=_cases) -> dict:
             "unit": unit,
             "median": wall / math.sqrt(before * slowness()),
             "wall_median": wall,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "digest": hashlib.sha256(repr(outputs).encode()).hexdigest()[:16],
         }
     return out
@@ -135,16 +141,20 @@ def _hardware() -> dict:
             "numpy": numpy.__version__}
 
 
-def main(argv=None, script=__file__, cases=_cases, out="BENCH_lazy_chain.json", doc=__doc__) -> int:
-    """Time ``cases`` on each ``--src`` tree in worker runs of ``script``; write ``out``."""
+def main(argv=None, script=__file__, cases=_cases, out="BENCH_lazy_chain.json", doc=__doc__,
+         names=None, rounds=ROUNDS, repeats=REPEATS) -> int:
+    """Time ``cases`` on each ``--src`` tree in ``rounds`` worker runs of ``script``, each
+    timing ``repeats`` calls; write ``out``.  Given the case ``names``, each case runs in
+    a worker of its own."""
     ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     ap.add_argument("--src", action="append", metavar="LABEL=DIR",
                     help="a source tree to time (repeatable; default: tree=<this checkout>/src)")
     ap.add_argument("--out", default=os.path.join(ROOT, out))
     ap.add_argument("--worker", metavar="DIR", help=argparse.SUPPRESS)
+    ap.add_argument("--case", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
-        json.dump(worker(args.worker, cases), sys.stdout)
+        json.dump(worker(args.worker, cases, args.case, repeats), sys.stdout)
         return 0
     trees = []
     for spec in args.src or [f"tree={os.path.join(ROOT, 'src')}"]:
@@ -153,22 +163,25 @@ def main(argv=None, script=__file__, cases=_cases, out="BENCH_lazy_chain.json", 
             ap.error(f"--src wants LABEL=DIR with an existing DIR, got {spec!r}")
         trees.append((label, os.path.abspath(src)))
     runs = {label: [] for label, _ in trees}
-    for r in range(ROUNDS):
+    for r in range(rounds):
         for label, src in trees if r % 2 == 0 else trees[::-1]:
-            cmd = [sys.executable, os.path.abspath(script), "--worker", src]
-            res = subprocess.run(cmd, capture_output=True, text=True,
-                                 env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
-            if res.returncode:
-                sys.exit(f"worker on {label} failed:\n{res.stderr}")
-            runs[label].append(json.loads(res.stdout))
-        print(f"round {r + 1}/{ROUNDS} done", file=sys.stderr)
+            run = {}
+            for only in names or [None]:
+                cmd = [sys.executable, os.path.abspath(script), "--worker", src]
+                res = subprocess.run(cmd + (["--case", only] if only else []), capture_output=True,
+                                     text=True, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+                if res.returncode:
+                    sys.exit(f"worker on {label} failed:\n{res.stderr}")
+                run.update(json.loads(res.stdout))
+            runs[label].append(run)
+        print(f"round {r + 1}/{rounds} done", file=sys.stderr)
     first = trees[0][0]
     names = list(runs[first][0])
     report = {
         "script": os.path.relpath(os.path.abspath(script), ROOT),
         "hardware": _hardware(),
-        "rounds": ROUNDS,
-        "repeats": REPEATS,
+        "rounds": rounds,
+        "repeats": repeats,
         "units": {name: case["unit"] for name, case in runs[first][0].items()},
         "trees": {},
     }
@@ -177,9 +190,11 @@ def main(argv=None, script=__file__, cases=_cases, out="BENCH_lazy_chain.json", 
         for name in names:
             xs = [run[name]["median"] for run in runs[label]]
             walls = [run[name]["wall_median"] for run in runs[label]]
+            rss = [run[name]["peak_rss_mb"] for run in runs[label]]
             cases[name] = {**{k: round(x, 3) for k, x in _quartiles(xs).items()},
                            "runs": [round(x, 3) for x in xs],
                            "wall_median": round(statistics.median(walls), 3),
+                           "peak_rss_mb": round(statistics.median(rss), 1),
                            "digest": runs[label][0][name]["digest"]}
         if label != first:  # rounds in which this tree beat the first one
             cases["faster_rounds_than_" + first] = {

@@ -10,16 +10,13 @@ offers that winner her reserve under the restricted rule.  Expected revenue
 is exact whenever support profiles times branches (the internal branch,
 subsets and rule realizations) is small, and seeded Monte Carlo otherwise.
 
-The exact paths settle reserves in one array pass per bidder over the lines
-through the prior's support, a chunk of stacked rules at a time: each line a
-bidder wins on at a support profile gets its critical signal and winning
-reserve once, and the pass returns per-profile quotes, read on each
-profile's winner's line.  Rules and values are read nowhere else, so a
-sparse prior on a large grid costs a few lines, not the grid.  Sums follow
-the one-line quote's order and the support's row-major order, so every
-float equals the one-profile-at-a-time evaluation.  Exact revenue is one
-array sum over the sales kept per rule row and support profile.
-``profile_events`` and Monte Carlo draws quote one line at a time.
+Every sale is settled by one array pass per bidder over the lines through
+some profiles (the prior's support, a chunk of Monte Carlo draws, or one
+profile), a chunk of stacked rules at a time: each line a bidder wins on at
+one of the profiles gets its critical signal and winning reserve once, and
+rules and values are read nowhere else.  Sums follow the one-line quote's
+order and the profiles' order, so every float equals the one-profile-at-a-time
+evaluation.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ from .mechanisms import (
     _trusted,
     _winner_values,
     as_table,
-    critical_signal,
     hypergrid_coloring,
     lazy_winner,
 )
@@ -63,6 +59,7 @@ from .model import (
     mean_and_stderr,
     validate_permutation,
 )
+from .oracle import MC_CHUNK
 
 PROB_TOL = 1e-12
 
@@ -185,9 +182,9 @@ class ReserveQuote:
     expected_revenue: float
 
 
-#: Cells one chunk of an array pass may hold: a quote chunk's (candidate
-#: price, line entry) block, or a rule chunk's winners at the lines' points.
-_CHUNK_CELLS = 1 << 20
+#: Cells one chunk of an array pass may hold, half a MB per float array: a quote
+#: chunk's (candidate price, line entry) block, or a rule chunk's winners at points.
+_CHUNK_CELLS = 1 << 16
 
 def _row_sums(entries: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``np.sum`` of each row of a ragged array, bit for bit.
@@ -261,39 +258,37 @@ def _distinct(flat: np.ndarray) -> np.ndarray:
 
 
 class _SupportLines:
-    """Every line through the support of a prior, for each bidder.
+    """Every line through some profiles (flat grid indices), for each bidder.
 
-    A bidder's line is her own signal's axis at fixed others' signals.  The
-    exact paths read rules and values only at the points of these lines (the
-    whole grid under a full-support prior, a few lines under a sparse one).
-    Each bidder's lines are numbered after the previous bidder's, and
-    ``column[i, j]`` is the number of bidder i's line through the j-th
-    support profile, and ``probs[j]`` that profile's probability.  No winner
-    (-1) reads the last row of ``column``: line ``count``, which stays NaN.
+    A bidder's line is her own signal's axis at fixed others' signals; the
+    profiles default to the prior's support, row-major.  Each bidder's lines
+    are numbered after the previous bidder's, ``column[i, j]`` is the number
+    of bidder i's line through the j-th profile, and ``probs[j]`` that
+    profile's probability.  No winner (-1) reads line ``count``, always NaN.
     """
 
-    def __init__(self, prior: JointPrior, v: ValuationInstance):
+    def __init__(self, prior: JointPrior, v: ValuationInstance, profiles=None):
         _on_grid(prior.space, v, "prior")
         shape = v.space.shape
-        self.support = np.flatnonzero(prior.probs > 0)  # flat grid indices, row-major
-        signals = np.unravel_index(self.support, shape)
+        flat_probs = prior.probs.reshape(-1)
+        self.profiles = np.flatnonzero(flat_probs > 0) if profiles is None else profiles
+        signals = np.unravel_index(self.profiles, shape)
         strides = [math.prod(shape[i + 1 :]) for i in range(len(shape))]  # flat steps
         firsts, columns, points = [], [], []
         self.count = 0
         for i, (width, stride) in enumerate(zip(shape, strides)):
-            starts = self.support - signals[i] * stride
+            starts = self.profiles - signals[i] * stride
             heads = _distinct(starts)
             firsts.append(self.count)
             columns.append(self.count + np.searchsorted(heads, starts))
             points.append(heads[:, None] + stride * np.arange(width))
             self.count += len(heads)
-        self.column = np.stack(columns + [np.full(self.support.size, self.count)])
+        self.column = np.stack(columns + [np.full(self.profiles.size, self.count)])
         self.near = _distinct(np.concatenate([p.ravel() for p in points]))
-        self.at_support = np.searchsorted(self.near, self.support)
+        self.at_profile = np.searchsorted(self.near, self.profiles)
         values = v.values_at_batch(np.stack(np.unravel_index(self.near, shape), axis=1))
-        self.values = values[self.at_support]  # (support, n)
-        flat_probs = prior.probs.reshape(-1)
-        self.probs = flat_probs[self.support]
+        self.values = values[self.at_profile]  # (profiles, n)
+        self.probs = flat_probs[self.profiles]
         # per bidder: her first line's number, then per line its points' places in
         # ``near``, her values and the joint probabilities
         self.bidders = []
@@ -302,93 +297,89 @@ class _SupportLines:
             self.bidders.append((first, near_at, values[near_at, i], flat_probs[at]))
 
 
-def _winners_near(rules: Sequence, v: ValuationInstance, lines: _SupportLines) -> np.ndarray:
-    """Each rule's winner at the points of the support's lines, as an (R, len(near)) array.
-
-    A table's winners are gathered from its array.  A function is called at
-    the support profiles, then off the support only on the lines of each
-    profile's winner, as ``critical_signal`` would probe them; the points no
-    line of the pass reads stay NO_WINNER.
-    """
-    near, at = lines.near, lines.at_support
-    out = np.full((len(rules), near.size), NO_WINNER, dtype=np.int32)
-    for r, rule in enumerate(rules):
-        win = _trusted(rule, v)
-        if isinstance(rule, AllocationTable):
-            out[r] = rule.winner.reshape(-1)[near]
-            continue
-        out[r, at] = _called_at(win, v, lines.support)
-        probe = np.zeros(near.size, dtype=bool)
-        for i, (first, points, _, _) in enumerate(lines.bidders):
-            probe[points[lines.column[i, out[r, at] == i] - first]] = True
-        probe[at] = False
-        out[r, probe] = _called_at(win, v, near[probe])
-    return out
-
-
 def _line_quotes(
-    lines: _SupportLines, v: ValuationInstance, rules: Sequence, quote: bool = True
+    lines: _SupportLines, v: ValuationInstance, rules: Sequence, at=None, quote: bool = True
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per-profile quotes of R rules, one pass per bidder and chunk of rules.
+    """Quotes of R rules at the lines' profiles, one pass per bidder and chunk of rules.
 
-    Each line of a bidder on which she wins at a support profile is settled
-    once, for every rule of the chunk together.  Yields, per chunk of rules
-    in order, the rules' winners at the support profiles (chunk, support)
-    and a (3, chunk, support) array read on each profile's winner's line:
-    her value at her critical signal, then (if ``quote``) her winning
-    reserve's price and expected revenue.  NaN marks no winner, no critical
-    signal and (for the quote) a conditioning event of probability zero.
-    Every quote's price is checked to dominate the critical value.
+    Rule r is read at the j-th profile for each key ``r * len(profiles) + j``
+    of the sorted array ``at`` (default: every pair): a table is gathered at
+    the lines' points, a function called at its profiles and where the
+    bisection probes.  Yields, per chunk of rules, the winners at its pairs
+    and a (3, pairs) array: the winner's value at her critical signal and (if
+    ``quote``) her winning reserve's price and expected revenue, NaN for none.
+    Every price is checked to dominate the critical value.
     """
-    step = max(1, _CHUNK_CELLS // lines.near.size)
+    size, m = lines.near.size, lines.profiles.size
+    step = max(1, _CHUNK_CELLS // size)
+    ends = [first for first, *_ in lines.bidders] + [lines.count]  # each bidder's lines
     for lo in range(0, len(rules), step):
-        winners = _winners_near(rules[lo : lo + step], v, lines)
-        per_line = np.full((3, len(winners), lines.count + 1), np.nan)
+        chunk = rules[lo : lo + step]
+        calls = [_trusted(r, v) for r in chunk]
+        low, high = lo * m, (lo + len(chunk)) * m
+        pairs = np.arange(low, high) if at is None else at[(at >= low) & (at < high)]
+        rule, place = np.divmod(pairs - low, m)
+        tables = [r for r, t in enumerate(chunk) if isinstance(t, AllocationTable)]
+        row = np.full(len(chunk), -1)  # a function's row is read, then called over
+        row[tables], lazy = range(len(tables)), len(tables) < len(chunk)
+        read = np.array([chunk[r].winner.reshape(-1)[lines.near] for r in tables] or [lines.near])
+        called: dict = {}  # a function's winners, by rule * size + point
+
+        def winners(rows, points):
+            """Rule ``rows[e]``'s winner at ``points[e]``; a function is called once a point."""
+            got = read[row[rows], points]
+            if lazy:
+                ask = np.flatnonzero(row[rows] < 0)
+                asked = (rows[ask] * size + points[ask]).tolist()
+                new = np.array(sorted({k for k in asked if k not in called}), dtype=np.intp)
+                cuts = np.flatnonzero(np.diff(new // size)) + 1  # one part per rule
+                for part in np.split(new, cuts) if new.size else ():
+                    found = _called_at(calls[part[0] // size], v, lines.near[part % size])
+                    called.update(zip(part.tolist(), found.tolist()))
+                got[ask] = [called[k] for k in asked]
+            return got
+
+        won = winners(rule, lines.at_profile[place])
+        line = lines.column[won, place]
+        pair = line * len(chunk) + rule
+        keys = _distinct(pair)  # line-major, so each bidder's lines are one block
+        kline, krule = np.divmod(keys, len(chunk))
+        per_key = np.full((3, keys.size), np.nan)
+        bounds = np.searchsorted(kline, ends).tolist()
         for i, (first, points, values, joint) in enumerate(lines.bidders):
-            count, width = points.shape
-            wins = winners[:, points] == i  # (chunk, lines, k + 1)
-            reached = np.flatnonzero((wins & (joint > 0)).any(axis=-1))
-            won = wins.reshape(-1, width)[reached]
-            crit = _critical_signals(lambda rows, signals: won[rows, signals], width - 1)
-            rows, crit = reached[crit >= 0], crit[crit >= 0]
-            rule, line = np.divmod(rows, count)
-            per_line[0, rule, first + line] = values[line, crit]
+            a, b = bounds[i : i + 2]
+            ln, rr = kline[a:b] - first, krule[a:b]
+            whole = read[row[rr][:, None], points[ln]] == i  # every point of a table's lines
+            crit = _critical_signals(
+                lambda e, t: winners(rr[e], points[ln[e], t]) == i if lazy else whole[e, t],
+                points.shape[1] - 1,
+            )
+            ok = crit >= 0
+            ln, crit, keyed = ln[ok], crit[ok], per_key[:, a:b]  # a view
+            keyed[0, ok] = values[ln, crit]
             if quote:
-                per_line[1:, rule, first + line] = _monopoly_quotes(values[line], joint[line], crit)
-        assert not np.any(per_line[1] < per_line[0]), "reserve must dominate the critical value"
-        won = winners[:, lines.at_support]
-        at = lines.column[won, np.arange(won.shape[1])]  # no winner reads the NaN line
-        yield won, per_line[:, np.arange(len(won))[:, None], at]
+                keyed[1:, ok] = _monopoly_quotes(values[ln], joint[ln], crit)
+        assert not np.any(per_key[1] < per_key[0]), "reserve must dominate the critical value"
+        yield won, per_key[:, np.searchsorted(keys, pair)]
 
 
 def winning_reserve(
-    prior: JointPrior,
-    v: ValuationInstance,
-    rule: Rule,
-    i: int,
-    s_minus_i: Sequence[int],
+    prior: JointPrior, v: ValuationInstance, rule: Rule, i: int, s_minus_i: Sequence[int]
 ) -> ReserveQuote:
     """Monopoly price for bidder i given others at s_minus_i and s_i at least critical.
 
-    The quote's price always dominates the bidder's value at her critical
-    signal, so posting it preserves truthfulness of the underlying rule.  It
-    reads the rule through ``critical_signal`` and the line's values with one
-    ``values_at_batch`` call, so a lazy rule stays lazy.
+    The price dominates her value at her critical signal, so posting it keeps
+    the rule truthful.  It is the pass at the line's top, where the bisection starts.
     """
-    _on_grid(prior.space, v, "prior")
     context = v.space.validate_line(i, s_minus_i)
-    b_star = critical_signal(rule, v, i, context)
-    if b_star is None:
+    top = np.ravel_multi_index(context[:i] + (v.space.sizes[i],) + context[i:], v.space.shape)
+    [(won, quotes)] = _line_quotes(_SupportLines(prior, v, np.array([top])), v, [rule])
+    if won[0] != i:
         raise UndefinedReserve(f"bidder {i} never wins on line {context}")
-    line = [context[:i] + (t,) + context[i:] for t in range(v.space.sizes[i] + 1)]
-    values = v.values_at_batch(np.array(line))[:, i]
-    [price], [gain] = _monopoly_quotes(
-        values[None], prior.line_probs(i, context)[None], np.array([b_star])
-    )
+    _, price, gain = quotes[:, 0].tolist()
     if math.isnan(price):
         raise UndefinedReserve("conditioning event has zero probability")
-    assert price >= values[b_star], "reserve must dominate the critical value"
-    return ReserveQuote(price=float(price), expected_revenue=float(gain))
+    return ReserveQuote(price=price, expected_revenue=gain)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +399,7 @@ class RuleFamily:
 
     def __init__(self, v: ValuationInstance):
         self.v = v
-        # One rule object per key, so quote caches keyed on the rule see repeats.
+        # One rule object per key, so the pass settles each drawn rule's repeats together.
         self._rules: dict = {}
 
     def realizations(self, bidders: Sequence[int]) -> list[tuple[float, Rule]]:
@@ -569,9 +560,8 @@ class ReserveBackedMechanism:
     alpha: float
     d: float
     p: float = 1.0
-    # Winning-reserve quotes per (rule, bidder, line), shared by every Monte
-    # Carlo draw and off-support profile that posts on the same line.
-    _quotes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: The empty subset's rule: no one is offered the item.
+    _nobody = staticmethod(lambda profile: None)
 
     def __post_init__(self):
         finite = math.isfinite(self.alpha) and math.isfinite(self.d)
@@ -585,32 +575,11 @@ class ReserveBackedMechanism:
         a, d, p = self.alpha, self.d, self.p
         return (a * a + 1.0) / (a * a + 4.0 * a * d / (p * p) + 1.0)
 
-    def _posted(
-        self, rule: Optional[Rule], s: tuple[int, ...], branch: str, prob: float
-    ) -> RevenueEvent:
-        """One branch quoted line by line: the rule's winner (none without a rule), quoted once
-        per (rule, bidder, line), is offered the quote's price and buys iff her value reaches it."""
-        i = None if rule is None else rule(s)
-        key = (rule, i, tuple(x for b, x in enumerate(s) if b != i))  # holding the rule pins its id
-        if i is not None and key not in self._quotes:
-            try:
-                self._quotes[key] = winning_reserve(self.prior, self.v, rule, i, key[2])
-            except UndefinedReserve:
-                self._quotes[key] = None
-        quote = self._quotes.get(key)  # None: no winner, or no reserve
-        if quote is None:
-            return RevenueEvent(prob, 0.0, None, None, None, branch)
-        value = self.v.value(i, s)
-        sold = value >= quote.price
-        return RevenueEvent(
-            prob, quote.price if sold else 0.0, i if sold else None, quote.price, value, branch
-        )
-
     @cached_property
     def _heads(self) -> list:
         """Every internal branch as (prob, branch, rule, row), in ``profile_events`` order.
 
-        The full market's realizations, the empty subset (no rule, row 0),
+        The full market's realizations, the empty subset (``_nobody``, row 0),
         then each subset's realizations.  A rule that serves several branches
         (the full market is also a subset) has one row of the stacked pass.
         """
@@ -618,11 +587,11 @@ class ReserveBackedMechanism:
         qa = self.branch_a_prob
         qb = (1.0 - qa) / 2**n
         branches = [(qa * pr, "full", rule) for pr, rule in self.family.realizations(tuple(range(n)))]
-        branches.append((qb, "subset", None))
+        branches.append((qb, "subset", self._nobody))
         for mask in range(1, 2**n):
             keep = tuple(b for b in range(n) if mask >> b & 1)
             branches += [(qb * pr, "subset", rule) for pr, rule in self.family.realizations(keep)]
-        rows: dict = {None: 0}
+        rows: dict = {self._nobody: 0}
         return [(*branch, rows.setdefault(branch[2], len(rows))) for branch in branches]
 
     @cached_property
@@ -637,21 +606,45 @@ class ReserveBackedMechanism:
         rules = {r: rule for *_, rule, r in self._heads}
         lines = _SupportLines(self.prior, self.v)
         # filled row by row as the pass yields, so pages are touched as they are needed
-        sale = np.empty((len(rules), lines.support.size))
-        sale[0], lo = 0.0, 1
-        for won, quotes in _line_quotes(lines, self.v, [rules[r] for r in range(1, len(rules))]):
-            value = np.take_along_axis(lines.values.T, won, axis=0)
-            sale[lo : lo + len(won)] = np.where(value >= quotes[1], quotes[1], 0.0)
-            lo += len(won)
+        sale = np.empty((len(rules), lines.probs.size))
+        cells = sale.reshape(-1)
+        cells[: lines.probs.size], lo = 0.0, lines.probs.size
+        offers = _line_quotes(lines, self.v, [rules[r] for r in range(1, len(rules))])
+        for won, (_, price, _) in offers:
+            value = np.take_along_axis(lines.values.T, won.reshape(-1, lines.probs.size), axis=0)
+            cells[lo : lo + price.size] = np.where(value.reshape(-1) >= price, price, 0.0)
+            lo += price.size
         return lines.probs, sale
 
-    def profile_events(self, s: Sequence[int]) -> list[RevenueEvent]:
-        """Every internal branch at one reported profile as an event object.
+    def _settle(self, rules: Sequence, flat: np.ndarray) -> tuple:
+        """Each draw's winner, offered price (NaN: no offer) and, under an offer, her
+        value: draw d is rule ``rules[d]`` at flat profile ``flat[d]``, and each (rule,
+        profile) drawn is settled once, in one pass at the draws' profiles."""
+        row: dict = {}
+        ids = np.array([row.setdefault(rule, len(row)) for rule in rules])
+        profiles = _distinct(flat)
+        key = ids * profiles.size + np.searchsorted(profiles, flat)
+        pairs = _distinct(key)  # rule-major, then profile
+        lines = _SupportLines(self.prior, self.v, profiles)
+        parts = zip(*_line_quotes(lines, self.v, list(row), pairs))
+        won, quotes = (np.concatenate(x, axis=-1) for x in parts)
+        pick = np.searchsorted(pairs, key)
+        return won[pick], quotes[1, pick], lines.values[pairs % profiles.size, won][pick]
 
-        Each branch's rule is quoted line by line, as a Monte Carlo draw is.
-        """
+    def _events(self, branches: Sequence, s: tuple[int, ...]) -> list[RevenueEvent]:
+        """Each (prob, branch, rule, ...) at the validated profile s as an event, in one pass."""
+        flat = np.full(len(branches), np.ravel_multi_index(s, self.v.space.shape))
+        settled = (x.tolist() for x in self._settle([b[2] for b in branches], flat))
+        return [
+            RevenueEvent(prob, 0.0, None, None, None, branch) if math.isnan(p)  # no offer
+            else RevenueEvent(prob, p if x >= p else 0.0, i if x >= p else None, p, x, branch)
+            for (prob, branch, *_), i, p, x in zip(branches, *settled)
+        ]
+
+    def profile_events(self, s: Sequence[int]) -> list[RevenueEvent]:
+        """Every internal branch at one reported profile as an event object."""
         s = self.v.space.validate_profile(s)
-        return [self._posted(rule, s, branch, prob) for prob, branch, rule, _ in self._heads]
+        return self._events(self._heads, s)
 
     def enumeration_size(self) -> int:
         n = self.v.n
@@ -661,16 +654,17 @@ class ReserveBackedMechanism:
         per_profile = self.family.realization_count(n) + subset_realizations
         return int(np.count_nonzero(self.prior.probs)) * per_profile
 
+    def _draw(self, rng: random.Random) -> tuple[float, str, Rule]:
+        """One internal-randomness draw as (1.0, branch, rule)."""
+        if rng.random() < self.branch_a_prob:
+            return 1.0, "full", self.family.sample_rule(tuple(range(self.v.n)), rng)
+        keep = tuple(b for b in range(self.v.n) if rng.random() < 0.5)
+        return 1.0, "subset", self.family.sample_rule(keep, rng) if keep else self._nobody
+
     def sample_event(self, s: Sequence[int], rng: random.Random) -> RevenueEvent:
         """One internal-randomness draw at one reported profile."""
         s = self.v.space.validate_profile(s)
-        n = self.v.n
-        if rng.random() < self.branch_a_prob:
-            rule = self.family.sample_rule(tuple(range(n)), rng)
-            return self._posted(rule, s, "full", 1.0)
-        keep = tuple(b for b in range(n) if rng.random() < 0.5)
-        rule = self.family.sample_rule(keep, rng) if keep else None
-        return self._posted(rule, s, "subset", 1.0)
+        return self._events([self._draw(rng)], s)[0]
 
 
 def expected_revenue(
@@ -686,7 +680,8 @@ def expected_revenue(
     row-major and branches in ``profile_events`` order, as an event loop adds
     them; each chunk's terms carry the running total and are summed in place.
     Otherwise profiles are drawn by a seeded search of the prior's cumulative
-    probabilities, and internal branches through ``sample_event``.
+    probabilities, then branches with ``sample_event``'s ``rng`` calls, and
+    each chunk of ``MC_CHUNK`` draws is settled by one pass, in draw order.
     """
     if mechanism.enumeration_size() <= cap:
         heads = mechanism._heads
@@ -708,10 +703,13 @@ def expected_revenue(
     cum = np.cumsum(mechanism.prior.probs.reshape(-1)[support])
 
     def draws():
-        for _ in range(samples):
-            idx = min(int(np.searchsorted(cum, rng.random() * cum[-1])), support.size - 1)
-            s = np.unravel_index(support[idx], mechanism.v.space.shape)
-            yield mechanism.sample_event(s, rng).revenue
+        for lo in range(0, samples, MC_CHUNK):
+            at, rules = [], []  # per draw: its place in the support, its rule
+            for _ in range(min(MC_CHUNK, samples - lo)):
+                at.append(min(int(np.searchsorted(cum, rng.random() * cum[-1])), support.size - 1))
+                rules.append(mechanism._draw(rng)[2])
+            _, price, value = mechanism._settle(rules, support[at])
+            yield from np.where(value >= price, price, 0.0).tolist()
 
     return mean_and_stderr(draws())
 
@@ -731,7 +729,8 @@ def _lookahead_totals(prior: JointPrior, v: ValuationInstance, rules: Sequence) 
     second[second == -np.inf] = 0.0  # a lone bidder's win has no rival
     totals = []
     for winners, quotes in _line_quotes(lines, v, rules):
-        reserve = np.where(np.isnan(quotes[2]), 0.0, quotes[2])  # undefined reserves earn nothing
+        winners, gain = (x.reshape(-1, lines.probs.size) for x in (winners, quotes[2]))
+        reserve = np.where(np.isnan(gain), 0.0, gain)  # undefined reserves earn nothing
         runner = np.where(winners == top, second, first)
         totals.append(_sequential_sums(lines.probs * (reserve + runner)))
     return np.concatenate(totals)
@@ -769,6 +768,6 @@ def expected_payment_revenue(rule: Rule, v: ValuationInstance, prior: JointPrior
     """
     lines = _SupportLines(prior, v)
     [(winners, quotes)] = _line_quotes(lines, v, [rule], quote=False)
-    won, paid = winners[0] != NO_WINNER, quotes[0, 0]
+    won, paid = winners != NO_WINNER, quotes[0]
     assert not np.isnan(paid[won]).any(), "winner must have a critical signal on her own line"
     return float(_sequential_sums(lines.probs * np.where(won, paid, 0.0)))

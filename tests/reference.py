@@ -7,17 +7,19 @@ the same chain as array passes and are tested against it.  The rest are the
 literal twins and paper definitions the tests cross-check the package with:
 the per-profile truthfulness sweep, the one-line winning reserve (former
 package code, with its scalar price loop) and the losing reserve that shares
-its loop, the evaluator-backed sub-market, the worst ratio over sub-markets
-as a profile-by-subset loop, the closed forms of the no-crossing family, and
-the increments and intermediate profiles that define ``c``.  Last come more
-former package code kept as twins: the high-if-possible walk with its choice
-of order inside a weight class, and four generators that fill their tables
-one profile at a time.
+its loop, the reserve-backed mechanism's events and Monte Carlo draws quoted
+one line at a time on that reserve, the evaluator-backed sub-market, the
+worst ratio over sub-markets as a profile-by-subset loop, the closed forms of
+the no-crossing family, and the increments and intermediate profiles that
+define ``c``.  Last come more former package code kept as twins: the
+high-if-possible walk with its choice of order inside a weight class, and
+four generators that fill their tables one profile at a time.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -44,7 +46,9 @@ from ivauctions.mechanisms import (
 from ivauctions.model import validate_permutation
 from ivauctions.revenue import (
     JointPrior,
+    ReserveBackedMechanism,
     ReserveQuote,
+    RevenueEvent,
     RuleFamily,
     UndefinedReserve,
 )
@@ -259,6 +263,76 @@ def losing_reserve(
     values = _line_values(v, i, context)
     probs = prior.line_probs(i, context)
     return _monopoly_quote(values[:cutoff], probs[:cutoff])
+
+
+def posted_event(
+    mech: ReserveBackedMechanism, rule: Optional[Rule], s: Sequence[int], branch: str, prob: float
+) -> RevenueEvent:
+    """One branch at profile s, quoted afresh: the rule's winner (no one without a rule)
+    is offered her ``winning_reserve`` above and buys iff her value reaches it."""
+    s = tuple(s)
+    i = None if rule is None else rule(s)
+    quote = None
+    if i is not None:
+        try:
+            quote = winning_reserve(mech.prior, mech.v, rule, i, s[:i] + s[i + 1 :])
+        except UndefinedReserve:
+            pass
+    if quote is None:
+        return RevenueEvent(prob, 0.0, None, None, None, branch)
+    value = mech.v.value(i, s)
+    sold = value >= quote.price
+    return RevenueEvent(
+        prob, quote.price if sold else 0.0, i if sold else None, quote.price, value, branch
+    )
+
+
+def profile_events(mech: ReserveBackedMechanism, s: Sequence[int], realizations=None) -> list:
+    """Twin of ``ReserveBackedMechanism.profile_events``: every internal branch at s,
+    one ``posted_event`` at a time, in the mechanism's order (the full market's
+    realizations, the empty subset, then each subset's).  ``realizations(keep)``
+    gives a subset's (probability, rule) pairs, by default the mechanism's family's."""
+    realizations = realizations or mech.family.realizations
+    n = mech.v.n
+    qa = mech.branch_a_prob
+    qb = (1.0 - qa) / 2**n
+    branches = [(qa * pr, "full", rule) for pr, rule in realizations(tuple(range(n)))]
+    branches.append((qb, "subset", None))
+    for mask in range(1, 2**n):
+        keep = tuple(b for b in range(n) if mask >> b & 1)
+        branches += [(qb * pr, "subset", rule) for pr, rule in realizations(keep)]
+    return [posted_event(mech, rule, s, branch, prob) for prob, branch, rule in branches]
+
+
+def sample_branch(mech: ReserveBackedMechanism, rng: random.Random) -> tuple[str, Optional[Rule]]:
+    """One internal-randomness draw as (branch, rule), with ``sample_event``'s ``rng``
+    calls: the branch, then the subset's bits, then the family's draw (no rule for
+    the empty subset)."""
+    n = mech.v.n
+    if rng.random() < mech.branch_a_prob:
+        return "full", mech.family.sample_rule(tuple(range(n)), rng)
+    keep = tuple(b for b in range(n) if rng.random() < 0.5)
+    return "subset", mech.family.sample_rule(keep, rng) if keep else None
+
+
+def sample_event(mech: ReserveBackedMechanism, s: Sequence[int], rng: random.Random):
+    """Twin of ``ReserveBackedMechanism.sample_event``: one ``sample_branch``, posted."""
+    branch, rule = sample_branch(mech, rng)
+    return posted_event(mech, rule, s, branch, 1.0)
+
+
+def sampled_draws(mech: ReserveBackedMechanism, samples: int, seed: int):
+    """The Monte Carlo draws of a sampled ``expected_revenue(mech, samples=samples,
+    seed=seed)``, one at a time: each profile by a search of the prior's cumulative
+    probabilities, then its ``sample_branch``, as (profile, rule, event)."""
+    rng = random.Random(seed)
+    support = np.flatnonzero(mech.prior.probs)
+    cum = np.cumsum(mech.prior.probs.reshape(-1)[support])
+    for _ in range(samples):
+        idx = min(int(np.searchsorted(cum, rng.random() * cum[-1])), support.size - 1)
+        s = tuple(int(x) for x in np.unravel_index(support[idx], mech.v.space.shape))
+        branch, rule = sample_branch(mech, rng)
+        yield s, rule, posted_event(mech, rule, s, branch, 1.0)
 
 
 def restrict_bidders(

@@ -81,6 +81,24 @@ def test_exact_revenue_has_one_path():
     assert params == ["mechanism", "cap", "samples", "seed"]
 
 
+def test_revenue_settles_sales_in_one_pass():
+    """Only ``_line_quotes`` bisects a line or prices one: no per-draw quote path,
+    no quote cache on the mechanism, and no one-line bisection imported."""
+    tree = ast.parse(Path(revenue.__file__).read_text())
+    callers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for call in ast.walk(func)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) in (
+            "_monopoly_quotes", "_critical_signals")
+    }
+    assert callers == {"_line_quotes"}
+    assert "critical_signal" not in set(_imported_names(tree))
+    assert not hasattr(revenue.ReserveBackedMechanism, "_posted")
+    assert "_quotes" not in {f.name for f in dataclasses.fields(revenue.ReserveBackedMechanism)}
+
+
 def test_a_prior_keeps_only_its_array():
     """A prior is its space and one probability array; no per-profile tuples."""
     assert [f.name for f in dataclasses.fields(revenue.JointPrior)] == ["space", "probs"]

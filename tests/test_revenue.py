@@ -22,6 +22,7 @@ from ivauctions import (
 from ivauctions import instances as gen
 from ivauctions import mechanisms as mechanisms_module
 from ivauctions import model as model_module
+from ivauctions import oracle as oracle_module
 from ivauctions import revenue as revenue_module
 from ivauctions.mechanisms import (
     IncompatibleMechanism,
@@ -482,7 +483,7 @@ def test_sales_price_dominates_critical_value(finite_c_corpus):
             v=v, prior=prior, family=fam, alpha=family_worst_ratio(fam, v), d=d
         )
         for s, _ in prior.support():
-            mech.profile_events(s)  # the dominance assert lives in winning_reserve
+            mech.profile_events(s)  # the dominance assert lives in the pass
 
 
 def test_exact_revenue_matches_hand_enumeration():
@@ -803,38 +804,17 @@ def _ref_realizations(v, kind, c, keep):
 
 
 def _ref_events(mech, kind, c, s):
-    """(probability, revenue) of every branch at one profile in the mechanism's
-    order, quoting afresh with the reference quote at every event."""
-    v, prior, n = mech.v, mech.prior, mech.v.n
-    qa = mech.branch_a_prob
-    qb = (1.0 - qa) / 2**n
-    branches = [(qa * pr, rule) for pr, rule in _ref_realizations(v, kind, c, tuple(range(n)))]
-    branches.append((qb, None))
-    for mask in range(1, 2**n):
-        keep = tuple(b for b in range(n) if mask >> b & 1)
-        branches += [(qb * pr, rule) for pr, rule in _ref_realizations(v, kind, c, keep)]
-    events = []
-    for prob, rule in branches:
-        rev = 0.0
-        i = None if rule is None else rule(s)
-        if i is not None:
-            ctx = tuple(x for b, x in enumerate(s) if b != i)
-            try:
-                quote = reference.winning_reserve(prior, v, rule, i, ctx)
-            except UndefinedReserve:
-                quote = None
-            if quote is not None and v.value(i, s) >= quote.price:
-                rev = quote.price
-        events.append((prob, rev))
-    return events
+    """Every branch's event at one profile in the mechanism's order, by the line-by-line
+    twin ``reference.profile_events`` on fresh rules of ``kind``."""
+    return reference.profile_events(mech, s, lambda keep: _ref_realizations(mech.v, kind, c, keep))
 
 
 def _ref_exact_revenue(mech, kind, c):
     """Exact revenue summed event by event in the mechanism's order, quoting afresh."""
     total = 0.0
     for s, ps in mech.prior.support():
-        for prob, rev in _ref_events(mech, kind, c, s):
-            total += ps * prob * rev
+        for event in _ref_events(mech, kind, c, s):
+            total += ps * event.prob * event.revenue
     return total
 
 
@@ -985,6 +965,66 @@ def test_non_monotone_rules_follow_the_bisection(signals):
         assert got == _ref_exact_revenue(mech, _SignalSetFamily(v, signals), None)
 
 
+class _LazyGridFamily(HypergridFamily):
+    """The grid family with the lazy chain for its exact realizations too."""
+
+    def realizations(self, bidders):
+        orders = list(permutations(bidders))
+        return [(1.0 / len(orders), self._rule(order, table=False)) for order in orders]
+
+
+def _event_cases():
+    """Small grids whose rules are tables, the lazy chain, high-if-possible functions
+    and a non-monotone function, each with a sparse prior on half its profiles."""
+    sep = gen.gen_random_separable(2, 2, 1.5, seed=90)
+    two = gen.gen_random_separable(3, 1, 2.0, seed=91)
+    families = {
+        "table": (sep, HypergridFamily(sep)),
+        "lazy": (sep, _LazyGridFamily(sep)),
+        "high": (two, HighIfPossibleFamily(two)),
+        "non-monotone": (sep, _SignalSetFamily(sep, (0, 2))),
+    }
+    for name, (v, family) in families.items():
+        prior = _random_sparse_prior(v.space, 90, v.space.profile_count // 2)
+        mech = ReserveBackedMechanism(v, prior, family, alpha=2.0, d=1.0, p=0.5)
+        yield pytest.param(mech, id=name)
+
+
+@pytest.mark.parametrize("mech", _event_cases())
+def test_events_equal_the_line_by_line_twin(mech):
+    """At every profile of the grid, on the prior's support and off it, the pass gives
+    the twin's events field by field, and each seeded draw the twin's draw."""
+    off, branches = 0, set()
+    for s in mech.v.space.profiles():
+        off += mech.prior.prob(s) == 0.0
+        assert mech.profile_events(s) == reference.profile_events(mech, s)
+        for seed in range(8):
+            event = mech.sample_event(s, random.Random(seed))
+            assert event == reference.sample_event(mech, s, random.Random(seed))
+            branches.add((event.branch, event.buyer is None))
+    assert 0 < off < mech.v.space.profile_count
+    assert {branch for branch, _ in branches} == {"full", "subset"}
+    assert {unsold for _, unsold in branches} == {True, False}
+
+
+def test_winning_reserve_keeps_both_refusals():
+    """A bidder who never wins on her line, and a line with no probability at or above
+    her critical signal, raise ``UndefinedReserve`` with the one-line quote's messages."""
+    v = gen.gen_random_separable(2, 2, 1.5, seed=92)
+    prior = JointPrior(space=v.space, atoms={(0, 1): 0.5, (2, 2): 0.5})
+    cases = [
+        (lambda p: 1, "bidder 0 never wins on line (1,)"),
+        (always_first, "conditioning event has zero probability"),  # line (., 0) has no mass
+    ]
+    for (rule, said), ctx in zip(cases, [(1,), (0,)]):
+        for quote in (winning_reserve, reference.winning_reserve):
+            with pytest.raises(UndefinedReserve, match=f"^{re.escape(said)}$"):
+                quote(prior, v, rule, 0, ctx)
+    assert winning_reserve(prior, v, always_first, 0, (2,)) == reference.winning_reserve(
+        prior, v, always_first, 0, (2,)
+    )
+
+
 class _HighestSignalFamily(RuleFamily):
     """A monotone family that reads no values: the kept bidder with the highest
     signal wins, ties going to the lower index."""
@@ -1032,12 +1072,11 @@ def test_exact_paths_read_only_the_lines_through_a_sparse_support(monkeypatch):
     assert look == _ref_lookahead(prior, v, rule)
     assert paid == _ref_payment_revenue(rule, v, prior)
     assert se == 0.0 and got == _ref_exact_revenue(mech, _HighestSignalFamily(v), None)
-    # every profile, on the support or off it, is quoted one line at a time, as a draw is
+    # every profile, on the support or off it, gives the line-by-line twin's events
     off = [(0, 0, 0), (20, 3, 11)]
     assert all(prior.prob(s) == 0.0 for s in off)
     for s in [s for s, _ in prior.support()] + off:
-        events = [(e.prob, e.revenue) for e in mech.profile_events(s)]
-        assert events == _ref_events(mech, _HighestSignalFamily(v), None, s)
+        assert mech.profile_events(s) == _ref_events(mech, _HighestSignalFamily(v), None, s)
 
 
 def test_chunks_of_rules_and_quotes_change_no_float(monkeypatch):
@@ -1193,16 +1232,22 @@ def test_one_reserve_quote_per_rule_and_line_in_exact_revenue(monkeypatch, pi):
 
 @pytest.mark.parametrize("pi", (None, (1, 0, 2)))
 def test_sampled_revenue_quotes_once_per_rule_and_line(monkeypatch, pi):
-    """A Monte Carlo run quotes each drawn (rule, bidder, line) once, one line at a time."""
+    """A Monte Carlo run of one chunk writes one quote row per drawn (rule, winner,
+    line), all in the stacked pass: no one-line quote and no one-line bisection."""
     v = gen.gen_random_separable(3, 2, 1.5, seed=74)
     prior = uniform_product_prior(v.space)
     fam = HypergridFamily(v, pi=pi)
     mech = ReserveBackedMechanism(v=v, prior=prior, family=fam, alpha=3.0, d=1.0, p=0.5)
-    calls = _count_calls(monkeypatch, "winning_reserve")
+    assert 2000 <= oracle_module.MC_CHUNK  # one chunk, so one pass
+    draws = list(reference.sampled_draws(mech, 2000, 9))
+    keys = {(rule, i, s[:i] + s[i + 1 :]) for s, rule, _ in draws if rule for i in [rule(s)]}
+    want = _expected_rows(prior, v, keys)
     rows = _count_quote_rows(monkeypatch)
-    expected_revenue(mech, cap=1, samples=2000, seed=9)
-    keys = {(rule, i, ctx) for _, _, rule, i, ctx in calls}
-    assert 0 < len(calls) == len(keys) == len(rows)
+    calls = _count_scalar_calls(monkeypatch)
+    got = expected_revenue(mech, cap=1, samples=2000, seed=9)
+    assert collections.Counter(rows) == want and len(rows) == len(keys) > 0
+    assert calls == []
+    assert got == model_module.mean_and_stderr(event.revenue for *_, event in draws)
 
 
 def test_one_payment_per_line(monkeypatch):
@@ -1247,7 +1292,7 @@ def test_high_if_possible_tables_built_once_per_submarket(monkeypatch):
 
 
 def test_monte_carlo_revenue_stream_is_pinned():
-    """Quote reuse across draws leaves the seeded sample stream bit-identical."""
+    """Settling the draws a chunk at a time leaves the seeded sample stream bit-identical."""
     v = gen.gen_random_separable(3, 2, 1.5, seed=43)
     prior = JointPrior(
         space=v.space,
