@@ -25,7 +25,7 @@ import math
 import random
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -182,8 +182,8 @@ class ReserveQuote:
     expected_revenue: float
 
 
-#: Cells one chunk of an array pass may hold, half a MB per float array: a quote
-#: chunk's (candidate price, line entry) block, or a rule chunk's winners at points.
+#: Cells one chunk of an array pass may hold, half a MB per float array: a quote chunk's
+#: (candidate price, line entry) block, or a rule chunk's tables at points and functions' pairs.
 _CHUNK_CELLS = 1 << 16
 
 def _row_sums(entries: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -196,13 +196,10 @@ def _row_sums(entries: np.ndarray, counts: np.ndarray) -> np.ndarray:
     summed as its own slice instead, which takes fewer NumPy calls.
     """
     lengths = np.flatnonzero(np.bincount(counts))
+    ends = np.cumsum(counts)
     if counts.size <= 4 * lengths.size:
-        sums, end = [], 0
-        for c in counts.tolist():
-            sums.append(entries[end : end + c].sum())
-            end += c
-        return np.array(sums)
-    starts = np.cumsum(counts) - counts
+        return np.array([entries[e - c : e].sum() for c, e in zip(counts.tolist(), ends.tolist())])
+    starts = ends - counts
     sums = np.empty(counts.size)
     for c in lengths:
         rows = np.flatnonzero(counts == c)
@@ -291,10 +288,9 @@ class _SupportLines:
         self.probs = flat_probs[self.profiles]
         # per bidder: her first line's number, then per line its points' places in
         # ``near``, her values and the joint probabilities
-        self.bidders = []
-        for i, (first, at) in enumerate(zip(firsts, points)):
-            near_at = np.searchsorted(self.near, at)
-            self.bidders.append((first, near_at, values[near_at, i], flat_probs[at]))
+        near_at = [np.searchsorted(self.near, at) for at in points]
+        self.bidders = [(first, p, values[p, i], flat_probs[at])
+                        for i, (first, p, at) in enumerate(zip(firsts, near_at, points))]
 
 
 def _line_quotes(
@@ -311,18 +307,22 @@ def _line_quotes(
     Every price is checked to dominate the critical value.
     """
     size, m = lines.near.size, lines.profiles.size
-    step = max(1, _CHUNK_CELLS // size)
+    npairs = [m] * len(rules) if at is None else np.bincount(at // m, minlength=len(rules)).tolist()
+    cells = accumulate(size if isinstance(r, AllocationTable) else k for r, k in zip(rules, npairs))
+    chunk_of = [c // _CHUNK_CELLS for c in cells]
+    splits = [r for r in range(1, len(rules)) if chunk_of[r] != chunk_of[r - 1]]
     ends = [first for first, *_ in lines.bidders] + [lines.count]  # each bidder's lines
-    for lo in range(0, len(rules), step):
-        chunk = rules[lo : lo + step]
+    for lo, hi in zip([0] + splits, splits + [len(rules)]):
+        chunk = rules[lo:hi]
         calls = [_trusted(r, v) for r in chunk]
-        low, high = lo * m, (lo + len(chunk)) * m
-        pairs = np.arange(low, high) if at is None else at[(at >= low) & (at < high)]
-        rule, place = np.divmod(pairs - low, m)
+        span = [lo * m, hi * m]
+        pairs = np.arange(*span) if at is None else at[slice(*np.searchsorted(at, span))]
+        rule, place = np.divmod(pairs - span[0], m)
         tables = [r for r, t in enumerate(chunk) if isinstance(t, AllocationTable)]
         row = np.full(len(chunk), -1)  # a function's row is read, then called over
         row[tables], lazy = range(len(tables)), len(tables) < len(chunk)
-        read = np.array([chunk[r].winner.reshape(-1)[lines.near] for r in tables] or [lines.near])
+        read = (np.array([chunk[r].winner.reshape(-1)[lines.near] for r in tables]) if tables
+                else np.broadcast_to(NO_WINNER, (1, size)))
         called: dict = {}  # a function's winners, by rule * size + point
 
         def winners(rows, points):
@@ -348,11 +348,11 @@ def _line_quotes(
         bounds = np.searchsorted(kline, ends).tolist()
         for i, (first, points, values, joint) in enumerate(lines.bidders):
             a, b = bounds[i : i + 2]
+            if a == b:  # she wins on none of the chunk's lines
+                continue
             ln, rr = kline[a:b] - first, krule[a:b]
-            whole = read[row[rr][:, None], points[ln]] == i  # every point of a table's lines
             crit = _critical_signals(
-                lambda e, t: winners(rr[e], points[ln[e], t]) == i if lazy else whole[e, t],
-                points.shape[1] - 1,
+                lambda e, t: winners(rr[e], points[ln[e], t]) == i, points.shape[1] - 1
             )
             ok = crit >= 0
             ln, crit, keyed = ln[ok], crit[ok], per_key[:, a:b]  # a view

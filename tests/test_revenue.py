@@ -1081,7 +1081,7 @@ def test_exact_paths_read_only_the_lines_through_a_sparse_support(monkeypatch):
 
 def test_chunks_of_rules_and_quotes_change_no_float(monkeypatch):
     """With room for two rules, a few quote rows and two support profiles' branches
-    per chunk, and then for one of each, every sum is unchanged."""
+    per chunk, and then for one of each, every sum is unchanged, sampled revenue too."""
     v = gen.gen_random_separable(3, 2, 1.5, seed=78)
     c, d = compute_c(v), compute_d(v)
     prior = _random_product_prior(v.space, 78)
@@ -1094,6 +1094,7 @@ def test_chunks_of_rules_and_quotes_change_no_float(monkeypatch):
             expected_revenue(mech),
             lookahead_benchmark_family(prior, v, fam),
             expected_payment_revenue(table, v, prior),
+            expected_revenue(mech, cap=1, samples=300, seed=5),
         )
 
     whole = sums()
@@ -1248,6 +1249,33 @@ def test_sampled_revenue_quotes_once_per_rule_and_line(monkeypatch, pi):
     assert collections.Counter(rows) == want and len(rows) == len(keys) > 0
     assert calls == []
     assert got == model_module.mean_and_stderr(event.revenue for *_, event in draws)
+
+
+def test_sampled_chunk_is_one_pass_however_many_points_its_lines_cover(monkeypatch):
+    """A chunk of draws' function rules is sized by its pairs, not by its lines' points:
+    with fewer cells than points, the draws still share one bisection per bidder."""
+    v = gen.gen_random_separable(3, 4, 1.5, seed=76)
+    prior = uniform_product_prior(v.space)
+    fam = HypergridFamily(v)
+    mech = ReserveBackedMechanism(v=v, prior=prior, family=fam, alpha=3.0, d=1.0, p=0.5)
+    whole = expected_revenue(mech, cap=1, samples=40, seed=3)
+    monkeypatch.setattr(revenue_module, "_CHUNK_CELLS", 41)  # room for the 40 pairs alone
+    built, searched = [], []
+    lines, bisect = revenue_module._SupportLines, revenue_module._critical_signals
+
+    def build(*args):
+        built.append(lines(*args))
+        return built[-1]
+
+    def bisect_lines(won_at, k):
+        searched.append(k)
+        return bisect(won_at, k)
+
+    monkeypatch.setattr(revenue_module, "_SupportLines", build)
+    monkeypatch.setattr(revenue_module, "_critical_signals", bisect_lines)
+    assert expected_revenue(mech, cap=1, samples=40, seed=3) == whole
+    assert len(built) == 1 and built[0].near.size > 41
+    assert 0 < len(searched) <= v.n
 
 
 def test_one_payment_per_line(monkeypatch):
