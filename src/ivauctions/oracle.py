@@ -52,12 +52,13 @@ def optimal_welfare(v: ValuationInstance, s: Sequence[int]) -> float:
 class SearchReport:
     """Result of the exhaustive monotone-table search.
 
-    ``tables_scanned`` counts the candidate assignments the search tried:
-    one per child of a frontier step, the same count as a one-cell-at-a-time
-    depth-first walk.  ``monotone_count`` counts the complete monotone
-    tables, all of which are visited.  The witness, when present, is
-    monotone, attains ``best_ratio`` exactly and is the first such table in
-    lexicographic order.
+    ``tables_scanned`` counts the candidate assignments a one-cell-at-a-time
+    depth-first walk tries, one per child of each partial table; the search
+    computes it from memoized subtree sizes (a frontier state's node count is
+    its children plus their subtrees' nodes), so it is the same count as that
+    walk's.  ``monotone_count`` counts the complete monotone tables, summed
+    the same way.  The witness, when present, is monotone, attains
+    ``best_ratio`` exactly and is the first such table in lexicographic order.
     """
 
     best_ratio: float
@@ -66,16 +67,14 @@ class SearchReport:
     monotone_count: int
 
 
-#: Most partial tables one frontier step extends.
+#: Most partial tables one enumeration step extends.
 _BLOCK = 16_384
 #: Bytes of pending partial tables: the stack keeps at most one parent block of
 #: `step` rows per cell, one byte per profile, so step <= budget / profiles^2.
 _STACK_BYTES = 1 << 26
 
 
-def _monotone_tables(
-    v: ValuationInstance, cap: int, cost: np.ndarray, nodes: list[int]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _monotone_tables(v: ValuationInstance, cap: int) -> Iterator[np.ndarray]:
     """Yield every fully-assigned monotone winner table, in blocks, by pruned extension.
 
     Profiles are filled in row-major order; a candidate winner at a profile is
@@ -86,10 +85,8 @@ def _monotone_tables(
     rows by that cell, children in parent-then-candidate order, and pushes the
     children as contiguous slices, last slice first; a slice is kept as parent
     rows plus candidates until it is popped.  So complete tables come out in
-    lexicographic order, as ``(tables, worst)`` blocks: ``tables`` is (rows,
-    profiles) int8 and ``worst`` the max of ``cost[winner, profile]`` over each
-    row's cells (at least 1.0).  ``nodes[0]`` counts the candidate assignments
-    tried.  The first ``cap`` complete tables are yielded before CapExceeded.
+    lexicographic order, as (rows, profiles) int8 blocks.  The first ``cap``
+    complete tables are yielded before CapExceeded.
     """
     n, shape = v.space.n, v.space.shape
     count = math.prod(shape)
@@ -102,10 +99,10 @@ def _monotone_tables(
         lower.append((axes, pos - strides[axes]))
     # a stack entry is the block src[parent] with cell pos - 1 set to cand
     root = np.zeros((1, count), np.int8)  # n <= log2(profiles), so bidders fit int8
-    stack = [(0, root, np.zeros(1, np.intp), None, np.ones(1))]
+    stack = [(0, root, np.zeros(1, np.intp), None)]
     complete = 0
     while stack:
-        pos, src, parent, cand, worst = stack.pop()
+        pos, src, parent, cand = stack.pop()
         tables = src[parent]
         if pos:
             tables[:, pos - 1] = cand
@@ -118,70 +115,119 @@ def _monotone_tables(
             continue
         rank = np.arange(len(parent)) - (np.cumsum(kids) - kids)[parent]
         cand = np.where(nhit[parent] == 0, rank, (hits @ axes)[parent])
-        worst = np.maximum(worst[parent], cost[cand, pos])
-        nodes[0] += len(parent)
         if pos + 1 < count:
             for start in reversed(range(0, len(parent), step)):
                 part = slice(start, start + step)
-                stack.append((pos + 1, tables, parent[part], cand[part], worst[part]))
+                stack.append((pos + 1, tables, parent[part], cand[part]))
             continue
         tables = tables[parent]
         tables[:, pos] = cand
         room = cap - complete
         if len(tables) > room:
             if room:
-                yield tables[:room], worst[:room]
-            raise CapExceeded(
-                f"more than {cap} monotone tables; try a smaller instance or raise the cap"
-            )
+                yield tables[:room]
+            raise CapExceeded(_cap_message(cap))
         complete += len(tables)
-        yield tables, worst
+        yield tables
+
+
+def _cap_message(cap: int) -> str:
+    return f"more than {cap} monotone tables; try a smaller instance or raise the cap"
 
 
 def enumerate_monotone_tables(v: ValuationInstance, cap: int = DEFAULT_PROFILE_CAP) -> Iterator[np.ndarray]:
     """Yield every fully-assigned monotone winner table (flat, row-major, int32):
-    the rows of one int32 copy per search block, in lexicographic order, bidder
+    the rows of one int32 copy per block, in lexicographic order, bidder
     0 first at each cell."""
-    for tables, _ in _monotone_tables(v, cap, np.ones((v.n, v.space.profile_count)), [0]):
+    for tables in _monotone_tables(v, cap):
         yield from tables.astype(np.int32)
+
+
+def _children(pos: int, state: int, frontier: tuple) -> list[tuple[int, int]]:
+    """The candidates at cell ``pos`` from frontier ``state``, lowest bidder first, as
+    (bidder, next state) pairs.  ``frontier`` is ``(forcing, owner, keep, successor)``:
+    the bits that force their bidder to win ``pos``, the bidder of each such bit,
+    the mask of bits the shifted state keeps, and per cell each bidder's new bit
+    (0 where the cell has no successor on her axis)."""
+    forcing, owner, keep, successor = frontier
+    base = (state << 1) & keep
+    forced = state & forcing
+    if not forced:
+        return [(b, base | bit) for b, bit in enumerate(successor[pos])]
+    if forced & (forced - 1):  # two bidders forced: no monotone completion
+        return []
+    b = owner[forced]
+    return [(b, base | successor[pos][b])]
 
 
 def best_monotone_ratio(v: ValuationInstance, cap: int = DEFAULT_PROFILE_CAP) -> SearchReport:
     """Minimum worst-case welfare ratio over all monotone full-support tables.
 
-    The monotone-table search with each cell's welfare ratio as its cost, so
-    the running worst ratio is carried along the path.  Every monotone table
-    is visited, so the minimum is exact; the witness is the first table, in
-    the search's lexicographic order, that attains it.
+    Cells are filled in row-major order, as ``enumerate_monotone_tables``
+    fills them, but a cell reads only one bit per bidder of the cells before
+    it: the frontier state before cell ``pos`` says, for each bidder a and
+    d = 1..stride_a, whether cell pos - d is a's and has an a-successor.  So
+    the search is a memoized walk in which each (cell, frontier state) is
+    expanded once (``_children``) and keeps its subtree's table count, node
+    count and worst-to-go: the least, over completions, of the largest cell
+    ratio (1.0 past the last cell).  CapExceeded, with the enumerator's
+    message, is raised once an expanded subtree holds more than ``cap``
+    tables.  The witness takes, from the root down, the first candidate
+    whose ratio and worst-to-go are at most the best, so it is the first
+    table in lexicographic order that attains it.
     """
     dense = v.tabulated().values
     space = v.space
-    n = space.n
+    n, shape = space.n, space.shape
+    count = math.prod(shape)
     flat_vals = dense.reshape(n, -1)
     flat_max = flat_vals.max(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = flat_max[None, :] / flat_vals
-    ratio_of = np.where(flat_max[None, :] == 0, 1.0, raw)  # 0/0 line := 1, x/0 := inf
+    cost = np.where(flat_max[None, :] == 0, 1.0, raw).T.tolist()  # 0/0 line := 1, x/0 := inf
 
-    best = INFINITE
-    best_table: Optional[np.ndarray] = None
-    nodes = [0]
-    monotone = 0
-    for tables, worst in _monotone_tables(v, cap, ratio_of, nodes):
-        monotone += len(tables)
-        first = int(worst.argmin())
-        if worst[first] < best:
-            best = float(worst[first])
-            best_table = tables[first].astype(np.int32)
+    strides = [math.prod(shape[a + 1:]) for a in range(n)]
+    offsets = [sum(strides[:a]) for a in range(n)]  # bidder a's bit for cell pos - d: offset + d - 1
+    owner = {1 << (off + stride - 1): a for a, (off, stride) in enumerate(zip(offsets, strides))}
+    keep = (1 << sum(strides)) - 1 - sum(1 << off for off in offsets)
+    has_next = (np.indices(shape).reshape(n, count) < np.array(shape)[:, None] - 1).T.tolist()
+    successor = [[1 << off if nxt else 0 for off, nxt in zip(offsets, row)] for row in has_next]
+    frontier = (sum(owner), owner, keep, successor)
+
+    # solved[pos][state] = (tables, worst-to-go, nodes, children); past the last
+    # cell no bidder has a successor left, so the only state there is 0
+    solved: list[dict] = [{} for _ in range(count)] + [{0: (1, 1.0, 0, ())}]
+    stack = [(0, 0, None)]
+    while stack:
+        pos, state, kids = stack.pop()
+        if kids is None:
+            if state not in solved[pos]:
+                kids = _children(pos, state, frontier)
+                stack.append((pos, state, kids))
+                stack.extend((pos + 1, s, None) for _, s in reversed(kids))
+            continue
+        below, row = solved[pos + 1], cost[pos]
+        tables = nodes = 0
+        worst = INFINITE
+        for b, s in kids:
+            more, rest, deeper, _ = below[s]
+            tables += more
+            nodes += 1 + deeper
+            worst = min(worst, max(row[b], rest))
+        if tables > cap:
+            raise CapExceeded(_cap_message(cap))
+        solved[pos][state] = (tables, worst, nodes, kids)
+
+    tables, best, nodes, _ = solved[0][0]
     witness = None
-    if best_table is not None:
-        witness = AllocationTable(space=space, winner=best_table.reshape(space.shape))
-    return SearchReport(
-        best_ratio=best,
-        witness_table=witness,
-        tables_scanned=nodes[0],
-        monotone_count=monotone,
-    )
+    if best < INFINITE:
+        winner, state = [], 0
+        for pos in range(count):
+            below, row = solved[pos + 1], cost[pos]
+            b, state = next((b, s) for b, s in solved[pos][state][3] if max(row[b], below[s][1]) <= best)
+            winner.append(b)
+        witness = AllocationTable(space=space, winner=np.array(winner, np.int32).reshape(shape))
+    return SearchReport(best_ratio=best, witness_table=witness, tables_scanned=nodes, monotone_count=tables)
 
 
 def exact_random_hypergrid_stats(

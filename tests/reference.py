@@ -10,8 +10,9 @@ package code, with its scalar price loop) and the losing reserve that shares
 its loop, the reserve-backed mechanism's events and Monte Carlo draws quoted
 one line at a time on that reserve, the evaluator-backed sub-market, the
 worst ratio over sub-markets as a profile-by-subset loop, the closed forms of
-the no-crossing family, and the increments and intermediate profiles that
-define ``c``.  Last come more former package code kept as twins: the
+the no-crossing family, the exhaustive monotone-table search walked one
+cell at a time, and the increments and intermediate profiles that define
+``c``.  Last come more former package code kept as twins: the
 high-if-possible walk with its choice of order inside a weight class, and
 four generators that fill their tables one profile at a time.
 """
@@ -379,6 +380,46 @@ def family_worst_ratio(family: RuleFamily, v: ValuationInstance) -> float:
                 return math.inf
             worst = max(worst, top / float(vals[w]))
     return worst
+
+
+def best_monotone_ratio(v: ValuationInstance) -> tuple[float, Optional[list[int]], int, int]:
+    """The exhaustive monotone-table search as a plain recursive walk, one cell at a time.
+
+    Cells are filled in row-major order, candidates lowest bidder first; a
+    candidate is dropped when a bidder won the cell one step below on her own
+    axis and the candidate is not her.  Returns the best worst-case ratio, the
+    first table in that order attaining it (flat, or None when the best is
+    infinite), the candidate assignments tried and the complete tables.
+    """
+    profiles = list(v.space.profiles())
+    index = {p: i for i, p in enumerate(profiles)}
+    ratio = []
+    for p in profiles:
+        vals = [float(x) for x in v.values_at(p)]
+        top = max(vals)
+        ratio.append([1.0 if top == 0 else math.inf if x == 0 else top / x for x in vals])
+    lower = [[(a, index[p[:a] + (p[a] - 1,) + p[a + 1:]]) for a in range(v.n) if p[a]] for p in profiles]
+    table: list[int] = []
+    best, witness, nodes, tables = math.inf, None, 0, 0
+
+    def walk(pos: int, worst: float) -> None:
+        nonlocal best, witness, nodes, tables
+        if pos == len(profiles):
+            tables += 1
+            if worst < best:
+                best, witness = worst, list(table)
+            return
+        forced = [a for a, q in lower[pos] if table[q] == a]
+        if len(forced) > 1:
+            return
+        for b in forced or range(v.n):
+            nodes += 1
+            table.append(b)
+            walk(pos + 1, max(worst, ratio[pos][b]))
+            table.pop()
+
+    walk(0, 1.0)
+    return best, witness, nodes, tables
 
 
 def closed_form_rand_impossibility(n: int, epsilon: float) -> tuple[float, float, float]:

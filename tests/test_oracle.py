@@ -31,6 +31,7 @@ from ivauctions import oracle
 from ivauctions.model import ValidationError, mean_and_stderr
 from ivauctions.oracle import enumerate_monotone_tables
 
+from reference import best_monotone_ratio as reference_best_monotone_ratio
 from reference import closed_form_rand_impossibility, exact_stats_by_chain
 
 REL = 1e-9
@@ -195,6 +196,105 @@ def test_cap_counts_complete_tables_exactly(v):
     assert best_monotone_ratio(v, cap=count).monotone_count == count
     with pytest.raises(CapExceeded, match=f"more than {count - 1} monotone tables"):
         best_monotone_ratio(v, cap=count - 1)
+
+
+def _as_walk(report):
+    """A search report in the one-cell walk's form: (best, flat witness, nodes, tables)."""
+    witness = report.witness_table
+    flat = None if witness is None else witness.winner.reshape(-1).tolist()
+    return report.best_ratio, flat, report.tables_scanned, report.monotone_count
+
+
+#: Most tables the one-cell walk is run on in the corpus comparison.
+WALK_TABLES = 50_000
+
+
+def test_search_equals_the_one_cell_walk_on_the_corpus(corpus):
+    """Every corpus instance with at most WALK_TABLES monotone tables: ratio, witness and counts."""
+    walked, refused = [], []
+    for name, v in corpus:
+        try:
+            report = best_monotone_ratio(v, cap=WALK_TABLES)
+        except CapExceeded:
+            refused.append(name)
+            continue
+        assert _as_walk(report) == reference_best_monotone_ratio(v), name
+        walked.append(name)
+    assert len(walked) == 15 and "rand_impossibility_n3" in walked  # one with an infinite best
+    assert "tight_hypergrid_n4_c1.5" in refused  # 4,595,984 tables: the twin's is one seeded grid
+
+
+def _tie_tables(count):
+    """Seeded {0, 1, 2} tables on small grids: ties, zero values and infinite bests."""
+    rng = np.random.default_rng(5)
+    sizes = [(1, 1), (2, 2), (3, 3), (4, 4), (1, 2), (1, 1, 1), (2, 1, 1)]
+    for j in range(count):
+        space = SignalSpace(sizes[j % len(sizes)])
+        values = rng.integers(0, 3, size=(space.n,) + space.shape).astype(float)
+        yield ValuationInstance(space=space, values=values)
+
+
+def _seeded_tables():
+    for k in range(1, 10):
+        for seed in range(4):
+            yield gen.gen_random_tabulated(1, k, seed=seed)[0]
+    for k in range(1, 5):
+        for seed in range(15):
+            yield gen.gen_random_tabulated(2, k, seed=seed)[0]
+    for seed in range(30):
+        yield gen.gen_random_tabulated(3, 1, seed=seed)[0]
+
+
+@pytest.mark.parametrize("family", ["random_tabulated", "ties"])
+def test_search_equals_the_one_cell_walk_on_seeded_instances(family):
+    instances = list(_seeded_tables() if family == "random_tabulated" else _tie_tables(105))
+    reports = [best_monotone_ratio(v) for v in instances]
+    assert [_as_walk(r) for r in reports] == [reference_best_monotone_ratio(v) for v in instances]
+    if family == "ties":
+        infinite = [r for r in reports if r.best_ratio == math.inf]
+        assert infinite and all(r.witness_table is None for r in infinite)
+        assert sum(r.best_ratio == 1.0 for r in reports) > 10  # ties at the leaves' 1.0
+
+
+def test_search_equals_the_one_cell_walk_on_a_four_bidder_grid():
+    """One seeded 2x2x2x2 grid: 4,595,984 tables, every one walked by the twin."""
+    v = gen.gen_random_tabulated(4, 1, seed=2)[0]
+    walk = reference_best_monotone_ratio(v)
+    assert walk[2:] == (8_713_739, 4_595_984)
+    assert _as_walk(best_monotone_ratio(v)) == walk
+
+
+def _count_expansions(monkeypatch):
+    """Record each (cell, state) the search expands, through its one children helper."""
+    expanded = []
+    children = oracle._children
+
+    def spy(pos, state, frontier):
+        expanded.append((pos, state))
+        return children(pos, state, frontier)
+
+    monkeypatch.setattr(oracle, "_children", spy)
+    return expanded
+
+
+def test_each_frontier_state_is_expanded_once(monkeypatch):
+    """On the 8x8 grid at most 9 frontier states reach a cell, each expanded once."""
+    expanded = _count_expansions(monkeypatch)
+    report = best_monotone_ratio(gen.gen_random_tabulated(2, 7, seed=6)[0])
+    assert report.tables_scanned == 115_821
+    assert len(expanded) == len(set(expanded)) == 519
+    assert max(Counter(pos for pos, _ in expanded).values()) == 9
+
+
+def test_cap_hit_is_found_after_few_expansions(monkeypatch):
+    """Six bidders, two signals: past 10^7 tables after 2,285 expansions of 64 cells."""
+    expanded = _count_expansions(monkeypatch)
+    with pytest.raises(CapExceeded) as err:
+        best_monotone_ratio(gen.gen_random_tabulated(6, 1, seed=1)[0])
+    assert str(err.value) == (
+        "more than 10000000 monotone tables; try a smaller instance or raise the cap"
+    )
+    assert len(expanded) == len(set(expanded)) == 2_285
 
 
 # ---------------------------------------------------------------------------
