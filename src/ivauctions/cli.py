@@ -439,7 +439,7 @@ def cmd_evaluate(args):
     if table is None:
         try:
             cells = [
-                oracle.exact_random_hypergrid_stats(v, p, c=c)[0] if v.n <= 8
+                oracle.exact_random_hypergrid_stats(v, p, c=c)[0] if v.n <= oracle.STATS_MAX_N
                 else oracle.monte_carlo_random_hypergrid(v, p, args.samples, args.seed, c=c)[0]
                 for p in v.space.profiles()
             ]

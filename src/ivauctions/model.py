@@ -283,35 +283,6 @@ def _monotone_violations(dense: np.ndarray) -> list[tuple[int, int, tuple[int, .
     return violations
 
 
-def spot_check_value_monotone(
-    v: ValuationInstance, samples: int = 1000, seed: int = 0
-) -> list[tuple[int, int, tuple[int, ...], float, float]]:
-    """Sampled monotonicity check for evaluator-backed instances over huge grids.
-
-    Draws random (bidder, profile, axis) triples with a seeded generator and
-    compares each value against its lower neighbor.  Same violation tuples as
-    the exhaustive check; an empty list is evidence, not proof.
-    """
-    import random as _random
-
-    rng = _random.Random(seed)
-    sizes = v.space.sizes
-    violations = []
-    for _ in range(samples):
-        profile = tuple(rng.randint(0, k) for k in sizes)
-        axis = rng.randrange(v.n)
-        if profile[axis] == 0:
-            continue
-        bidder = rng.randrange(v.n)
-        lower = list(profile)
-        lower[axis] -= 1
-        lo = v.value(bidder, tuple(lower))
-        hi = v.value(bidder, profile)
-        if hi < lo:
-            violations.append((bidder, axis, profile, lo, hi))
-    return violations
-
-
 def _require_monotone(v: ValuationInstance) -> np.ndarray:
     """The dense table of a monotone ``v``, checked once per instance object."""
     dense = v.tabulated().values

@@ -74,18 +74,24 @@ _BLOCK = 16_384
 _STACK_BYTES = 1 << 26
 
 
-def _monotone_tables(v: ValuationInstance, cap: int) -> Iterator[np.ndarray]:
-    """Yield every fully-assigned monotone winner table, in blocks, by pruned extension.
+def _cap_message(cap: int) -> str:
+    return f"more than {cap} monotone tables; try a smaller instance or raise the cap"
+
+
+def enumerate_monotone_tables(v: ValuationInstance, cap: int = DEFAULT_PROFILE_CAP) -> Iterator[np.ndarray]:
+    """Yield every fully-assigned monotone winner table (flat, row-major, int32),
+    in lexicographic order, by pruned extension.
 
     Profiles are filled in row-major order; a candidate winner at a profile is
     rejected exactly when some lower neighbor along a bidder's own axis was won
     by that bidder and the candidate differs, so only (and all) monotone tables
     are completed.  The walk is depth-first over blocks of partial tables that
     share the next cell.  One array step extends a block of at most ``_BLOCK``
-    rows by that cell, children in parent-then-candidate order, and pushes the
-    children as contiguous slices, last slice first; a slice is kept as parent
-    rows plus candidates until it is popped.  So complete tables come out in
-    lexicographic order, as (rows, profiles) int8 blocks.  The first ``cap``
+    rows by that cell, children in parent-then-candidate order (bidder 0
+    first), and pushes the children as contiguous slices, last slice first; a
+    slice is kept as parent rows plus candidates until it is popped.  So
+    complete tables come out in lexicographic order, as (rows, profiles) int8
+    blocks, each yielded row by row from one int32 copy.  The first ``cap``
     complete tables are yielded before CapExceeded.
     """
     n, shape = v.space.n, v.space.shape
@@ -123,24 +129,10 @@ def _monotone_tables(v: ValuationInstance, cap: int) -> Iterator[np.ndarray]:
         tables = tables[parent]
         tables[:, pos] = cand
         room = cap - complete
+        yield from tables[:room].astype(np.int32)
         if len(tables) > room:
-            if room:
-                yield tables[:room]
             raise CapExceeded(_cap_message(cap))
         complete += len(tables)
-        yield tables
-
-
-def _cap_message(cap: int) -> str:
-    return f"more than {cap} monotone tables; try a smaller instance or raise the cap"
-
-
-def enumerate_monotone_tables(v: ValuationInstance, cap: int = DEFAULT_PROFILE_CAP) -> Iterator[np.ndarray]:
-    """Yield every fully-assigned monotone winner table (flat, row-major, int32):
-    the rows of one int32 copy per block, in lexicographic order, bidder
-    0 first at each cell."""
-    for tables in _monotone_tables(v, cap):
-        yield from tables.astype(np.int32)
 
 
 def _children(pos: int, state: int, frontier: tuple) -> list[tuple[int, int]]:
@@ -230,6 +222,10 @@ def best_monotone_ratio(v: ValuationInstance, cap: int = DEFAULT_PROFILE_CAP) ->
     return SearchReport(best_ratio=best, witness_table=witness, tables_scanned=nodes, monotone_count=tables)
 
 
+#: Largest n the exact ordering average takes: it walks all n! orderings.
+STATS_MAX_N = 8
+
+
 def exact_random_hypergrid_stats(
     v: ValuationInstance, s: Sequence[int], c: Optional[float] = None
 ) -> tuple[float, np.ndarray]:
@@ -239,8 +235,8 @@ def exact_random_hypergrid_stats(
     The chain's entry table is built once, with c measured once; each
     ordering's winner is then a walk through it, prefixes expanded in that order.
     """
-    if v.n > 8:
-        raise CapExceeded("n! enumeration limited to n <= 8; use the Monte Carlo path")
+    if v.n > STATS_MAX_N:
+        raise CapExceeded(f"n! enumeration limited to n <= {STATS_MAX_N}; use the Monte Carlo path")
     p = v.space.validate_profile(s)
     T = _entry_table(v, np.asarray(p, dtype=np.intp), _required_c(v, c))
     n = v.n

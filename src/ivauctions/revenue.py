@@ -118,19 +118,6 @@ class JointPrior:
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
-    def prob(self, profile: Sequence[int]) -> float:
-        return float(self.probs[self.space.validate_profile(profile)])
-
-    def support(self) -> Iterator[tuple[tuple[int, ...], float]]:
-        """(profile, probability) for each profile with positive probability, row-major."""
-        on = self.probs > 0
-        return zip(map(tuple, np.argwhere(on).tolist()), self.probs[on].tolist())
-
-    def line_probs(self, i: int, s_minus_i: Sequence[int]) -> np.ndarray:
-        """Joint probabilities along bidder i's line at fixed s_minus_i (a read-only view)."""
-        context = self.space.validate_line(i, s_minus_i)
-        return self.probs[context[:i] + (slice(None),) + context[i:]]
-
     @staticmethod
     def from_json(obj: dict, space: SignalSpace) -> "JointPrior":
         """Parse the wire form on ``space``, the instance's grid; missing or ill-typed

@@ -5,16 +5,18 @@ mechanism's chain written one profile and one signal level at a time, the
 way the paper states it; ``ivauctions.lazy_winner`` and ``lazy_winners`` run
 the same chain as array passes and are tested against it.  The rest are the
 literal twins and paper definitions the tests cross-check the package with:
-the per-profile truthfulness sweep, the one-line winning reserve (former
-package code, with its scalar price loop) and the losing reserve that shares
-its loop, the reserve-backed mechanism's events and Monte Carlo draws quoted
-one line at a time on that reserve, the evaluator-backed sub-market, the
-worst ratio over sub-markets as a profile-by-subset loop, the closed forms of
-the no-crossing family, the exhaustive monotone-table search walked one
-cell at a time, and the increments and intermediate profiles that define
-``c``.  Last come more former package code kept as twins: the
-high-if-possible walk with its choice of order inside a weight class, and
-four generators that fill their tables one profile at a time.
+the per-profile truthfulness sweep, a prior's support listed row-major, the
+one-line winning reserve (former package code, with its scalar price loop)
+and the losing reserve that shares its loop, the reserve-backed mechanism's
+events and Monte Carlo draws quoted one line at a time on that reserve, the
+evaluator-backed sub-market, the worst ratio over sub-markets as a
+profile-by-subset loop, the closed forms of the no-crossing family, the
+exhaustive monotone-table search walked one cell at a time, the increments
+and intermediate profiles that define ``c``, and a seeded spot check of value
+monotonicity on grids too large to tabulate (former package code).  Last
+come more former package code kept as twins: the high-if-possible walk with
+its choice of order inside a weight class, and four generators that fill
+their tables one profile at a time.
 """
 
 from __future__ import annotations
@@ -196,6 +198,12 @@ def check_expost_truthful_literal(
     return violations
 
 
+def prior_support(prior: JointPrior):
+    """(profile, probability) for each profile of positive probability, row-major."""
+    on = prior.probs > 0
+    return zip(map(tuple, np.argwhere(on).tolist()), prior.probs[on].tolist())
+
+
 def _monopoly_quote(values: np.ndarray, probs: np.ndarray) -> ReserveQuote:
     """Best support price of ``values`` under the posterior ``probs``; prices
     ascend, so ``>=`` breaks revenue ties toward the higher price."""
@@ -237,7 +245,7 @@ def winning_reserve(
     if b_star is None:
         raise UndefinedReserve(f"bidder {i} never wins on line {context}")
     values = _line_values(v, i, context)
-    probs = prior.line_probs(i, context)
+    probs = prior.probs[context[:i] + (slice(None),) + context[i:]]
     quote = _monopoly_quote(values[b_star:], probs[b_star:])
     assert quote.price >= values[b_star], "reserve must dominate the critical value"
     return quote
@@ -262,7 +270,7 @@ def losing_reserve(
     if cutoff == 0:
         raise UndefinedReserve(f"bidder {i} always wins on line {context}; losing side empty")
     values = _line_values(v, i, context)
-    probs = prior.line_probs(i, context)
+    probs = prior.probs[context[:i] + (slice(None),) + context[i:]]
     return _monopoly_quote(values[:cutoff], probs[:cutoff])
 
 
@@ -479,6 +487,33 @@ def alpha_approximates(
         raise ValidationError("alpha must be nonnegative")
     p = v.space.validate_profile(s)
     return v.value(j, p) <= alpha * v.value(i, p)
+
+
+def spot_check_value_monotone(
+    v: ValuationInstance, samples: int = 1000, seed: int = 0
+) -> list[tuple[int, int, tuple[int, ...], float, float]]:
+    """Sampled monotonicity check for evaluator-backed instances over huge grids.
+
+    Draws random (bidder, profile, axis) triples with a seeded generator and
+    compares each value against its lower neighbor.  Same violation tuples as
+    the exhaustive check; an empty list is evidence, not proof.
+    """
+    rng = random.Random(seed)
+    sizes = v.space.sizes
+    violations = []
+    for _ in range(samples):
+        profile = tuple(rng.randint(0, k) for k in sizes)
+        axis = rng.randrange(v.n)
+        if profile[axis] == 0:
+            continue
+        bidder = rng.randrange(v.n)
+        lower = list(profile)
+        lower[axis] -= 1
+        lo = v.value(bidder, tuple(lower))
+        hi = v.value(bidder, profile)
+        if hi < lo:
+            violations.append((bidder, axis, profile, lo, hi))
+    return violations
 
 
 def high_if_possible_ordered(

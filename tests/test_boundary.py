@@ -30,6 +30,7 @@ MOVED = (
     "_monopoly_quote",
     "_line_values",
     "high_if_possible_ordered",
+    "spot_check_value_monotone",
 )
 
 
@@ -100,8 +101,11 @@ def test_revenue_settles_sales_in_one_pass():
 
 
 def test_a_prior_keeps_only_its_array():
-    """A prior is its space and one probability array; no per-profile tuples."""
+    """A prior is its space and one probability array; no per-profile tuples, and
+    no readers: a line or the support is read off ``probs``."""
     assert [f.name for f in dataclasses.fields(revenue.JointPrior)] == ["space", "probs"]
+    for name in ("prob", "support", "line_probs"):
+        assert not hasattr(revenue.JointPrior, name), name
 
 
 def test_revenue_does_not_import_bisect():
@@ -141,17 +145,22 @@ def test_a_table_is_a_rule():
     assert len(rules) == 2 and all(isinstance(r, mechanisms.AllocationTable) for r in rules)
 
 
+def _tracing():
+    """The benchmark's tracer module, loaded from its file."""
+    path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_the_names_the_benchmark_reaches_are_kept():
     """``perfbench`` looks up package names that no other test reads: its
     tracer wraps ``ReserveBackedMechanism.profile_events`` through the class
     dict and checks the ``lazy_winner`` bindings, and its workloads call
     ``critical_signal_scan`` and unpack a four-slot concavity witness."""
-    path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
     original = revenue.ReserveBackedMechanism.profile_events
-    tracer = tracing.Tracer()
+    tracer = _tracing().Tracer()
     tracer.install()
     try:
         assert revenue.ReserveBackedMechanism.profile_events is not original
@@ -164,13 +173,28 @@ def test_the_names_the_benchmark_reaches_are_kept():
     assert len(ivauctions.concavity_report(v).witness) == 4
 
 
+def test_the_benchmark_counts_each_enumerated_table_once():
+    """The tracer counts one table per item ``enumerate_monotone_tables`` yields,
+    so its count is the search's monotone count."""
+    v = ivauctions.instances.gen_three_bidder_no_c()
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        enumerated = sum(1 for _ in oracle.enumerate_monotone_tables(v))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["oracle.enumerate_monotone_tables.tables"] == enumerated == 3158
+    assert oracle.best_monotone_ratio(v).monotone_count == 3158
+
+
 def test_the_names_only_tests_read_are_gone():
     """No table parser (the CLI writes tables and never reads one), no profile
     index helper (NumPy's ``ravel_multi_index`` is the row-major contract), no
-    search-report serializer (the CLI alone writes ``"INFINITE"``), and the
-    oracles resolve c through one rule."""
+    search-report serializer (the CLI alone writes ``"INFINITE"``), one
+    monotone-table generator, and the oracles resolve c through one rule."""
     assert not hasattr(mechanisms.AllocationTable, "from_json")
     assert not hasattr(mechanisms.SignalSpace, "index_of")
     assert not hasattr(oracle.SearchReport, "to_json")
+    assert not hasattr(oracle, "_monotone_tables")
     tree = ast.parse(Path(oracle.__file__).read_text())
     assert "compute_c" not in set(_imported_names(tree))

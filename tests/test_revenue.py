@@ -53,7 +53,7 @@ from ivauctions.revenue import (
 )
 
 import reference
-from reference import losing_reserve, restrict_bidders
+from reference import losing_reserve, prior_support, restrict_bidders
 
 REL = 1e-9
 
@@ -76,18 +76,17 @@ def test_prior_validation():
     with pytest.raises(ValidationError):
         JointPrior(space=sp, atoms={(0, 0): np.nan, (1, 1): 1.0})
     prior = JointPrior(space=sp, atoms={(0, 0): 0.25, (1, 1): 0.75})
-    assert prior.prob((0, 0)) == 0.25 and prior.prob((1, 0)) == 0.0
-    assert list(prior.support()) == [((0, 0), 0.25), ((1, 1), 0.75)]
+    assert prior.probs.tolist() == [[0.25, 0.0], [0.0, 0.75]]
 
 
 def test_prior_json_roundtrip():
     sp = SignalSpace((1, 2))
     prior = uniform_product_prior(sp)
     back = JointPrior.from_json({"kind": "product", "marginals": [[1 / 2] * 2, [1 / 3] * 3]}, sp)
-    assert back.prob((1, 2)) == pytest.approx(prior.prob((1, 2)))
+    assert back.probs[1, 2] == pytest.approx(prior.probs[1, 2])
     wire = {"kind": "sparse", "atoms": [{"profile": [0, 2], "p": 0.5}, {"profile": [1, 0], "p": 0.5}]}
     back = JointPrior.from_json(wire, space=sp)
-    assert back.prob((0, 2)) == 0.5
+    assert back.probs[0, 2] == 0.5
 
 
 @pytest.mark.parametrize(
@@ -131,22 +130,12 @@ def test_a_prior_needs_one_source_on_its_grid(parts):
         JointPrior(space=SignalSpace((1, 1)), **parts)
 
 
-def test_line_probs_product():
-    sp = SignalSpace((2, 1))
-    prior = JointPrior(
-        space=sp, marginals=(np.array([0.2, 0.3, 0.5]), np.array([0.4, 0.6]))
-    )
-    probs = prior.line_probs(0, (1,))
-    assert probs.tolist() == pytest.approx([0.12, 0.18, 0.30])
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_dense_prior_equals_per_point_reference(seed):
     """Stored probabilities equal the per-point formulas bit for bit.
 
     A product prior multiplies its marginals in bidder order; a sparse wire
-    prior sums the atoms of a repeated profile in file order.  The support
-    lists the positive-probability profiles in row-major order.
+    prior sums the atoms of a repeated profile in file order.
     """
     rng = np.random.default_rng(seed)
     sp = SignalSpace((2, 3, 1))
@@ -161,8 +150,7 @@ def test_dense_prior_equals_per_point_reference(seed):
         ref[p] = 1.0
         for i, s in enumerate(p):
             ref[p] *= float(marginals[i][s])
-    assert all(product.prob(p) == product.probs[p] == ref[p] for p in sp.profiles())
-    assert list(product.support()) == [(p, ref[p]) for p in sp.profiles() if ref[p] > 0]
+    assert all(product.probs[p] == ref[p] for p in sp.profiles())
 
     profiles = list(sp.profiles())
     picks = rng.integers(len(profiles), size=12)  # with replacement: repeated profiles
@@ -176,8 +164,7 @@ def test_dense_prior_equals_per_point_reference(seed):
         q = tuple(atom["profile"])
         ref[q] = ref.get(q, 0.0) + atom["p"]
     assert len(ref) < len(wire)
-    assert all(sparse.prob(p) == sparse.probs[p] == ref.get(p, 0.0) for p in sp.profiles())
-    assert list(sparse.support()) == [(p, ref[p]) for p in sorted(ref) if ref[p] > 0]
+    assert all(sparse.probs[p] == ref.get(p, 0.0) for p in sp.profiles())
 
 
 def test_a_prior_is_its_probability_array():
@@ -199,9 +186,6 @@ def test_bad_line_is_a_validation_error(i, context):
     """Wrong-length, out-of-range and negative lines are refused, never wrapped."""
     v, c, _ = gen.gen_random_tabulated(2, 1, seed=3)
     table = hypergrid_coloring(v, (0, 1), c=c)
-    prior = uniform_product_prior(v.space)
-    with pytest.raises(ValidationError):
-        prior.line_probs(i, context)
     with pytest.raises(ValidationError):
         critical_signal(table, v, i, context)
     with pytest.raises(ValidationError):
@@ -212,35 +196,24 @@ def test_non_integer_signals_are_refused():
     """A float or string signal raises instead of being truncated; NumPy integers pass."""
     v, c, _ = gen.gen_random_tabulated(2, 3, seed=1)
     table = hypergrid_coloring(v, (0, 1), c=c)
-    prior = uniform_product_prior(v.space)
     with pytest.raises(ValidationError):
         outcome(table, v, (1.7, 2))
     with pytest.raises(ValidationError):
         lazy_winner(v, (0, 1), (1.0, 2), c=c)
-    with pytest.raises(ValidationError):
-        prior.prob(("1", 0))
     s = np.array([1, 2], dtype=np.int64)
     assert outcome(table, v, tuple(s)) == outcome(table, v, (1, 2))
     assert lazy_winner(v, (0, 1), s, c=c) == lazy_winner(v, (0, 1), (1, 2), c=c)
-    assert prior.prob(tuple(s)) == prior.prob((1, 2))
 
 
 def test_library_profiles_are_validated_once(monkeypatch):
-    """The support is not re-checked; a line is checked once, not once per point or probe."""
+    """A line is checked once, not once per point or probe."""
     v, c, _ = gen.gen_random_tabulated(2, 6, seed=5)
     table = hypergrid_coloring(v, (0, 1), c=c)
-    priors = [_random_product_prior(v.space, 1), _random_sparse_prior(v.space, 2, 10)]
     calls = []
     check = SignalSpace.validate_profile
     monkeypatch.setattr(
         SignalSpace, "validate_profile", lambda self, p: calls.append(p) or check(self, p)
     )
-    for prior in priors:
-        calls.clear()
-        list(prior.support())
-        assert calls == []
-        prior.line_probs(0, (3,))
-        assert len(calls) == 1
     for i in range(2):
         for t in range(7):
             calls.clear()
@@ -295,9 +268,9 @@ def test_winning_reserve_matches_brute_force_price_search():
             q = winning_reserve(prior, v, table, 0, (s2,))
             # brute force over every candidate price on the winning side
             line = [v.value(0, (t, s2)) for t in range(4)]
-            mass = sum(prior.prob((t, s2)) for t in range(b, 4))
+            mass = sum(prior.probs[t, s2] for t in range(b, 4))
             best = max(
-                price * sum(prior.prob((t, s2)) for t in range(b, 4) if line[t] >= price) / mass
+                price * sum(prior.probs[t, s2] for t in range(b, 4) if line[t] >= price) / mass
                 for price in line[b:]
             )
             assert q.expected_revenue == pytest.approx(best, rel=1e-12)
@@ -311,9 +284,9 @@ def test_reserve_price_is_support_attained():
     q = winning_reserve(prior, v, table, 0, (1,))
     line = [v.value(0, (t, 1)) for t in range(2)]
     b = 0
-    mass = sum(prior.prob((t, 1)) for t in range(b, 2))
+    mass = sum(prior.probs[t, 1] for t in range(b, 2))
     for price in line[b:]:
-        rev = price * sum(prior.prob((t, 1)) for t in range(b, 2) if line[t] >= price) / mass
+        rev = price * sum(prior.probs[t, 1] for t in range(b, 2) if line[t] >= price) / mass
         assert rev <= q.expected_revenue + 1e-15
 
 
@@ -425,9 +398,9 @@ def test_losing_reserve_matches_brute_force():
             continue
         q = losing_reserve(prior, v, table, 0, (s2,))
         line = [v.value(0, (t, s2)) for t in range(cutoff)]
-        mass = sum(prior.prob((t, s2)) for t in range(cutoff))
+        mass = sum(prior.probs[t, s2] for t in range(cutoff))
         best = max(
-            price * sum(prior.prob((t, s2)) for t in range(cutoff) if line[t] >= price) / mass
+            price * sum(prior.probs[t, s2] for t in range(cutoff) if line[t] >= price) / mass
             for price in line
         )
         assert q.expected_revenue == pytest.approx(best, rel=1e-12)
@@ -482,7 +455,7 @@ def test_sales_price_dominates_critical_value(finite_c_corpus):
         mech = ReserveBackedMechanism(
             v=v, prior=prior, family=fam, alpha=family_worst_ratio(fam, v), d=d
         )
-        for s, _ in prior.support():
+        for s, _ in prior_support(prior):
             mech.profile_events(s)  # the dominance assert lives in the pass
 
 
@@ -500,7 +473,7 @@ def test_exact_revenue_matches_hand_enumeration():
     # hand enumeration: branch (a) full rule, branch (b) over the 4 subsets
     qa = (alpha**2 + 1) / (alpha**2 + 4 * alpha * d + 1)
     total = 0.0
-    for s, ps in prior.support():
+    for s, ps in prior_support(prior):
         contributions = []
         full_rule = fam.realizations((0, 1))[0][1]
         contributions.append((qa, full_rule))
@@ -758,7 +731,7 @@ def test_posted_truthfulness_of_branch_a():
 def _ref_lookahead(prior, v, rule):
     """Per-profile lookahead: one fresh reference reserve quote at every profile."""
     total = 0.0
-    for s, ps in prior.support():
+    for s, ps in prior_support(prior):
         vals = v.values_at(s)
         w = rule(s)
         if w is None:
@@ -777,7 +750,7 @@ def _ref_lookahead(prior, v, rule):
 
 def _ref_payment_revenue(rule, v, prior):
     total = 0.0
-    for s, ps in prior.support():
+    for s, ps in prior_support(prior):
         total += ps * outcome(rule, v, s).payment
     return total
 
@@ -812,7 +785,7 @@ def _ref_events(mech, kind, c, s):
 def _ref_exact_revenue(mech, kind, c):
     """Exact revenue summed event by event in the mechanism's order, quoting afresh."""
     total = 0.0
-    for s, ps in mech.prior.support():
+    for s, ps in prior_support(mech.prior):
         for event in _ref_events(mech, kind, c, s):
             total += ps * event.prob * event.revenue
     return total
@@ -955,7 +928,7 @@ def test_non_monotone_rules_follow_the_bisection(signals):
         assert lookahead_benchmark(prior, v, rule) == _ref_lookahead(prior, v, rule)
         got = payments(expected_payment_revenue, prior)
         assert got == payments(_ref_payment_revenue, prior)
-        if signals == (0,) and prior.prob((0, 1)) > 0:
+        if signals == (0,) and prior.probs[0, 1] > 0:
             assert got == "winner must have a critical signal on her own line"
         mech = ReserveBackedMechanism(
             v=v, prior=prior, family=_SignalSetFamily(v, signals), alpha=2.0, d=1.0, p=0.5
@@ -996,7 +969,7 @@ def test_events_equal_the_line_by_line_twin(mech):
     the twin's events field by field, and each seeded draw the twin's draw."""
     off, branches = 0, set()
     for s in mech.v.space.profiles():
-        off += mech.prior.prob(s) == 0.0
+        off += mech.prior.probs[s] == 0.0
         assert mech.profile_events(s) == reference.profile_events(mech, s)
         for seed in range(8):
             event = mech.sample_event(s, random.Random(seed))
@@ -1052,7 +1025,7 @@ def test_exact_paths_read_only_the_lines_through_a_sparse_support(monkeypatch):
         v.tabulated()  # 9,261 profiles
     prior = _random_sparse_prior(v.space, 77, 4)
     on_lines = {
-        s[:i] + (t,) + s[i + 1 :] for s, _ in prior.support() for i in range(3) for t in range(21)
+        s[:i] + (t,) + s[i + 1 :] for s, _ in prior_support(prior) for i in range(3) for t in range(21)
     }
     family = _HighestSignalFamily(v)
     [(_, rule)] = family.realizations((0, 1, 2))
@@ -1066,7 +1039,7 @@ def test_exact_paths_read_only_the_lines_through_a_sparse_support(monkeypatch):
     assert set(evaluated) <= on_lines
     # the function rule is probed only along each support profile's winner's line
     winner_lines = {
-        s[:w] + (t,) + s[w + 1 :] for s, _ in prior.support() for w in [rule(s)] for t in range(21)
+        s[:w] + (t,) + s[w + 1 :] for s, _ in prior_support(prior) for w in [rule(s)] for t in range(21)
     }
     assert set(called) <= winner_lines < on_lines
     assert look == _ref_lookahead(prior, v, rule)
@@ -1074,8 +1047,8 @@ def test_exact_paths_read_only_the_lines_through_a_sparse_support(monkeypatch):
     assert se == 0.0 and got == _ref_exact_revenue(mech, _HighestSignalFamily(v), None)
     # every profile, on the support or off it, gives the line-by-line twin's events
     off = [(0, 0, 0), (20, 3, 11)]
-    assert all(prior.prob(s) == 0.0 for s in off)
-    for s in [s for s, _ in prior.support()] + off:
+    assert all(prior.probs[s] == 0.0 for s in off)
+    for s in [s for s, _ in prior_support(prior)] + off:
         assert mech.profile_events(s) == _ref_events(mech, _HighestSignalFamily(v), None, s)
 
 
@@ -1183,7 +1156,7 @@ def _expected_rows(prior, v, keys):
         b = critical_signal(rule, v, i, ctx)
         if b is not None:
             line = [v.value(i, ctx[:i] + (t,) + ctx[i:]) for t in range(v.space.sizes[i] + 1)]
-            rows[(tuple(line), tuple(prior.line_probs(i, ctx).tolist()), b)] += 1
+            rows[(tuple(line), tuple(prior.probs[ctx[:i] + (slice(None),) + ctx[i:]].tolist()), b)] += 1
     return rows
 
 
@@ -1193,7 +1166,7 @@ def test_one_reserve_quote_per_line_in_lookahead(monkeypatch):
     prior = _random_sparse_prior(v.space, 73, 12)
     table = hypergrid_coloring(v, (0, 1, 2))
     keys = set()
-    for s, _ in prior.support():
+    for s, _ in prior_support(prior):
         w = table(s)
         keys.add((table, w, tuple(x for b, x in enumerate(s) if b != w)))
     want = _expected_rows(prior, v, keys)
@@ -1201,7 +1174,7 @@ def test_one_reserve_quote_per_line_in_lookahead(monkeypatch):
     calls = _count_scalar_calls(monkeypatch)
     lookahead_benchmark(prior, v, table)
     assert collections.Counter(rows) == want
-    assert len(rows) == len(keys) < sum(1 for _ in prior.support())
+    assert len(rows) == len(keys) < sum(1 for _ in prior_support(prior))
     assert calls == []
     rows.clear()
     lookahead_benchmark(prior, v, table)  # a second call quotes afresh
@@ -1217,7 +1190,7 @@ def test_one_reserve_quote_per_rule_and_line_in_exact_revenue(monkeypatch, pi):
     mech = ReserveBackedMechanism(v=v, prior=prior, family=fam, alpha=3.0, d=1.0, p=0.5)
     keys = set()
     subsets = [tuple(b for b in range(3) if mask >> b & 1) for mask in range(1, 8)]
-    for s, _ in prior.support():
+    for s, _ in prior_support(prior):
         for keep in subsets:
             for _, rule in fam.realizations(keep):
                 i = rule(s)
