@@ -94,17 +94,20 @@ def _cases():
 def worker(src: str, cases=_cases, only=None, repeats=REPEATS) -> dict:
     """Median time per call of each of ``cases()`` (or of case ``only``) on the package
     under ``src``, at wall speed and at the reference speed of ``perfbench/reference.py``,
-    and the worker's peak RSS once the case has run."""
+    and the worker's peak RSS once the case has run.  A case may add a fourth item, a
+    callable whose result is digested instead of the calls' results."""
     sys.path.insert(0, src)
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import numpy as np
     from reference import slowness
 
     out = {}
-    for name, unit, calls in cases():
+    for name, unit, calls, *output in cases():
         if only not in (None, name):
             continue
         outputs = [np.asarray(call()).tolist() for call in calls]  # warm-up, and what to digest
+        if output:
+            outputs = output[0]()
         times = []
         before = slowness()
         for _ in range(repeats):

@@ -67,10 +67,10 @@ class SearchReport:
     monotone_count: int
 
 
-#: Most partial tables one enumeration step extends.
+#: Most partial tables in one block that the enumerator grows or joins.
 _BLOCK = 16_384
-#: Bytes of pending partial tables: the stack keeps at most one parent block of
-#: `step` rows per cell, one byte per profile, so step <= budget / profiles^2.
+#: Bytes of int8 partial tables the enumerator holds, shared by its nested calls:
+#: half of each share for grown and joined blocks, half for a suffix block.
 _STACK_BYTES = 1 << 26
 
 
@@ -78,61 +78,108 @@ def _cap_message(cap: int) -> str:
     return f"more than {cap} monotone tables; try a smaller instance or raise the cap"
 
 
+def _candidates(rows: np.ndarray, pos: int, walk: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Each monotone child of the partial tables ``rows`` at cell ``pos``, as (parent
+    row, bidder) arrays in parent-then-bidder order.  ``walk`` is ``(reads, bidders,
+    1 - eye(n))``: ``reads[pos, a]`` is the column of pos's lower neighbor on bidder a's
+    axis, or the sentinel's, which no bidder owns.  A bidder may win pos unless
+    another bidder won such a neighbor."""
+    reads, bidders, others = walk
+    hits = rows[:, reads[pos]] == bidders
+    return np.nonzero(hits @ others == 0)
+
+
 def enumerate_monotone_tables(v: ValuationInstance, cap: int = DEFAULT_PROFILE_CAP) -> Iterator[np.ndarray]:
     """Yield every fully-assigned monotone winner table (flat, row-major, int32),
-    in lexicographic order, by pruned extension.
+    in lexicographic order, by meeting in the middle.
 
     Profiles are filled in row-major order; a candidate winner at a profile is
     rejected exactly when some lower neighbor along a bidder's own axis was won
     by that bidder and the candidate differs, so only (and all) monotone tables
-    are completed.  The walk is depth-first over blocks of partial tables that
-    share the next cell.  One array step extends a block of at most ``_BLOCK``
-    rows by that cell, children in parent-then-candidate order (bidder 0
-    first), and pushes the children as contiguous slices, last slice first; a
-    slice is kept as parent rows plus candidates until it is popped.  So
-    complete tables come out in lexicographic order, as (rows, profiles) int8
-    blocks, each yielded row by row from one int32 copy.  The first ``cap``
-    complete tables are yielded before CapExceeded.
+    are completed.  A cell reads only cells up to one largest own-axis stride
+    (``window``) before it, and each only as to whether the reading bidder won
+    it.  So partial tables that agree on those reads by the cells of a range,
+    their context, have the same completions over it.  ``complete`` grows a
+    block of partial tables breadth-first to the middle cell ``m`` of its
+    range, children in parent-then-bidder order; ``join`` grows each distinct
+    context of those prefixes once, in one batch, to the end of the range and
+    repeats every prefix, in order, over its context's suffixes.  The first
+    ``cap`` tables are yielded, from int32 copies of the int8 blocks, before
+    CapExceeded.
+
+    Memory follows sizes the walk observes.  Ranges halve, so at most
+    ``levels`` calls nest, and each holds at most its ``share`` of
+    ``_STACK_BYTES``.  Half of it is for its grown and joined blocks, of at
+    most ``block`` and 2 ``block`` rows: prefixes that would outgrow a block
+    are taken to ``m`` by ``complete`` on the rest of that range.  The other
+    half is for its suffix block, kept only if it fits and no context has over
+    ``block`` completions; otherwise ``complete`` takes the prefixes over the
+    suffix range.
     """
     n, shape = v.space.n, v.space.shape
     count = math.prod(shape)
-    step = max(1, min(_BLOCK, _STACK_BYTES // (count * count)))
+    window, width = count // shape[0], count + 1  # column `count` is the sentinel, -1
     strides = np.array([math.prod(shape[axis + 1:]) for axis in range(n)])
-    coords = np.indices(shape).reshape(n, count)
-    lower = []  # per cell: the bidders with a lower own-axis neighbor, and those neighbors
-    for pos in range(count):
-        axes = np.flatnonzero(coords[:, pos])
-        lower.append((axes, pos - strides[axes]))
-    # a stack entry is the block src[parent] with cell pos - 1 set to cand
-    root = np.zeros((1, count), np.int8)  # n <= log2(profiles), so bidders fit int8
-    stack = [(0, root, np.zeros(1, np.intp), None)]
-    complete = 0
-    while stack:
-        pos, src, parent, cand = stack.pop()
-        tables = src[parent]
-        if pos:
-            tables[:, pos - 1] = cand
-        axes, neighbors = lower[pos]
-        hits = tables[:, neighbors] == axes  # own-axis lower wins: each forces its bidder
-        nhit = hits.sum(axis=1)
-        kids = np.where(nhit == 0, n, nhit == 1)  # all n candidates, the forced one, or none
-        parent = np.repeat(np.arange(len(tables)), kids)
-        if not len(parent):
-            continue
-        rank = np.arange(len(parent)) - (np.cumsum(kids) - kids)[parent]
-        cand = np.where(nhit[parent] == 0, rank, (hits @ axes)[parent])
-        if pos + 1 < count:
-            for start in reversed(range(0, len(parent), step)):
-                part = slice(start, start + step)
-                stack.append((pos + 1, tables, parent[part], cand[part]))
-            continue
-        tables = tables[parent]
-        tables[:, pos] = cand
-        room = cap - complete
-        yield from tables[:room].astype(np.int32)
+    coords = np.indices(shape).reshape(n, count).T
+    reads = np.where(coords > 0, np.arange(count)[:, None] - strides, count)
+    read_later = coords < np.array(shape) - 1  # cell + strides[a] reads the cell on a's axis
+    walk = (reads, np.arange(n), 1 - np.eye(n, dtype=np.int64))
+    levels = (count - 1).bit_length() + 1  # ranges halve, so at most this many calls nest
+    share = _STACK_BYTES // levels
+    block = max(n, min(_BLOCK, share // (6 * width)))
+
+    def grow(rows, lo, hi, most):  # breadth-first while a step cannot pass `most` rows
+        source = np.arange(len(rows), dtype=np.int32)
+        while lo < hi and len(rows) * n <= most:
+            parent, cand = _candidates(rows, lo, walk)
+            rows, source = rows[parent], source[parent]
+            rows[:, lo] = cand
+            lo += 1
+        return rows, source, lo
+
+    def complete(rows, lo, hi):  # every extension of rows through cell hi - 1, as ordered blocks
+        m = (lo + hi + 1) // 2
+        for start in range(0, len(rows), block // n):  # so that a step fits a block
+            prefix, _, pos = grow(rows[start:start + block // n], lo, m, block)
+            for part in [prefix] if pos == m else complete(prefix, pos, m):
+                yield from [part] if m == hi else join(part, m, hi)
+
+    def join(part, m, hi):  # complete(part, m, hi), each distinct context's suffixes grown once
+        cols = np.arange(max(0, m - window), m)
+        reach = cols[:, None] + strides  # the cell that reads each column on each bidder's axis
+        kept = read_later[cols] & (reach >= m) & (reach < hi)
+        context = np.where(kept[np.arange(len(cols)), part[:, cols]], part[:, cols], -1)
+        order = np.lexsort(context.T)
+        ordered = context[order]
+        new = np.ones(len(part), bool)
+        new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        inverse = np.empty(len(part), np.intp)
+        inverse[order] = np.cumsum(new) - 1  # each prefix's context
+        first = order[new]  # a prefix of each context
+        if len(first) < len(part):
+            suffix, source, pos = grow(part[first], m, hi, share // (2 * width))
+            sizes = np.bincount(source, minlength=len(first))
+            if pos == hi and sizes.max() <= block:
+                reps = sizes[inverse]
+                head = np.cumsum(reps) - reps  # each prefix's first joined row
+                shift = (np.cumsum(sizes) - sizes)[inverse] - head  # its first suffix row, less that
+                cuts = np.flatnonzero(np.diff(head // block)) + 1
+                for a, b in zip([0, *cuts], [*cuts, len(part)]):
+                    out = np.repeat(part[a:b], reps[a:b], axis=0)
+                    rows = np.arange(len(out)) + np.repeat(shift[a:b] + head[a], reps[a:b])
+                    out[:, m:hi] = suffix[rows, m:hi]
+                    yield out
+                return
+        yield from complete(part, m, hi)
+
+    emitted = 0
+    root = np.array([[0] * count + [-1]], np.int8)  # n <= log2(profiles), so bidders fit int8
+    for tables in complete(root, 0, count):
+        room = cap - emitted
+        yield from tables[:room, :count].astype(np.int32)
         if len(tables) > room:
             raise CapExceeded(_cap_message(cap))
-        complete += len(tables)
+        emitted += len(tables)
 
 
 def _children(pos: int, state: int, frontier: tuple) -> list[tuple[int, int]]:

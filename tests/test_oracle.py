@@ -1,5 +1,6 @@
 """Oracles: exhaustive monotone search, ordering averages, closed forms."""
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -101,9 +102,12 @@ def test_search_walks_the_enumerated_tables(v, nodes):
     """The search visits exactly the enumerated tables, in order, and keeps the first best."""
     report = best_monotone_ratio(v)
     tables = list(enumerate_monotone_tables(v))
-    worst = [welfare_ratio(AllocationTable(v.space, t.reshape(v.space.shape)), v)[0] for t in tables]
+    grids = [AllocationTable(v.space, t.reshape(v.space.shape)) for t in tables]
+    worst = [welfare_ratio(grid, v)[0] for grid in grids]
     assert report.monotone_count == len(tables)
-    assert [tuple(t) for t in tables] == sorted(tuple(t) for t in tables)  # lexicographic walk
+    rows = [tuple(t) for t in tables]
+    assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly lexicographic: none repeated
+    assert not any(check_allocation_monotone(grid) for grid in grids)
     assert all(t.dtype == np.int32 for t in tables)
     assert not tables[0].any()  # candidates are tried lowest bidder first
     assert report.best_ratio == min(worst)
@@ -112,20 +116,79 @@ def test_search_walks_the_enumerated_tables(v, nodes):
     assert report.tables_scanned == nodes  # candidate assignments of the row-major walk
 
 
-@pytest.mark.parametrize("block", [1, 2, 7])
-def test_block_size_does_not_change_the_walk(monkeypatch, block):
-    """Small blocks split every step into many slices; tables, order and counts stay."""
+def _record_steps(monkeypatch):
+    """Record each step the enumerator takes, through its one candidates helper:
+    (cell, the partial tables stepped, their children)."""
+    steps = []
+    candidates = oracle._candidates
+
+    def spy(rows, pos, walk):
+        parent, cand = candidates(rows, pos, walk)
+        steps.append((pos, rows[:, :pos].copy(), len(parent)))
+        return parent, cand
+
+    monkeypatch.setattr(oracle, "_candidates", spy)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [pytest.param("_BLOCK", block, id=str(block)) for block in (1, 2, 7)]
+    + [pytest.param("_STACK_BYTES", budget, id=f"budget{budget}") for budget in (1, 4096, 8192)],
+)
+def test_block_size_does_not_change_the_walk(monkeypatch, name, value):
+    """Small blocks split every step into many slices, and a small budget also
+    leaves suffix blocks unbuilt, so the prefixes are completed over the suffix
+    range instead of joined; tables, order and counts stay."""
     v = gen.gen_three_bidder_no_c()
     tables = list(enumerate_monotone_tables(v))
     report = best_monotone_ratio(v)
-    monkeypatch.setattr(oracle, "_BLOCK", block)
+    monkeypatch.setattr(oracle, name, value)
+    steps = _record_steps(monkeypatch)
     small = list(enumerate_monotone_tables(v))
     assert len(small) == len(tables)
     assert all(np.array_equal(a, b) for a, b in zip(small, tables))
+    assert len(steps) > 12  # more than one step per cell
+    assert max(len(rows) for _, rows, _ in steps) < 117  # the 117 prefixes at the split are chunked
+    if name == "_STACK_BYTES" and value == 1:
+        # one row per step and no suffix block kept: each partial table is
+        # stepped once, as the one-cell walk takes it, so the children are its nodes
+        assert max(len(rows) for _, rows, _ in steps) == 1
+        assert sum(kids for _, _, kids in steps) == report.tables_scanned == 7579
     again = best_monotone_ratio(v)
     assert again.best_ratio == report.best_ratio
     assert (again.tables_scanned, again.monotone_count) == (7579, len(tables))
     assert np.array_equal(again.witness_table.winner, report.witness_table.winner)
+
+
+def test_each_context_is_extended_once(monkeypatch):
+    """On the 8x8 grid each cell is one batched step.  The prefixes reach 495
+    rows at the split cell 32 and have 9 distinct contexts (which of their
+    last 8 cells bidder 0 won); each context is extended once, to 1,287
+    suffix rows in all, and the join repeats the prefixes over them into the
+    12,870 tables."""
+    steps = _record_steps(monkeypatch)
+    tables = list(enumerate_monotone_tables(gen.gen_random_tabulated(2, 7, seed=6)[0]))
+    assert len(tables) == 12_870
+    assert [pos for pos, _, _ in steps] == list(range(64))
+    assert steps[31][2] == 495  # the prefixes at the split
+    assert len(steps[32][1]) == 9  # the contexts, stepped in one batch
+    for pos, rows, _ in steps[32:]:  # no context's partial suffix is stepped twice
+        assert len({row[24:].tobytes() for row in rows}) == len(rows)
+    assert steps[-1][2] == 1_287
+
+
+def test_a_large_stream_is_pinned_byte_for_byte():
+    """``gen_random_tabulated(3, 2, seed=1)``: 2,715,798 tables, the search's
+    count, and the sha256 of their concatenated int32 bytes, which fixes both
+    their order and their content."""
+    v = gen.gen_random_tabulated(3, 2, seed=1)[0]
+    digest, count = hashlib.sha256(), 0
+    for table in enumerate_monotone_tables(v):
+        digest.update(table)
+        count += 1
+    assert count == best_monotone_ratio(v, cap=10**7).monotone_count == 2_715_798
+    assert digest.hexdigest() == "dd7145ed9c5fed1582bf1e30134a176c477a56f45d822517a039f9e356360019"
 
 
 def test_best_monotone_det_impossibility():
