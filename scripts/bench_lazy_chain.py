@@ -15,9 +15,9 @@ Cases:
                       chain; ms per call
   ragged_n4_k8_B250   ``lazy_winners`` over 250 seeded orderings of
                       ``gen_random_tabulated(4, 8)`` at (0, 1, 4, 8), so one
-                      entrant's call mixes rows with no evaluation, rows at
-                      their top level alone and rows with lower levels; ms
-                      per call
+                      entrant's gather mixes rows with no level to evaluate,
+                      rows at their top level alone and rows with lower
+                      levels; ms per call
 
 Each tree is timed in fresh worker processes, one per round, and the rounds
 alternate which tree runs first.  A worker warms every case up, then reports

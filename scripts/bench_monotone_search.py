@@ -59,7 +59,7 @@ NAMES = ("workload_n2_k7", "three_bidder_no_c", "tight_n4_cap1e7", "tabulated_n3
          "tabulated_n2_k10", "cap_hit_n6_k1", "enumerate_n2_k7", "enumerate_three_bidder_no_c",
          "enumerate_n3_k2", "enumerate_n4_k1")
 FAST_CALLS = 20  # calls per pass of the millisecond cases
-ROUNDS = 5  # worker runs per tree and case
+ROUNDS = 20  # worker runs per tree and case
 REPEATS = 3  # timed passes per worker
 
 

@@ -332,17 +332,16 @@ def _lazy_chain(v, orders, p, c):
     A batch evaluates each intermediate profile once: from the third entrant
     on, j's level 0 is the previous entrant's top level, whose values the
     chain carries, so j evaluates levels 1..p_j, at most 1 + (m-1)k rows per
-    ordering.  Those rows read ``base`` in place: with j written in, a row
-    of ``base`` is its top level p_j, so the rows whose entrant reports more
-    than 0 are evaluated first, in row order, and their values and best are
-    carried without a gather; only levels 1..p_j - 1 (k >= 2) are gathered
-    after them, in the same call.  A batch's second entrant, and every
-    entrant of one row, evaluate levels 0..p_j from gathered rows: one row
-    at most (m-1)(k+1) rows, since there one more row in the same call costs
-    less than the carry's NumPy calls.  The best entered value is a max over
-    values plus a row that is 0 for entered bidders and -inf for the rest,
-    exact since values are finite and non-negative.  The evaluator is only
-    handed fresh arrays, and the chain writes into none it returned.
+    ordering.  A batch's second entrant, and every entrant of one row,
+    evaluate levels 0..p_j: one row at most (m-1)(k+1) rows, since there one
+    more row in the same call costs less than the carry's NumPy calls.  When
+    every row has one level left, it is the row's profile in ``base`` (later
+    entrants at 0, everyone else at their report), so a copy of ``base`` is
+    evaluated; otherwise one gather of ``base`` rows holds every level.  The
+    best entered value is a max over values plus a row that is 0 for
+    entered bidders and -inf for the rest, exact since values are finite and
+    non-negative.  The evaluator is only handed fresh arrays, and the chain
+    writes into none it returned.
     """
     B, m = orders.shape
     rows = np.arange(B)
@@ -353,59 +352,42 @@ def _lazy_chain(v, orders, p, c):
     penalty = np.empty(base.shape)  # np.full takes a microsecond longer at one row
     penalty.fill(-np.inf)
     penalty[rows, w] = 0.0
-    deep = carry and p.max() > 1  # some report has levels strictly between 0 and its top
     for it in range(1, m):
         j = orders[:, it]
         penalty[rows, j] = 0.0
-        if carry and it > 1:
-            # level 0 from the carried values and their best entered bidder: best
-            # leaves out entrants at 0 since the row's last evaluation; with c >= 1
-            # each of them is worth at most best or c vw, so trips no test
+        base[rows, j] = pj = p[j]  # so each row of base is its entrant's top level
+        levels = span = pj + 1  # j's levels 0..p_j
+        if carry and it > 1:  # level 0 from the carried values and their best entered bidder
+            # best leaves out entrants at 0 since the row's last evaluation: with
+            # c >= 1 each of them is worth at most best or c vw, so trips no test
             took = _reallocates(best, carried[rows, j], carried[rows, w], it, c)
-            pj = p[j]
-            base[rows, j] = pj  # so each row of base is its entrant's top level
-            has = pj > 0
-            tops = np.count_nonzero(has)
-            lower = pj - has if deep else 0
-            at = np.repeat(rows, lower)  # the row of each of levels 1..p_j - 1
-            if tops == B and not at.size:  # the rows of base are all there is to evaluate
-                vals = v.values_at_batch(base.copy())
-                top = (vals + penalty).max(axis=1)
-                took |= _reallocates(top, vals[rows, j], vals[rows, w], it, c)
-                carried, best = vals, top
-            elif tops:  # top levels first, in row order, then the lower levels
-                ix = np.concatenate((rows if tops == B else rows[has], at))  # each profile's row
-                ev = np.arange(len(ix))
-                ja = j[ix]
-                profiles = base[ix]
-                if at.size:
-                    starts = np.cumsum(lower) - lower + (tops - 1)  # where level 0 would sit
-                    low = ev[tops:]
-                    profiles[low, ja[tops:]] = low - starts[at]
-                vals = v.values_at_batch(profiles)
-                top = (vals + penalty[ix]).max(axis=1)
-                took[ix[_reallocates(top, vals[ev, ja], vals[ev, w[ix]], it, c)]] = True
-                if tops == B:
-                    carried, best = vals[:B], top[:B]
-                else:  # a row whose entrant reports 0 keeps its level-0 values
-                    carried = carried.copy()  # it may be an array the evaluator returned
-                    carried[has], best[has] = vals[:tops], top[:tops]
-        else:  # levels 0..p_j from gathered rows of base
-            span = p[j] + 1
-            at = np.repeat(rows, span)  # the row of each evaluated profile
+            levels = pj  # j's levels 1..p_j
+        else:
+            took = np.zeros(B, dtype=bool)
+        at = np.repeat(rows, levels)  # the row of each evaluated profile
+        tops = np.count_nonzero(levels)  # rows with a level to evaluate
+        if at.size == tops == B:  # one level in every row: the rows of base
+            vals = v.values_at_batch(base.copy())
+            top = (vals + penalty).max(axis=1)
+            took |= _reallocates(top, vals[rows, j], vals[rows, w], it, c)
+            carried, best = vals, top
+        elif tops:
             ev = np.arange(len(at))
-            starts = np.cumsum(span) - span  # where each row's level 0 sits
+            starts = np.cumsum(levels) - span  # where each row's level 0 sits, evaluated or not
             ja = j[at]
             profiles = base[at]
-            profiles[ev, ja] = ev - starts[at]  # j at levels 0..p_j
+            profiles[ev, ja] = ev - starts[at]  # j at each level evaluated
             vals = v.values_at_batch(profiles)
             top = (vals + penalty[at]).max(axis=1)
-            hit = _reallocates(top, vals[ev, ja], vals[ev, w[at]], it, c)
-            took = np.logical_or.reduceat(hit, starts)
+            took[at[_reallocates(top, vals[ev, ja], vals[ev, w[at]], it, c)]] = True
             if carry:  # j's top level is the next entrant's level 0
-                last = starts + p[j]  # each row's top evaluated profile
-                carried, best = vals[last], top[last]
-            base[rows, j] = p[j]
+                last = starts + pj  # each row's top evaluated profile
+                if tops == B:  # rebinding takes half the time of a masked copy
+                    carried, best = vals[last], top[last]
+                else:  # a row whose entrant reports 0 keeps its level-0 values
+                    has = levels > 0
+                    carried = carried.copy()  # it may be an array the evaluator returned
+                    carried[has], best[has] = vals[last[has]], top[last[has]]
         w = np.where(took, j, w)
     return w
 

@@ -100,6 +100,21 @@ def test_revenue_settles_sales_in_one_pass():
     assert "_quotes" not in {f.name for f in dataclasses.fields(revenue.ReserveBackedMechanism)}
 
 
+def test_lazy_chain_evaluates_an_entrant_one_of_two_ways():
+    """``_lazy_chain`` hands the evaluator either a copy of its base profiles or
+    one gather of every row's levels: no in-place top-level path and no separate
+    one-row path."""
+    tree = ast.parse(Path(mechanisms.__file__).read_text())
+    chain = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                 and f.name == "_lazy_chain")
+    sites = sorted(
+        ast.unparse(call.args[0])
+        for call in ast.walk(chain)
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "values_at_batch"
+    )
+    assert sites == ["base.copy()", "profiles"]
+
+
 def test_a_prior_keeps_only_its_array():
     """A prior is its space and one probability array; no per-profile tuples, and
     no readers: a line or the support is read off ``probs``."""

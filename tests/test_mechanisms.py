@@ -491,9 +491,8 @@ def test_lazy_chain_matches_scalar_chain_on_carried_rows():
     at signal 0 (so no row of theirs is evaluated), the all-zero profile, batches of
     one-, two- and three-bidder sub-orderings, and an evaluator-backed instance.
     Where k >= 2, profiles also mix 0, 1, an interior and the top signal, so one
-    entrant's call holds rows with no evaluation, rows evaluated at their top
-    level alone (read from the base profiles in place) and rows whose lower levels
-    are gathered."""
+    entrant's gather holds rows with no level to evaluate, rows with their top
+    level alone and rows with lower levels too."""
     import random as _random
 
     rng = _random.Random(46)
