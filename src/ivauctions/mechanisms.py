@@ -241,27 +241,59 @@ def hypergrid_coloring(
 
     ``pi`` may order any non-empty subset of the bidders (``lazy_winner``'s
     contract): the others keep their whole axis in every iteration and never
-    win, so each slice of the table is the sub-market at their reports.
+    win, so each slice of the table is the sub-market at their reports.  The
+    table is ``_grid_tables``' one-row call.
     """
     order = _validate_order(pi, v.n)
     c = _required_c(v, c)
-    dense = v.tabulated().values
-    winner = np.full(v.space.shape, NO_WINNER, dtype=np.int32)
-    for it, j in enumerate(order):
-        first, later = order[: it + 1], order[it + 1 :]
-        # bidders yet to enter sit at signal 0, the rest keep their whole axis (a view)
-        sub = tuple(0 if a in later else slice(None) for a in range(v.n))
-        if it == 0:
-            winner[sub] = j
-            continue
-        ax = sum(a not in later for a in range(j))  # the view keeps its axes in bidder order
-        layers = np.moveaxis(winner[sub], ax, 0)
-        vals = np.moveaxis(dense[(slice(None),) + sub], ax + 1, 1)
-        w = layers[0]
-        vw = np.take_along_axis(vals, w[None, None], axis=0)[0]  # w's value at every level
-        hit = _reallocates(vals[list(first)].max(axis=0), vals[j], vw, it, c)
-        layers[...] = np.where(np.logical_or.accumulate(hit, axis=0), j, w)
+    [winner] = _grid_tables(v, np.array([order], dtype=np.intp), c)
     return AllocationTable(space=v.space, winner=winner)
+
+
+#: Cells of grid tables colored together by ``_grid_tables``; bounds its temporaries.
+_TABLE_CELLS = 1 << 16
+
+
+def _grid_tables(v, orders, c):
+    """``hypergrid_coloring``'s winner arrays for each row of a (R, m) array of orderings.
+
+    The rows are colored in lockstep, in chunks of about ``_TABLE_CELLS`` cells.
+    At entrant number it, the rows that order the same subset and have entered
+    the same set with the same entrant j work on the same sub-grid (the rest of
+    their subset at 0, everyone else on their whole axis), so one array step
+    colors such a group against each row's own standing winners.  The first
+    entrant's fill covers the whole table: the last entrant recolors every
+    cell, and each earlier one reads only its predecessor's sub-grid.
+    """
+    dense = v.tabulated().values
+    n, (R, m) = v.n, orders.shape
+    flat, cells = dense.reshape(n, -1), np.arange(dense[0].size).reshape(v.space.shape)
+    out = np.empty((R,) + v.space.shape, dtype=np.int32)
+    chunk = max(1, _TABLE_CELLS // cells.size)
+    for lo in range(0, R, chunk):
+        P, tables = orders[lo : lo + chunk], out[lo : lo + chunk]
+        tables[...] = P[:, :1].reshape((-1,) + (1,) * n)
+        rows = P.tolist()
+        subsets = [sum(1 << b for b in order) for order in rows]
+        entered = [1 << order[0] for order in rows]
+        for it in range(1, m):
+            groups: dict = {}
+            for r, order in enumerate(rows):
+                entered[r] |= 1 << order[it]
+                groups.setdefault((subsets[r], entered[r], order[it]), []).append(r)
+            for g in groups.values():
+                order = rows[g[0]]
+                j, later = order[it], order[it + 1 :]
+                # bidders yet to enter sit at signal 0, the rest keep their whole axis (a view)
+                sub = (slice(None),) + tuple(0 if a in later else slice(None) for a in range(n))
+                ax = sum(a not in later for a in range(j))  # the view keeps its axes in bidder order
+                layers, vals = tables[sub], dense[sub]
+                at = slice(g[0], g[-1] + 1) if g[-1] - g[0] < len(g) else g  # the group's rows
+                w = layers[(at,) + (slice(None),) * ax + (slice(0, 1),)]  # standing winners: j at 0
+                vw = flat[w, cells[sub[1:]]]  # w's value at every level
+                hit = _reallocates(vals[order[: it + 1]].max(axis=0), vals[j], vw, it, c)
+                layers[at] = np.where(np.logical_or.accumulate(hit, axis=ax + 1), j, w)
+    return out
 
 
 def lazy_winner(

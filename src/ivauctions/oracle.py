@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -353,9 +353,9 @@ def monte_carlo_random_hypergrid(
     """Seeded i.i.d. ordering draws; mean winner value at s with its standard error.
 
     Orderings replay ``random.Random(seed).shuffle`` on one list bit for bit
-    (``_orderings``) and are evaluated in batches of at most ``MC_CHUNK``
-    through the lazy chain, with c measured once; values are accumulated in
-    draw order.
+    (``_orderings``) and are evaluated in batches of at most ``MC_CHUNK``,
+    each one (B, n) intp array, through the lazy chain, with c measured once;
+    values are accumulated in draw order.
     """
     samples = _sample_count(samples)
     p = v.space.validate_profile(s)
@@ -366,8 +366,10 @@ def monte_carlo_random_hypergrid(
     def draws():
         left = samples
         while left:
-            batch = list(islice(stream, min(left, MC_CHUNK)))
-            left -= len(batch)
+            size = min(left, MC_CHUNK)
+            left -= size
+            flat = chain.from_iterable(islice(stream, size))
+            batch = np.fromiter(flat, dtype=np.intp, count=size * v.n).reshape(size, v.n)
             for w in lazy_winners(v, batch, p, c=c).tolist():
                 yield worth[w]
 

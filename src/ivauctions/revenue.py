@@ -39,6 +39,7 @@ from .mechanisms import (
     Rule,
     _called_at,
     _critical_signals,
+    _grid_tables,
     _high_if_possible_winners,
     _on_grid,
     _ratios,
@@ -46,7 +47,6 @@ from .mechanisms import (
     _trusted,
     _winner_values,
     as_table,
-    hypergrid_coloring,
     lazy_winner,
 )
 from .model import (
@@ -410,8 +410,11 @@ class HypergridFamily(RuleFamily):
     coloring of the full instance for the ordering of the subset alone; no
     sub-instance is built.  The exact enumeration reads every ordering at every
     support profile, so there each rule is the ordering's ``hypergrid_coloring``
-    table itself; a sampled draw reads one profile's lines, so there it is the
-    lazy chain, which keeps nothing grid-sized per ordering.
+    table itself: ``realizations`` colors the tables of a subset's orderings
+    (or of its one induced ordering) in one lockstep ``_grid_tables`` call and
+    keeps one table object per ordering.  A sampled draw reads one profile's
+    lines, so there the rule is the lazy chain, which keeps nothing grid-sized
+    per ordering.
     """
 
     def __init__(
@@ -421,21 +424,16 @@ class HypergridFamily(RuleFamily):
         self.pi = None if pi is None else validate_permutation(pi, v.n)
         self.c = _required_c(v, c)
 
-    def _rule(self, order: tuple[int, ...], table: bool) -> Rule:
-        key = (order, table)
-        if key not in self._rules:
-            if table:
-                self._rules[key] = hypergrid_coloring(self.v, order, c=self.c)
-            else:
-                self._rules[key] = lambda profile: lazy_winner(self.v, order, profile, c=self.c)
-        return self._rules[key]
-
     def realizations(self, bidders):
         if self.pi is None:
             orders = list(permutations(bidders))
         else:
             orders = [tuple(b for b in self.pi if b in bidders)]
-        return [(1.0 / len(orders), self._rule(order, table=True)) for order in orders]
+        new = [order for order in orders if (order, True) not in self._rules]
+        if new:  # every new ordering's table in one call
+            for order, winner in zip(new, _grid_tables(self.v, np.array(new, dtype=np.intp), self.c)):
+                self._rules[order, True] = AllocationTable(space=self.v.space, winner=winner)
+        return [(1.0 / len(orders), self._rules[order, True]) for order in orders]
 
     def sample_rule(self, bidders, rng):
         if self.pi is None:
@@ -443,7 +441,12 @@ class HypergridFamily(RuleFamily):
             rng.shuffle(order)
         else:
             order = [b for b in self.pi if b in bidders]
-        return self._rule(tuple(order), table=False)
+        return self._lazy_rule(tuple(order))
+
+    def _lazy_rule(self, order: tuple[int, ...]) -> Rule:
+        if (order, False) not in self._rules:
+            self._rules[order, False] = lambda profile: lazy_winner(self.v, order, profile, c=self.c)
+        return self._rules[order, False]
 
     def realization_count(self, market_size: int) -> int:
         return 1 if self.pi is not None else math.factorial(max(1, market_size))

@@ -3,7 +3,10 @@
 The package never imports this module.  ``lazy_winner`` is the grid
 mechanism's chain written one profile and one signal level at a time, the
 way the paper states it; ``ivauctions.lazy_winner`` and ``lazy_winners`` run
-the same chain as array passes and are tested against it.  The rest are the
+the same chain as array passes and are tested against it.
+``hypergrid_coloring_by_entrant`` is the grid table colored one ordering and
+one entrant at a time (former package code), the twin of the lockstep
+builder behind ``hypergrid_coloring``.  The rest are the
 literal twins and paper definitions the tests cross-check the package with:
 the per-profile truthfulness sweep, a prior's support listed row-major, the
 one-line winning reserve (former package code, with its scalar price loop)
@@ -43,7 +46,9 @@ from ivauctions.mechanisms import (
     AllocationTable,
     IncompatibleMechanism,
     Rule,
+    _reallocates,
     _required_c,
+    _validate_order,
     critical_signal,
 )
 from ivauctions.model import validate_permutation
@@ -103,6 +108,44 @@ def _chain(v, order, p, c, trace):
         if trace is not None:
             trace.append((w, tuple(base)))
     return w
+
+
+def hypergrid_coloring_by_entrant(
+    v: ValuationInstance, pi: Sequence[int], c: Optional[float] = None
+) -> AllocationTable:
+    """Order-driven grid coloring one entrant at a time (former package code).
+
+    Bidders enter in the order ``pi``.  The first bidder tentatively wins its
+    whole axis.  When bidder number j enters, each cell of its zero layer has
+    a standing winner w, and the cell's winner at entrant level s is j iff some
+    level 0..s trips the lazy chain's test ``_reallocates`` against w: the best
+    of the first j bidders beats (j-1)c times w, or the entrant alone beats c
+    times w.  A trigger sticks, since the test against j itself can only pick
+    j again, so this is the chain's rule at every cell.
+
+    ``pi`` may order any non-empty subset of the bidders (``lazy_winner``'s
+    contract): the others keep their whole axis in every iteration and never
+    win, so each slice of the table is the sub-market at their reports.
+    """
+    order = _validate_order(pi, v.n)
+    c = _required_c(v, c)
+    dense = v.tabulated().values
+    winner = np.full(v.space.shape, NO_WINNER, dtype=np.int32)
+    for it, j in enumerate(order):
+        first, later = order[: it + 1], order[it + 1 :]
+        # bidders yet to enter sit at signal 0, the rest keep their whole axis (a view)
+        sub = tuple(0 if a in later else slice(None) for a in range(v.n))
+        if it == 0:
+            winner[sub] = j
+            continue
+        ax = sum(a not in later for a in range(j))  # the view keeps its axes in bidder order
+        layers = np.moveaxis(winner[sub], ax, 0)
+        vals = np.moveaxis(dense[(slice(None),) + sub], ax + 1, 1)
+        w = layers[0]
+        vw = np.take_along_axis(vals, w[None, None], axis=0)[0]  # w's value at every level
+        hit = _reallocates(vals[list(first)].max(axis=0), vals[j], vw, it, c)
+        layers[...] = np.where(np.logical_or.accumulate(hit, axis=0), j, w)
+    return AllocationTable(space=v.space, winner=winner)
 
 
 def exact_stats_by_chain(

@@ -31,6 +31,7 @@ MOVED = (
     "_line_values",
     "high_if_possible_ordered",
     "spot_check_value_monotone",
+    "hypergrid_coloring_by_entrant",
 )
 
 

@@ -2,7 +2,7 @@
 
 import json
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +36,11 @@ from ivauctions import (
     welfare_ratio,
 )
 from ivauctions import instances as gen
+from ivauctions import mechanisms
 from ivauctions.mechanisms import (
     NO_WINNER,
     _entry_table,
+    _grid_tables,
     _lazy_chain,
     as_table,
     critical_signal_scan,
@@ -60,6 +62,7 @@ import reference
 from reference import (
     check_expost_truthful_literal,
     check_hypergrid_internal_chain,
+    hypergrid_coloring_by_entrant,
     lazy_winner_trace,
     restrict_bidders,
 )
@@ -707,6 +710,65 @@ def test_grid_tables_share_one_tabulation(monkeypatch):
     assert compute_c(counted) == c
     assert counts["rows"] == lb.space.profile_count and len(checks) == 1
     assert counted.tabulated() is counted.tabulated()
+
+
+def _sub_orderings(n, m):
+    """Every ordering of every m-bidder subset of 0..n-1."""
+    return [order for keep in combinations(range(n), m) for order in permutations(keep)]
+
+
+def _equal_to_the_twin(v, c, orders, tables):
+    for order, winner in zip(orders, tables):
+        twin = hypergrid_coloring_by_entrant(v, order, c=c).winner
+        assert winner.dtype == np.int32 and np.array_equal(winner, twin), (v.space.sizes, order)
+
+
+def test_grid_tables_equal_the_per_entrant_twin_on_the_corpus(finite_c_corpus):
+    """Every sub-ordering of every corpus instance with n <= 5, one builder call per
+    length, so a call mixes the orderings of different subsets."""
+    checked = 0
+    for name, v, c, _ in finite_c_corpus:
+        if v.n > 5:
+            continue
+        for m in range(1, v.n + 1):
+            orders = _sub_orderings(v.n, m)
+            _equal_to_the_twin(v, c, orders, _grid_tables(v, np.array(orders), c))
+            checked += len(orders)
+    assert checked > 700
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 1), (5, 1), (6, 1)])
+def test_family_tables_equal_the_per_entrant_twin(n, k):
+    """The randomized family's tables of every sub-market, one builder call each."""
+    v = gen.gen_random_separable(n, k, 2.0, seed=3)
+    c = compute_c(v)
+    family = HypergridFamily(v, c=c)
+    for m in range(1, n + 1):
+        for keep in combinations(range(n), m):
+            probs, rules = zip(*family.realizations(keep))
+            assert probs == (1 / math.factorial(m),) * math.factorial(m)
+            _equal_to_the_twin(v, c, list(permutations(keep)), [rule.winner for rule in rules])
+
+
+@pytest.mark.parametrize("n, k", [(2, 70), (3, 16), (4, 8)])
+def test_one_ordering_table_equals_the_per_entrant_twin(n, k):
+    v = gen.gen_random_tabulated(n, k, seed=n)[0]
+    c = compute_c(v)
+    pi = tuple(reversed(range(n)))
+    _equal_to_the_twin(v, c, [pi], [hypergrid_coloring(v, pi, c=c).winner])
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_row_chunk_does_not_change_the_tables(monkeypatch, rows):
+    """One row per chunk, or three, split the groups of rows that share a sub-grid
+    across chunks; the tables stay."""
+    v = gen.gen_random_separable(4, 1, 2.0, seed=3)
+    c = compute_c(v)
+    orders = np.array(list(permutations(range(4))))
+    tables = _grid_tables(v, orders, c)
+    monkeypatch.setattr(mechanisms, "_TABLE_CELLS", rows * v.space.profile_count)
+    assert np.array_equal(_grid_tables(v, orders, c), tables)
+    _equal_to_the_twin(v, c, orders.tolist(), tables)
 
 
 def test_values_at_batch_evaluator_and_tabulated_agree():

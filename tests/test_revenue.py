@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ivauctions import (
+    AllocationTable,
     CapExceeded,
     SignalSpace,
     ValidationError,
@@ -429,6 +430,28 @@ def test_point_mass_single_bidder_branch_a_sells_at_value():
     events = mech.profile_events((1,))
     full = [e for e in events if e.branch == "full"]
     assert len(full) == 1 and full[0].revenue == 4.0 and full[0].price == 4.0
+
+
+def test_grid_family_keeps_one_rule_per_ordering():
+    """Repeated ``realizations`` calls return the same table objects, so the stacked
+    pass settles a rule that serves several branches once: with every ordering, the
+    full market's 6 tables double as its subset's, so ``_heads`` has 16 rows (row 0
+    is nobody), and with a fixed ordering each of the 7 subsets has one table."""
+    v = gen.gen_random_separable(3, 1, 2.0, seed=3)
+    prior = uniform_product_prior(v.space)
+    for pi, rows in ((None, 16), ((2, 0, 1), 8)):
+        family = HypergridFamily(v, pi=pi)
+        mech = ReserveBackedMechanism(v=v, prior=prior, family=family, alpha=4.0, d=1.0, p=0.5)
+        heads = mech._heads
+        assert len({r for *_, r in heads}) == rows
+        for mask in range(1, 8):
+            keep = tuple(b for b in range(3) if mask >> b & 1)
+            first, again = family.realizations(keep), family.realizations(keep)
+            assert all(a is b for (_, a), (_, b) in zip(first, again))
+            assert all(isinstance(rule, AllocationTable) for _, rule in first)
+        again = ReserveBackedMechanism(v=v, prior=prior, family=family, alpha=4.0, d=1.0)._heads
+        assert [(rule, r) for *_, rule, r in again] == [(rule, r) for *_, rule, r in heads]
+        assert len(family._rules) == rows - 1
 
 
 def test_profile_events_probabilities_sum_to_one():
@@ -943,7 +966,7 @@ class _LazyGridFamily(HypergridFamily):
 
     def realizations(self, bidders):
         orders = list(permutations(bidders))
-        return [(1.0 / len(orders), self._rule(order, table=False)) for order in orders]
+        return [(1.0 / len(orders), self._lazy_rule(order)) for order in orders]
 
 
 def _event_cases():
@@ -1321,7 +1344,7 @@ def test_sampled_grid_revenue_builds_no_tables(monkeypatch, pi):
     c, d = compute_c(v), compute_d(v)
     family = HypergridFamily(v, pi=pi, c=c)
     mech = ReserveBackedMechanism(v=v, prior=prior, family=family, alpha=2 * c, d=d, p=0.5)
-    calls = _count_calls(monkeypatch, "hypergrid_coloring")
+    calls = _count_calls(monkeypatch, "_grid_tables")
     sampled, se = expected_revenue(mech, cap=1, samples=500, seed=5)
     assert not calls and se > 0
     orderings = sum(math.perm(3, m) for m in range(1, 4)) if pi is None else 2**3 - 1
@@ -1330,7 +1353,7 @@ def test_sampled_grid_revenue_builds_no_tables(monkeypatch, pi):
     exact_family = HypergridFamily(v, pi=pi, c=c)
     exact = ReserveBackedMechanism(v=v, prior=prior, family=exact_family, alpha=2 * c, d=d, p=0.5)
     assert expected_revenue(exact)[1] == 0.0
-    assert 0 < len(calls) == len(exact_family._rules) <= orderings
+    assert 0 < sum(len(orders) for _, orders, _ in calls) == len(exact_family._rules) <= orderings
     assert all(table for _, table in exact_family._rules)
 
 
